@@ -1,0 +1,334 @@
+"""Isogeny-class census for given (q, P, m).
+
+Enumerates admissible characteristic polynomials, evaluates the closed-form
+counts, optionally brute-forces every module over L = F_{q^(md)} to measure
+which classes are realized, and counts distinct Euler-Poincare divisors.
+
+Enumeration is the source of truth; closed forms are evaluated in exact
+rational arithmetic and any mismatch is recorded as a discrepancy finding,
+not an error.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+
+from . import frobenius
+from .classify import Verdict, weil_admissible
+from .drinfeld import DrinfeldModule
+from .ff import ext_make
+from .polyring import Poly, PolyDomainError, is_irreducible
+
+REALIZE_BOUND_ENV = "DRINFELD2_REALIZE_MAX"
+DEFAULT_REALIZE_BOUND = 5**4
+
+
+class RealizationBoundError(ValueError):
+    """The exhaustive sweep over L was refused as too large."""
+
+
+@dataclass
+class CensusReport:
+    q: int
+    d: int
+    m: int
+    P: Poly
+    ordinary_count: int = 0
+    ss2_count: int = 0
+    ss3_count: int = 0
+    ss4_count: int = 0
+    formula_total: int | None = None
+    realized_distinct: int | None = None
+    realized_ordinary_coverage: float | None = None
+    chi_distinct_enumerative: int | None = None
+    chi_formula: int | None = None
+    discrepancies: list = dc_field(default_factory=list)
+
+    @property
+    def total(self):
+        return self.ordinary_count + self.ss2_count + self.ss3_count + self.ss4_count
+
+    @property
+    def case(self):
+        return formula_case(self.d, self.m)
+
+    def to_json(self):
+        return {
+            "q": self.q,
+            "d": self.d,
+            "m": self.m,
+            "P": self.P.to_human(),
+            "case": self.case,
+            "ordinary_count": self.ordinary_count,
+            "ss2_count": self.ss2_count,
+            "ss3_count": self.ss3_count,
+            "ss4_count": self.ss4_count,
+            "total": self.total,
+            "formula_total": self.formula_total,
+            "realized_distinct": self.realized_distinct,
+            "realized_ordinary_coverage": self.realized_ordinary_coverage,
+            "chi_distinct_enumerative": self.chi_distinct_enumerative,
+            "chi_formula": self.chi_formula,
+            "discrepancies": list(self.discrepancies),
+        }
+
+
+CSV_HEADER = (
+    "q,d,m,case,ordinary,ss2,ss3,ss4,total,formula_total,"
+    "chi_distinct,chi_formula,realized_distinct,ordinary_coverage,discrepancies"
+)
+
+
+def csv_row(report):
+    def cell(v):
+        if v is None:
+            return ""
+        return str(v)
+
+    return ",".join(
+        [
+            cell(report.q),
+            cell(report.d),
+            cell(report.m),
+            cell(report.case),
+            cell(report.ordinary_count),
+            cell(report.ss2_count),
+            cell(report.ss3_count),
+            cell(report.ss4_count),
+            cell(report.total),
+            cell(report.formula_total),
+            cell(report.chi_distinct_enumerative),
+            cell(report.chi_formula),
+            cell(report.realized_distinct),
+            cell(report.realized_ordinary_coverage),
+            '"%s"' % "; ".join(report.discrepancies),
+        ]
+    )
+
+
+def candidate_pairs(P, m):
+    """All (c, mu) with deg c <= floor(md/2), mu a unit, in lexicographic
+    order of (c coefficients low-first, mu)."""
+    base = P.field
+    bound = (m * (len(P.coeffs) - 1)) // 2
+    for coeffs in itertools.product(range(base.order), repeat=bound + 1):
+        c = Poly(base, coeffs)
+        for mu in base.units():
+            yield c, mu
+
+
+def admissible_pairs(P, m):
+    """(c, mu, verdict) for every admissible candidate."""
+    for c, mu in candidate_pairs(P, m):
+        verdict = weil_admissible(c, mu, P, m)
+        if verdict.is_admissible():
+            yield c, mu, verdict
+
+
+def enumerate_census(P, m):
+    """Tally admissibility verdicts over the full (c, mu) grid."""
+    base = P.field
+    if P.is_constant() or not is_irreducible(P):
+        raise PolyDomainError("P must be monic irreducible")
+    report = CensusReport(q=base.order, d=int(P.deg), m=m, P=P)
+    for _, _, verdict in admissible_pairs(P, m):
+        if verdict is Verdict.ORDINARY:
+            report.ordinary_count += 1
+        elif verdict is Verdict.SUPERSINGULAR_2:
+            report.ss2_count += 1
+        elif verdict is Verdict.SUPERSINGULAR_3:
+            report.ss3_count += 1
+        else:
+            report.ss4_count += 1
+    return report
+
+
+# --- closed forms -----------------------------------------------------------
+
+
+def formula_case(d, m):
+    """1, 2, 3 by the (m, d) parities; None for m odd, d even (no formula)."""
+    if m % 2 == 1 and d % 2 == 1:
+        return 1
+    if m % 2 == 0 and d % 2 == 1:
+        return 2
+    if m % 2 == 0 and d % 2 == 0:
+        return 3
+    return None
+
+
+def _qpow(q, e):
+    """q^e as an exact rational; e may be negative."""
+    if e >= 0:
+        return Fraction(q**e)
+    return Fraction(1, q**-e)
+
+
+def formula_total(q, d, m):
+    """Closed-form isogeny-class count as an exact rational, or None when the
+    (m odd, d even) regime has no published form.
+
+    Bracketed exponents are read as floors, including negative arguments.
+    """
+    case = formula_case(d, m)
+    if case is None:
+        return None
+    md = m * d
+    if case == 1:
+        hi = md // 2 + 1  # floor(md/2) + 1
+        lo = ((m - 2) * d) // 2 + 1  # floor((m-2)d/2) + 1, floor of negatives
+        return Fraction(q - 1) * (_qpow(q, hi) - _qpow(q, lo) + 1)
+    if case == 2:
+        return Fraction(q - 1) * (
+            Fraction(q - 1, 2) * _qpow(q, md // 2)
+            - _qpow(q, (m - 2) * d // 2 + 1)
+            + q
+        )
+    return Fraction(q - 1) * (
+        Fraction(q - 1, 2) * _qpow(q, md // 2) - _qpow(q, (m - 2) * d // 2) + 1
+    )
+
+
+def chi_formula(q, d, m):
+    """Closed-form count of distinct Euler-Poincare divisors (exact rational),
+    or None for m odd, d even."""
+    case = formula_case(d, m)
+    if case is None:
+        return None
+    md = m * d
+    qf = Fraction(q, q - 1)
+    if case == 1:
+        hi = md // 2 + 1
+        lo = ((m - 2) * d) // 2 + 1
+        return qf * _qpow(q, hi) - qf * _qpow(q, lo) + 1
+    head = Fraction(q * q + 1, 2 * q - 2) * _qpow(q, md // 2)
+    tail = qf * _qpow(q, (m - 2) * d // 2 + 1)
+    return head - tail + (q if case == 2 else 1)
+
+
+def _rational_to_report(value, label, discrepancies):
+    if value is None:
+        return None
+    if value.denominator == 1:
+        return int(value)
+    discrepancies.append("%s is not an integer: %s" % (label, value))
+    return None
+
+
+# --- Euler-Poincare census --------------------------------------------------
+
+
+def chi_census(P, m):
+    """(number of distinct chi ideals, grouping dict) over admissible pairs.
+
+    chi_Phi is the ideal (1 - c + mu P^m); ideals of A are compared by monic
+    generator (generators differ by F_q^* units).
+    """
+    Pm = P**m
+    one = Poly.one(P.field)
+    groups = {}
+    for c, mu, _ in admissible_pairs(P, m):
+        val = one - c + Pm.scale(mu)
+        key = val.monic().coeffs
+        groups.setdefault(key, []).append((c.coeffs, mu))
+    return len(groups), groups
+
+
+# --- brute-force realization ------------------------------------------------
+
+
+def realize_bound():
+    raw = os.environ.get(REALIZE_BOUND_ENV)
+    if raw is None:
+        return DEFAULT_REALIZE_BOUND
+    return int(raw)
+
+
+def realize(P, m, bound=None, ext=None):
+    """Brute-force every module (gamma a fixed root of P, g in L, delta in
+    L^*) over L = F_{q^(md)} and collect the distinct characteristic
+    polynomials.
+
+    Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
+    missing_ordinary) where keys are (c coefficients, mu).
+    """
+    base = P.field
+    d = int(P.deg)
+    n = m * d
+    order = base.order**n
+    if bound is None:
+        bound = realize_bound()
+    if order > bound:
+        raise RealizationBoundError(
+            "|L| = %d exceeds the sweep bound %d (set %s to raise it)"
+            % (order, bound, REALIZE_BOUND_ENV)
+        )
+    if ext is None:
+        ext = ext_make(base, n)
+    gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+    realized = set()
+    for g in ext.elements():
+        for delta in ext.units():
+            dm = DrinfeldModule(ext, gamma, g, delta)
+            cp = frobenius.charpoly(dm)
+            realized.add(cp.key())
+    admissible = {}
+    for c, mu, verdict in admissible_pairs(P, m):
+        admissible[(c.coeffs, mu)] = verdict
+    ordinary = {k for k, v in admissible.items() if v is Verdict.ORDINARY}
+    missing_ordinary = sorted(ordinary - realized)
+    return realized, set(admissible), ordinary, missing_ordinary
+
+
+# --- full report ------------------------------------------------------------
+
+
+def full_report(P, m, do_realize=False, bound=None):
+    report = enumerate_census(P, m)
+    q, d = report.q, report.d
+
+    total_formula = formula_total(q, d, m)
+    report.formula_total = _rational_to_report(
+        total_formula, "formula_total", report.discrepancies
+    )
+    if report.formula_total is not None and report.formula_total != report.total:
+        report.discrepancies.append(
+            "formula_total %d != enumerative total %d"
+            % (report.formula_total, report.total)
+        )
+    if total_formula is None and formula_case(d, m) is None:
+        report.discrepancies.append("no closed form for m odd, d even")
+
+    chi_count, _ = chi_census(P, m)
+    report.chi_distinct_enumerative = chi_count
+    chi_closed = chi_formula(q, d, m)
+    report.chi_formula = _rational_to_report(
+        chi_closed, "chi_formula", report.discrepancies
+    )
+    if report.chi_formula is not None and report.chi_formula != chi_count:
+        report.discrepancies.append(
+            "chi_formula %d != enumerative chi count %d"
+            % (report.chi_formula, chi_count)
+        )
+
+    if do_realize:
+        realized, admissible, ordinary, missing = realize(P, m, bound=bound)
+        report.realized_distinct = len(realized)
+        extraneous = realized - admissible
+        if extraneous:
+            report.discrepancies.append(
+                "realized classes outside the admissible set: %s" % sorted(extraneous)
+            )
+        if ordinary:
+            covered = len(ordinary) - len(missing)
+            report.realized_ordinary_coverage = covered / len(ordinary)
+            if missing:
+                report.discrepancies.append(
+                    "unrealized ordinary classes (c coeffs, mu): %s" % missing
+                )
+        else:
+            report.realized_ordinary_coverage = 1.0
+    return report

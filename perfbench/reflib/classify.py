@@ -1,0 +1,229 @@
+"""Per-module classification.
+
+Ordinary vs supersingular (three equivalent criteria), admissibility of a
+candidate characteristic polynomial X^2 - cX + mu P^m as an isogeny-class
+invariant, and the endomorphism-order ledger read off the discriminant split
+disc = g^2 * omega.
+"""
+
+from __future__ import annotations
+
+import enum
+import itertools
+from dataclasses import dataclass, field as dc_field
+
+from . import frobenius
+from .ore import kernel_size_exp
+from .polyring import (
+    Poly,
+    PolyDomainError,
+    is_irreducible,
+    pow_mod,
+    squarefree_split,
+)
+
+
+class Verdict(enum.Enum):
+    ORDINARY = "ORDINARY"
+    SUPERSINGULAR_2 = "SUPERSINGULAR_2"
+    SUPERSINGULAR_3 = "SUPERSINGULAR_3"
+    SUPERSINGULAR_4 = "SUPERSINGULAR_4"
+    NOT_ADMISSIBLE = "NOT_ADMISSIBLE"
+
+    def is_admissible(self):
+        return self is not Verdict.NOT_ADMISSIBLE
+
+    def is_supersingular(self):
+        return self in (
+            Verdict.SUPERSINGULAR_2,
+            Verdict.SUPERSINGULAR_3,
+            Verdict.SUPERSINGULAR_4,
+        )
+
+
+class EndRingKind(enum.Enum):
+    MAXIMAL_ORDER = "MAXIMAL_ORDER"
+    NON_MAXIMAL_ORDER = "NON_MAXIMAL_ORDER"
+    QUATERNIONIC_CASE = "QUATERNIONIC_CASE"
+
+
+class ConsistencyError(AssertionError):
+    """The three supersingularity criteria disagreed (arithmetic bug)."""
+
+
+def supersingular(dm, cp=None):
+    """Tri-criterion supersingularity verdict with a witness dict.
+
+    Checks (i) module height = 2, (ii) P | c, (iii) Phi_P has trivial kernel,
+    and insists all three agree.
+    """
+    if cp is None:
+        cp = frobenius.charpoly(dm)
+    H = dm.height()
+    by_height = H == 2
+    by_trace = (cp.c % dm.P).is_zero()
+    kexp = kernel_size_exp(dm.phi(dm.P))
+    by_kernel = kexp == 0
+    if not (by_height == by_trace == by_kernel):
+        raise ConsistencyError(
+            "criteria disagree: height=%r trace=%r kernel=%r for %r"
+            % (by_height, by_trace, by_kernel, dm)
+        )
+    witness = {"height": H, "c_mod_P": str(cp.c % dm.P), "kernel_exp": kexp}
+    return by_height, witness
+
+
+def _is_square_in_residue_field(z, P):
+    """Whether the nonzero residue z mod P is a square in A/P = F_{q^d}."""
+    q = P.field.order
+    d = len(P.coeffs) - 1
+    e = (q**d - 1) // 2
+    return pow_mod(z, e, P).is_one()
+
+
+def _imaginary_at_infinity(c, mu, P, m):
+    """Whether the infinite place of K stays inert in K(sqrt(c^2 - 4 mu P^m)).
+
+    Finite Hensel-style criteria: for md odd, always; for md even it depends
+    on the top coefficients as below.
+    """
+    base = P.field
+    md = m * (len(P.coeffs) - 1)
+    if md % 2 == 1:
+        return True
+    half = md // 2
+    four_mu = base.mul(base.scalar(4), mu)
+    if c.is_zero() or c.deg < half:
+        # lc(disc) = -4 mu; 4 is always a square
+        return not base.is_square_unit(base.neg(mu))
+    c0 = c.lc()
+    if base.mul(c0, c0) != four_mu:
+        # lc(disc) = c0^2 - 4 mu in even degree md
+        disc0 = base.sub(base.mul(c0, c0), four_mu)
+        return not base.is_square_unit(disc0)
+    # leading terms cancel; fall back to the full discriminant
+    disc = c * c - (P**m).scale(four_mu)
+    if disc.is_zero():
+        return False
+    if int(disc.deg) % 2 == 1:
+        return True
+    return not base.is_square_unit(disc.lc())
+
+
+def weil_admissible(c, mu, P, m):
+    """Classify the candidate X^2 - cX + mu P^m.
+
+    Admissible candidates are exactly the rank-2 isogeny-class invariants:
+    ordinary ones need P coprime to c and an imaginary quadratic K(F);
+    supersingular ones (P | c) additionally need a single place of K(F)
+    above P, or F itself in A (the perfect-square case).
+    """
+    base = P.field
+    d = len(P.coeffs) - 1
+    if m < 1:
+        raise PolyDomainError("m must be >= 1")
+    if mu == 0:
+        raise PolyDomainError("mu must be a unit")
+    if P.is_constant() or P.lc() != base.one or not is_irreducible(P):
+        raise PolyDomainError("P must be monic irreducible")
+    md = m * d
+    if not c.is_zero() and c.deg > md // 2:
+        raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
+
+    four_mu = base.mul(base.scalar(4), mu)
+    disc = c * c - (P**m).scale(four_mu)
+    if disc.is_zero():
+        # F = nu P^(m/2) in A: quaternionic square case
+        return Verdict.SUPERSINGULAR_4
+    if not _imaginary_at_infinity(c, mu, P, m):
+        return Verdict.NOT_ADMISSIBLE
+    if not (c % P).is_zero():
+        return Verdict.ORDINARY
+    # supersingular candidate: require one place of K(sqrt(disc)) above P
+    _, omega = squarefree_split(disc)
+    if not P.divides(omega):
+        z = omega % P
+        if _is_square_in_residue_field(z, P):
+            return Verdict.NOT_ADMISSIBLE
+    if c.is_zero() and m % 2 == 1:
+        return Verdict.SUPERSINGULAR_2
+    return Verdict.SUPERSINGULAR_3
+
+
+def _monic_divisors(g):
+    """All monic divisors of the monic polynomial g, by direct scan."""
+    base = g.field
+    out = [Poly.one(base)]
+    dg = int(g.deg)
+    for degree in range(1, dg + 1):
+        for tail in itertools.product(range(base.order), repeat=degree):
+            cand = Poly(base, list(tail) + [base.one])
+            if cand.divides(g):
+                out.append(cand)
+    return out
+
+
+def endomorphism_order(cp):
+    """(kind, conductor_g, omega, admissible_conductors, non_coprime_flags).
+
+    disc = 0 reports the quaternionic case without a split.  Otherwise
+    disc = g^2 * omega with omega squarefree; g a unit means the maximal
+    order.  Conductors listed are the monic divisors of g; those not coprime
+    to P are flagged (not excluded).
+    """
+    disc = cp.discriminant()
+    if disc.is_zero():
+        return EndRingKind.QUATERNIONIC_CASE, None, None, [], []
+    g, omega = squarefree_split(disc)
+    kind = EndRingKind.MAXIMAL_ORDER if g.is_one() else EndRingKind.NON_MAXIMAL_ORDER
+    conductors = _monic_divisors(g)
+    # P irreducible, so non-coprime to P just means divisible by P
+    flagged = [f for f in conductors if cp.P.divides(f)]
+    return kind, g, omega, conductors, flagged
+
+
+@dataclass
+class ClassificationReport:
+    charpoly: frobenius.CharPoly
+    is_supersingular: bool
+    height: int
+    disc: Poly
+    conductor_g: Poly | None
+    omega: Poly | None
+    end_ring_kind: EndRingKind
+    admissible_conductors: list
+    chi: Poly
+    non_coprime_conductors: list = dc_field(default_factory=list)
+
+    def to_json(self):
+        return {
+            "charpoly": self.charpoly.to_json(),
+            "is_supersingular": self.is_supersingular,
+            "height": self.height,
+            "disc": self.disc.to_human(),
+            "conductor_g": None if self.conductor_g is None else self.conductor_g.to_human(),
+            "omega": None if self.omega is None else self.omega.to_human(),
+            "end_ring_kind": self.end_ring_kind.value,
+            "admissible_conductors": [f.to_human() for f in self.admissible_conductors],
+            "non_coprime_conductors": [f.to_human() for f in self.non_coprime_conductors],
+            "chi": self.chi.to_human(),
+        }
+
+
+def classify(dm):
+    """Full per-module report."""
+    cp = frobenius.charpoly(dm)
+    ss, witness = supersingular(dm, cp)
+    kind, g, omega, conductors, flagged = endomorphism_order(cp)
+    return ClassificationReport(
+        charpoly=cp,
+        is_supersingular=ss,
+        height=witness["height"],
+        disc=cp.discriminant(),
+        conductor_g=g,
+        omega=omega,
+        end_ring_kind=kind,
+        admissible_conductors=conductors,
+        chi=frobenius.euler_poincare(cp),
+        non_coprime_conductors=flagged,
+    )

@@ -1,0 +1,184 @@
+"""Rank-2 Drinfeld F_q[T]-modules over a finite A-field L.
+
+A module is given by Phi_T = gamma(T) + g*t + delta*t^2 with delta != 0.  The
+A-characteristic P (minimal polynomial of gamma(T) over F_q), its degree d and
+m = n/d are derived at construction.
+"""
+
+from __future__ import annotations
+
+import json
+
+from . import linalg
+from .ff import ExtensionField, field_make, ext_make
+from .ore import OrePoly, height, rgcd
+from .polyring import Poly
+
+
+class RankError(ValueError):
+    """delta = 0 would drop the rank below 2."""
+
+
+def minimal_polynomial(ext, x):
+    """Monic minimal polynomial of x in L over the base field F_q.
+
+    Finds the least k with 1, x, ..., x^k linearly dependent over F_q by
+    Gaussian elimination on coordinate vectors.
+    """
+    base = ext.base
+    powers = [ext.one]
+    for _ in range(ext.degree):
+        powers.append(ext.mul(powers[-1], x))
+    cols = [ext.coords(p) for p in powers]
+    for k in range(1, ext.degree + 1):
+        rows = [[cols[j][i] for j in range(k)] for i in range(ext.degree)]
+        rhs = list(cols[k])
+        try:
+            sol = linalg.solve(base, rows, rhs, require_unique=True)
+        except linalg.InconsistentSystem:
+            continue
+        # x^k = sum sol[j] x^j  =>  minimal polynomial T^k - sum sol[j] T^j
+        coeffs = [base.neg(c) for c in sol] + [base.one]
+        return Poly(base, coeffs)
+    raise AssertionError("element has no minimal polynomial")  # unreachable
+
+
+class DrinfeldModule:
+    __slots__ = ("ext", "gamma", "g", "delta", "P", "d", "m", "_phi_T")
+
+    def __init__(self, ext, gamma, g, delta):
+        if delta == 0:
+            raise RankError("delta must be nonzero (rank 2)")
+        self.ext = ext
+        self.gamma = gamma
+        self.g = g
+        self.delta = delta
+        self.P = minimal_polynomial(ext, gamma)
+        self.d = len(self.P.coeffs) - 1
+        n = ext.degree
+        assert n % self.d == 0
+        self.m = n // self.d
+        self._phi_T = OrePoly(ext, (gamma, g, delta))
+
+    @property
+    def n(self):
+        return self.ext.degree
+
+    def phi_T(self):
+        return self._phi_T
+
+    def phi(self, a):
+        """Image of a in F_q[T] under the defining algebra homomorphism,
+        evaluated by Horner's scheme in Phi_T."""
+        ext = self.ext
+        acc = OrePoly.zero(ext)
+        for c in reversed(a.coeffs):
+            acc = acc * self._phi_T
+            if c:
+                acc = acc + OrePoly.constant(ext, ext.embed(c))
+        return acc
+
+    def phi_ideal(self, i1, i2):
+        """Monic generator of the left ideal generated by Phi_{i1}, Phi_{i2}."""
+        if i1.is_zero() and i2.is_zero():
+            raise ValueError("ideal generators are both zero")
+        return rgcd(self.phi(i1), self.phi(i2))
+
+    def frobenius_ore(self):
+        """F = t^n as an element of L{t}."""
+        return OrePoly.tau_power(self.ext, self.n)
+
+    def height(self):
+        """Module height ht(Phi_P)/d; 2 means Phi_P is purely inseparable."""
+        h = height(self.phi(self.P))
+        assert h % self.d == 0
+        H = h // self.d
+        assert H in (1, 2)
+        return H
+
+    # --- twists (used for isogeny-invariance checks) ---
+
+    def twist_constant(self, u):
+        """Conjugate by a nonzero constant u: coefficients a_i -> a_i u^(1-q^i)."""
+        ext = self.ext
+        if u == 0:
+            raise ValueError("twist constant must be nonzero")
+        uq = ext.frob_iter(u, 1)
+        uq2 = ext.frob_iter(u, 2)
+        g2 = ext.mul(self.g, ext.mul(u, ext.inv(uq)))
+        d2 = ext.mul(self.delta, ext.mul(u, ext.inv(uq2)))
+        return DrinfeldModule(ext, self.gamma, g2, d2)
+
+    def twist_tau(self):
+        """Conjugate by t: all coefficients to the q-th power."""
+        ext = self.ext
+        f = ext.frob_iter
+        return DrinfeldModule(ext, f(self.gamma, 1), f(self.g, 1), f(self.delta, 1))
+
+    def twist(self, u):
+        """Conjugation Psi_T = u Phi_T u^{-1} for u a nonzero constant or t."""
+        if isinstance(u, OrePoly):
+            if u.coeffs == (0, u.field.one):
+                return self.twist_tau()
+            if len(u.coeffs) == 1:
+                return self.twist_constant(u.coeffs[0])
+            raise ValueError("twist supports nonzero constants and t only")
+        return self.twist_constant(u)
+
+    # --- serialization ---
+
+    def to_json(self):
+        ext = self.ext
+        return {
+            "q": ext.base.order,
+            "n": ext.degree,
+            "gamma_T": ext.to_str(self.gamma),
+            "g": ext.to_str(self.g),
+            "delta": ext.to_str(self.delta),
+        }
+
+    @classmethod
+    def from_json(cls, data):
+        if isinstance(data, str):
+            data = json.loads(data)
+        q = data["q"]
+        p, s = _split_prime_power(q)
+        base = field_make(p, s)
+        ext = ext_make(base, data["n"])
+        return cls(
+            ext,
+            ext.from_str(data["gamma_T"]),
+            ext.from_str(data["g"]),
+            ext.from_str(data["delta"]),
+        )
+
+    def __repr__(self):
+        ext = self.ext
+        return "DrinfeldModule(q=%d, n=%d, gamma=%s, g=%s, delta=%s)" % (
+            ext.base.order,
+            ext.degree,
+            ext.to_str(self.gamma),
+            ext.to_str(self.g),
+            ext.to_str(self.delta),
+        )
+
+
+def _split_prime_power(q):
+    for p in range(2, q + 1):
+        if q % p == 0:
+            s = 0
+            while q % p == 0:
+                q //= p
+                s += 1
+            if q != 1:
+                raise ValueError("q is not a prime power")
+            return p, s
+    raise ValueError("bad q")
+
+
+def all_modules(ext):
+    """Every rank-2 module over L: gamma in L, g in L, delta in L^*."""
+    for gamma in ext.elements():
+        for g in ext.elements():
+            for delta in ext.units():
+                yield DrinfeldModule(ext, gamma, g, delta)

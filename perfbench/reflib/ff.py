@@ -1,0 +1,495 @@
+"""Exact arithmetic in small finite fields F_q (q = p^s, p odd) and extensions.
+
+Elements are plain integer codes in range(order).  For a prime field the code
+is the residue itself; for an extension of degree k over a base of order B the
+code is the base-B digit expansion of the coefficient vector, low degree
+first.  All operations are pure functions of the codes, so elements are
+trivially hashable and shareable.
+
+Fields of order up to _TABLE_LIMIT get exp/log tables built from a
+multiplicative generator; everything above that falls back to direct
+polynomial arithmetic modulo the defining polynomial.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+AUTO = "auto"
+
+_TABLE_LIMIT = 1 << 16
+
+
+class FieldError(ValueError):
+    """A field could not be constructed as requested."""
+
+
+class IncompatibleFieldError(ValueError):
+    """Operands belong to different fields."""
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class FiniteField:
+    """Shared behaviour; element codes are ints in range(self.order)."""
+
+    order: int
+    char: int
+    pdeg: int  # degree over the prime field
+
+    zero = 0
+    one = 1
+
+    def add(self, a, b):
+        raise NotImplementedError
+
+    def neg(self, a):
+        raise NotImplementedError
+
+    def mul(self, a, b):
+        raise NotImplementedError
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self.pow(a, self.order - 2)
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        result = self.one
+        base = a
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def scalar(self, k):
+        """Image of the integer k under the canonical map Z -> field."""
+        k %= self.char
+        r = self.zero
+        for _ in range(k):
+            r = self.add(r, self.one)
+        return r
+
+    def elements(self):
+        return range(self.order)
+
+    def units(self):
+        return range(1, self.order)
+
+    def is_square_unit(self, u):
+        """Whether the nonzero element u is a square in the unit group."""
+        if u == 0:
+            raise ZeroDivisionError("0 is not a unit")
+        return self.pow(u, (self.order - 1) // 2) == self.one
+
+    def pth_root(self, a):
+        """The unique p-th root of a (the field is perfect)."""
+        return self.pow(a, self.char ** (self.pdeg - 1))
+
+    # --- text form: comma-separated base-p digits, low degree first ---
+
+    def pdigits(self, a):
+        raise NotImplementedError
+
+    def from_pdigits(self, digits):
+        raise NotImplementedError
+
+    def to_str(self, a):
+        return ",".join(str(d) for d in self.pdigits(a))
+
+    def from_str(self, text):
+        parts = [t.strip() for t in str(text).split(",")]
+        try:
+            digits = [int(t) for t in parts]
+        except ValueError:
+            raise FieldError("bad field element %r" % (text,)) from None
+        if len(digits) > self.pdeg:
+            raise FieldError(
+                "element %r has %d digits, field supports %d"
+                % (text, len(digits), self.pdeg)
+            )
+        digits += [0] * (self.pdeg - len(digits))
+        if any(d < 0 or d >= self.char for d in digits):
+            raise FieldError("digit out of range in %r (base %d)" % (text, self.char))
+        return self.from_pdigits(digits)
+
+
+class PrimeField(FiniteField):
+    """F_p for an odd prime p; codes are residues."""
+
+    def __init__(self, p):
+        if not _is_prime(p):
+            raise FieldError("p = %d is not prime" % p)
+        if p == 2:
+            raise FieldError("p = 2 unsupported (odd characteristic required)")
+        self.order = p
+        self.char = p
+        self.pdeg = 1
+        # the defining polynomial of F_p over itself is x
+        self.modulus = (0, 1)
+
+    def add(self, a, b):
+        return (a + b) % self.order
+
+    def neg(self, a):
+        return (-a) % self.order
+
+    def mul(self, a, b):
+        return (a * b) % self.order
+
+    def pdigits(self, a):
+        return (a,)
+
+    def from_pdigits(self, digits):
+        return digits[0]
+
+    def __repr__(self):
+        return "PrimeField(%d)" % self.order
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.order == self.order
+
+    def __hash__(self):
+        return hash(("PrimeField", self.order))
+
+
+# --- coefficient-list helpers over an arbitrary FiniteField -----------------
+# Internal: used for modulus validation and extension arithmetic.  Lists are
+# low degree first with no canonical-form requirement.
+
+
+def _list_trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _list_mul(field, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def _list_rem(field, a, b):
+    """Remainder of a modulo monic b."""
+    r = list(a)
+    db = len(b) - 1
+    while len(r) - 1 >= db and r:
+        lead = r[-1]
+        if lead:
+            shift = len(r) - 1 - db
+            for i in range(db):
+                r[shift + i] = field.sub(r[shift + i], field.mul(lead, b[i]))
+        r.pop()
+        _list_trim(r)
+    return r
+
+
+def _list_mulmod(field, a, b, mod):
+    return _list_rem(field, _list_mul(field, a, b), mod)
+
+
+def _list_powmod(field, a, e, mod):
+    result = [field.one]
+    base = _list_rem(field, a, mod)
+    while e:
+        if e & 1:
+            result = _list_mulmod(field, result, base, mod)
+        base = _list_mulmod(field, base, base, mod)
+        e >>= 1
+    return result
+
+
+def _list_gcd_deg(field, a, b):
+    """Degree of gcd(a, b); -1 for the zero polynomial."""
+    a, b = list(a), list(b)
+    while b:
+        lead_inv = field.inv(b[-1])
+        bm = [field.mul(lead_inv, x) for x in b]
+        a, b = b, _list_rem(field, a, bm)
+    return len(a) - 1
+
+
+def _list_irreducible(field, f):
+    """Rabin irreducibility test for monic f of degree >= 1 over field."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    B = field.order
+    x = [0, field.one]
+    xq = _list_powmod(field, x, B**d, f)
+    if _list_trim(list(xq)) != [0, field.one]:
+        return False
+    for r in _prime_factors(d):
+        g = _list_powmod(field, x, B ** (d // r), f)
+        diff = list(g) + [0] * (2 - len(g))
+        diff[1] = field.sub(diff[1], field.one)
+        _list_trim(diff)
+        if _list_gcd_deg(field, f, diff) != 0:
+            return False
+    return True
+
+
+def least_irreducible(field, degree):
+    """Lexicographically least monic irreducible of the given degree.
+
+    Coefficient tuples (c_0, ..., c_{d-1}) are compared as integer sequences,
+    low degree first.
+    """
+    if degree < 1:
+        raise FieldError("degree must be >= 1")
+    for tail in itertools.product(range(field.order), repeat=degree):
+        f = list(tail) + [field.one]
+        if _list_irreducible(field, f):
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+class ExtensionField(FiniteField):
+    """base[y]/(modulus) for a monic irreducible modulus over base.
+
+    Codes are base-B digit expansions (B = base.order) of the coefficient
+    vector, so the base field embeds as the codes below B.
+    """
+
+    def __init__(self, base, degree, modulus=AUTO):
+        if degree < 1:
+            raise FieldError("extension degree must be >= 1")
+        if modulus is AUTO or modulus == AUTO:
+            modulus = least_irreducible(base, degree)
+        modulus = tuple(modulus)
+        if len(modulus) != degree + 1:
+            raise FieldError(
+                "modulus degree %d, expected %d" % (len(modulus) - 1, degree)
+            )
+        if modulus[-1] != base.one:
+            raise FieldError("modulus is not monic")
+        if any(c < 0 or c >= base.order for c in modulus):
+            raise FieldError("modulus coefficient out of range")
+        if not _list_irreducible(base, list(modulus)):
+            raise FieldError("modulus is reducible over the base field")
+        self.base = base
+        self.degree = degree
+        self.modulus = modulus
+        self.order = base.order**degree
+        self.char = base.char
+        self.pdeg = base.pdeg * degree
+        self._exp = None
+        self._log = None
+        if self.order <= _TABLE_LIMIT:
+            self._build_tables()
+        self._frob_tables = None
+
+    # --- digit codecs ---
+
+    def coords(self, a):
+        """Coefficient vector over the base field, low degree first."""
+        B = self.base.order
+        out = []
+        for _ in range(self.degree):
+            out.append(a % B)
+            a //= B
+        return tuple(out)
+
+    def from_coords(self, coords):
+        B = self.base.order
+        a = 0
+        for c in reversed(coords):
+            a = a * B + c
+        return a
+
+    def embed(self, a):
+        """Embed a base-field code; with this encoding it is the identity."""
+        return a
+
+    def pdigits(self, a):
+        out = []
+        for c in self.coords(a):
+            out.extend(self.base.pdigits(c))
+        return tuple(out)
+
+    def from_pdigits(self, digits):
+        k = self.base.pdeg
+        coords = [
+            self.base.from_pdigits(digits[i * k : (i + 1) * k])
+            for i in range(self.degree)
+        ]
+        return self.from_coords(coords)
+
+    # --- arithmetic ---
+
+    def add(self, a, b):
+        ca, cb = self.coords(a), self.coords(b)
+        return self.from_coords(
+            [self.base.add(x, y) for x, y in zip(ca, cb)]
+        )
+
+    def neg(self, a):
+        return self.from_coords([self.base.neg(x) for x in self.coords(a)])
+
+    def _mul_poly(self, a, b):
+        prod = _list_mulmod(
+            self.base, list(self.coords(a)), list(self.coords(b)), list(self.modulus)
+        )
+        prod += [0] * (self.degree - len(prod))
+        return self.from_coords(prod)
+
+    def _build_tables(self):
+        n_units = self.order - 1
+        factors = _prime_factors(n_units)
+        gen = None
+        for cand in range(1, self.order):
+            if all(
+                self._pow_poly(cand, n_units // f) != self.one for f in factors
+            ):
+                gen = cand
+                break
+        assert gen is not None
+        exp = [0] * (2 * n_units)
+        log = [0] * self.order
+        x = self.one
+        for i in range(n_units):
+            exp[i] = x
+            exp[i + n_units] = x
+            log[x] = i
+            x = self._mul_poly(x, gen)
+        self._exp = exp
+        self._log = log
+        self._n_units = n_units
+
+    def _pow_poly(self, a, e):
+        r = self.one
+        b = a
+        while e:
+            if e & 1:
+                r = self._mul_poly(r, b)
+            b = self._mul_poly(b, b)
+            e >>= 1
+        return r
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._mul_poly(a, b)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if self._exp is not None:
+            return self._exp[(self._n_units - self._log[a]) % self._n_units]
+        return self.pow(a, self.order - 2)
+
+    def pow(self, a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.zero if e else self.one
+        if self._exp is not None:
+            return self._exp[(self._log[a] * e) % self._n_units]
+        if e < 0:
+            return self._pow_poly(self.inv(a), -e)
+        return self._pow_poly(a, e)
+
+    # --- Frobenius relative to the base field ---
+
+    def frobenius(self, a):
+        """a raised to the base-field order (the relative q-power map)."""
+        return self.frob_iter(a, 1)
+
+    def frob_iter(self, a, i):
+        """a^(q^i) where q is the base-field order; period self.degree."""
+        if self._frob_tables is None:
+            q = self.base.order
+            tables = [list(range(self.order))]
+            frob = [self.pow(x, q) for x in range(self.order)]
+            for _ in range(1, self.degree):
+                prev = tables[-1]
+                tables.append([frob[x] for x in prev])
+            # tables[i][x] = x^(q^i)
+            tables[0] = None  # identity, handled below
+            self._frob_tables = tables
+            self._frob1 = frob
+        i %= self.degree
+        if i == 0:
+            return a
+        return self._frob_tables[i][a]
+
+    def __repr__(self):
+        return "ExtensionField(%r, degree=%d)" % (self.base, self.degree)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, ExtensionField)
+            and other.base == self.base
+            and other.modulus == self.modulus
+        )
+
+    def __hash__(self):
+        return hash(("ExtensionField", self.base, self.modulus))
+
+
+def field_make(p, s, modulus=AUTO):
+    """Construct F_q, q = p^s, for an odd prime p.
+
+    With modulus=AUTO the lexicographically least monic irreducible of degree
+    s over F_p is used, so equal inputs always give the same presentation.
+    """
+    if p == 2:
+        raise FieldError("p = 2 unsupported (odd characteristic required)")
+    if s < 1:
+        raise FieldError("s must be >= 1")
+    prime = PrimeField(p)
+    if s == 1:
+        if modulus is not AUTO and modulus != AUTO and tuple(modulus) != (0, 1):
+            raise FieldError("prime field modulus must be AUTO or (0, 1)")
+        return prime
+    return ExtensionField(prime, s, modulus)
+
+
+def ext_make(base, n, modulus=AUTO):
+    """Construct the working extension L = F_{q^n} over base = F_q."""
+    return ExtensionField(base, n, modulus)
+
+
+def check_same_field(f1, f2):
+    if f1 != f2:
+        raise IncompatibleFieldError("operands belong to different fields")

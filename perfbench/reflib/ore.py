@@ -1,0 +1,192 @@
+"""The twisted polynomial ring L{t} with t*lam = lam^q * t.
+
+L is an ExtensionField over F_q; t stands for the q-power Frobenius.  Only
+right division and right gcd are provided (that is the side with a division
+algorithm in L{t}).  Coefficients are field codes, low t-degree first, no
+trailing zeros.
+"""
+
+from __future__ import annotations
+
+from .ff import check_same_field
+from .polyring import NEG_INF
+
+
+class OreDomainError(ValueError):
+    """An operation was applied outside its domain."""
+
+
+class OrePoly:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field, ())
+
+    @classmethod
+    def one(cls, field):
+        return cls(field, (field.one,))
+
+    @classmethod
+    def constant(cls, field, c):
+        return cls(field, (c,))
+
+    @classmethod
+    def tau_power(cls, field, k, coeff=None):
+        if coeff is None:
+            coeff = field.one
+        return cls(field, [0] * k + [coeff])
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def lc(self):
+        if not self.coeffs:
+            raise OreDomainError("leading coefficient of 0")
+        return self.coeffs[-1]
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if i < len(self.coeffs) else 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OrePoly)
+            and other.field == self.field
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __add__(self, other):
+        check_same_field(self.field, other.field)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return OrePoly(F, out)
+
+    def __neg__(self):
+        F = self.field
+        return OrePoly(F, [F.neg(c) for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Twisted product: (a t^i)(b t^j) = a * b^(q^i) t^(i+j)."""
+        check_same_field(self.field, other.field)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return OrePoly.zero(F)
+        out = [0] * (len(a) + len(b) - 1)
+        add, mul, frob = F.add, F.mul, F.frob_iter
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, frob(y, i)))
+        return OrePoly(F, out)
+
+    def lscale(self, c):
+        """Left multiplication by the constant c (plain coefficient scaling)."""
+        F = self.field
+        if c == 0:
+            return OrePoly.zero(F)
+        return OrePoly(F, [F.mul(c, x) for x in self.coeffs])
+
+    def monic(self):
+        if self.is_zero():
+            raise OreDomainError("monic normalization of 0")
+        if self.lc() == self.field.one:
+            return self
+        return self.lscale(self.field.inv(self.lc()))
+
+    def rdivmod(self, other):
+        """(quot, rem) with self = quot * other + rem, deg rem < deg other."""
+        check_same_field(self.field, other.field)
+        if other.is_zero():
+            raise ZeroDivisionError("right division by zero")
+        F = self.field
+        r = list(self.coeffs)
+        db = len(other.coeffs) - 1
+        lead_b = other.coeffs[-1]
+        q = [0] * max(len(r) - db, 0)
+        while len(r) - 1 >= db and r:
+            if r[-1]:
+                k = len(r) - 1 - db
+                c = F.mul(r[-1], F.inv(F.frob_iter(lead_b, k)))
+                q[k] = c
+                for i in range(db):
+                    r[k + i] = F.sub(r[k + i], F.mul(c, F.frob_iter(other.coeffs[i], k)))
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        return OrePoly(F, q), OrePoly(F, r)
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        F = self.field
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            cs = F.to_str(c)
+            if i == 0:
+                terms.append(cs)
+            else:
+                head = "t" if i == 1 else "t^%d" % i
+                terms.append(head if c == F.one else "%s*%s" % (cs, head))
+        return " + ".join(terms)
+
+    def __repr__(self):
+        return "OrePoly(%s)" % self
+
+
+def rgcd(a, b):
+    """Monic generator of the left ideal L{t}a + L{t}b (right gcd)."""
+    if a.is_zero() and b.is_zero():
+        raise OreDomainError("rgcd(0, 0) is undefined")
+    while not b.is_zero():
+        a, b = b, a.rdivmod(b)[1]
+    return a.monic()
+
+
+def height(u):
+    """Exact power of t dividing u on the left (index of the least nonzero
+    coefficient)."""
+    if u.is_zero():
+        raise OreDomainError("height of 0")
+    for i, c in enumerate(u.coeffs):
+        if c != 0:
+            return i
+    raise AssertionError  # unreachable
+
+
+def is_separable(u):
+    return height(u) == 0
+
+
+def kernel_size_exp(u):
+    """e such that the associated q-linearized polynomial has q^e roots in an
+    algebraic closure (the separable degree deg - height)."""
+    if u.is_zero():
+        raise OreDomainError("kernel of 0")
+    return len(u.coeffs) - 1 - height(u)

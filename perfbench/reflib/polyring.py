@@ -1,0 +1,449 @@
+"""Dense univariate polynomials over a finite field.
+
+Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
+arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
+enumeration of monic irreducibles.  Coefficients are stored as field codes,
+low degree first, with no trailing zeros.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .ff import FiniteField, _prime_factors, check_same_field, least_irreducible
+
+NEG_INF = float("-inf")
+
+
+class PolyDomainError(ValueError):
+    """An operation was applied outside its domain."""
+
+
+class Poly:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.field = field
+        self.coeffs = tuple(coeffs)
+
+    # --- constructors ---
+
+    @classmethod
+    def zero(cls, field):
+        return cls(field, ())
+
+    @classmethod
+    def one(cls, field):
+        return cls(field, (field.one,))
+
+    @classmethod
+    def constant(cls, field, c):
+        return cls(field, (c,))
+
+    @classmethod
+    def x(cls, field):
+        return cls(field, (0, field.one))
+
+    # --- structure ---
+
+    @property
+    def deg(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def is_one(self):
+        return self.coeffs == (self.field.one,)
+
+    def is_constant(self):
+        return len(self.coeffs) <= 1
+
+    def lc(self):
+        if not self.coeffs:
+            raise PolyDomainError("leading coefficient of 0")
+        return self.coeffs[-1]
+
+    def __getitem__(self, i):
+        return self.coeffs[i] if i < len(self.coeffs) else 0
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Poly)
+            and other.field == self.field
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    # --- arithmetic ---
+
+    def __add__(self, other):
+        check_same_field(self.field, other.field)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return Poly(F, out)
+
+    def __neg__(self):
+        F = self.field
+        return Poly(F, [F.neg(c) for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        check_same_field(self.field, other.field)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly.zero(F)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+        return Poly(F, out)
+
+    def scale(self, c):
+        F = self.field
+        if c == 0:
+            return Poly.zero(F)
+        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+
+    def __pow__(self, e):
+        if e < 0:
+            raise PolyDomainError("negative polynomial power")
+        result = Poly.one(self.field)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def __divmod__(self, other):
+        check_same_field(self.field, other.field)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        F = self.field
+        r = list(self.coeffs)
+        db = len(other.coeffs) - 1
+        inv_lead = F.inv(other.lc())
+        q = [0] * max(len(r) - db, 0)
+        while len(r) - 1 >= db and r:
+            if r[-1]:
+                c = F.mul(r[-1], inv_lead)
+                shift = len(r) - 1 - db
+                q[shift] = c
+                for i in range(db):
+                    r[shift + i] = F.sub(r[shift + i], F.mul(c, other.coeffs[i]))
+            r.pop()
+            while r and r[-1] == 0:
+                r.pop()
+        return Poly(F, q), Poly(F, r)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def divides(self, other):
+        """Whether self divides other exactly."""
+        if self.is_zero():
+            return other.is_zero()
+        return (other % self).is_zero()
+
+    def monic(self):
+        if self.is_zero():
+            raise PolyDomainError("monic normalization of 0")
+        if self.lc() == self.field.one:
+            return self
+        return self.scale(self.field.inv(self.lc()))
+
+    def deriv(self):
+        F = self.field
+        out = []
+        for i in range(1, len(self.coeffs)):
+            out.append(F.mul(F.scalar(i), self.coeffs[i]))
+        return Poly(F, out)
+
+    def eval(self, x, field=None):
+        """Horner evaluation; field may be an extension of the coefficient
+        field (codes below the base order embed as constants)."""
+        F = field if field is not None else self.field
+        if field is not None and field != self.field:
+            if getattr(field, "base", None) != self.field:
+                raise PolyDomainError("cannot evaluate in an unrelated field")
+        acc = F.zero
+        for c in reversed(self.coeffs):
+            acc = F.add(F.mul(acc, x), F.embed(c) if F != self.field else c)
+        return acc
+
+    # --- text forms ---
+
+    def __str__(self):
+        return self.to_human(var="T")
+
+    def __repr__(self):
+        return "Poly(%s)" % self.to_human(var="T")
+
+    def to_human(self, var="T"):
+        if self.is_zero():
+            return "0"
+        F = self.field
+        terms = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            cs = F.to_str(c)
+            if i == 0:
+                terms.append(cs)
+            else:
+                head = var if i == 1 else "%s^%d" % (var, i)
+                terms.append(head if c == F.one else "%s*%s" % (cs, head))
+        return "+".join(terms)
+
+    def to_machine(self):
+        sep = ";" if self.field.pdeg > 1 else ","
+        if self.is_zero():
+            return "0"
+        return sep.join(self.field.to_str(c) for c in self.coeffs)
+
+
+# --- parsing ----------------------------------------------------------------
+
+
+def poly_from_machine(field, text, var="T"):
+    text = text.strip()
+    sep = ";" if ";" in text else ","
+    coeffs = [field.from_str(t.strip()) for t in text.split(sep)]
+    return Poly(field, coeffs)
+
+
+def poly_from_human(field, text, var="T"):
+    """Parse sums of terms like '2*T^3', 'T', '1'; '-' is accepted."""
+    s = text.replace(" ", "")
+    if not s:
+        raise PolyDomainError("empty polynomial")
+    # split into signed terms
+    terms = []
+    cur = ""
+    sign = 1
+    for ch in s:
+        if ch in "+-" and cur:
+            terms.append((sign, cur))
+            sign = 1 if ch == "+" else -1
+            cur = ""
+        elif ch in "+-" and not cur:
+            sign = sign if ch == "+" else -sign
+        else:
+            cur += ch
+    if not cur:
+        raise PolyDomainError("dangling sign in %r" % text)
+    terms.append((sign, cur))
+
+    coeffs = {}
+    for sign, term in terms:
+        if "*" in term:
+            cpart, vpart = term.split("*", 1)
+        elif term.startswith(var):
+            cpart, vpart = "1", term
+        else:
+            cpart, vpart = term, ""
+        if vpart:
+            if not vpart.startswith(var):
+                raise PolyDomainError("bad term %r in %r" % (term, text))
+            rest = vpart[len(var):]
+            if rest == "":
+                power = 1
+            elif rest.startswith("^"):
+                power = int(rest[1:])
+            else:
+                raise PolyDomainError("bad term %r in %r" % (term, text))
+        else:
+            power = 0
+        c = field.from_str(cpart)
+        if sign < 0:
+            c = field.neg(c)
+        coeffs[power] = field.add(coeffs.get(power, 0), c)
+    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    for k, v in coeffs.items():
+        out[k] = v
+    return Poly(field, out)
+
+
+def poly_from_str(field, text, var="T"):
+    """Accept either the human form ('T^2+2*T+1') or the machine coefficient
+    list ('1,2,1', low degree first)."""
+    if var in text:
+        return poly_from_human(field, text, var=var)
+    return poly_from_machine(field, text, var=var)
+
+
+# --- gcd, irreducibility, squarefree splitting ------------------------------
+
+
+def gcd(a, b):
+    """Monic greatest common divisor."""
+    check_same_field(a.field, b.field)
+    while not b.is_zero():
+        a, b = b, a % b.monic()
+    if a.is_zero():
+        return a
+    return a.monic()
+
+
+def pow_mod(base, e, mod):
+    result = Poly.one(mod.field)
+    base = base % mod
+    while e:
+        if e & 1:
+            result = (result * base) % mod
+        base = (base * base) % mod
+        e >>= 1
+    return result
+
+
+def is_irreducible(f):
+    """Rabin test; requires deg f >= 1."""
+    if f.is_constant():
+        raise PolyDomainError("irreducibility is undefined for constants")
+    d = len(f.coeffs) - 1
+    if d == 1:
+        return True
+    fm = f.monic()
+    B = f.field.order
+    x = Poly.x(f.field)
+    if pow_mod(x, B**d, fm) != x % fm:
+        return False
+    for r in _prime_factors(d):
+        g = pow_mod(x, B ** (d // r), fm) - x
+        if not gcd(fm, g).is_one():
+            return False
+    return True
+
+
+def _pth_root_poly(f):
+    """For f with zero derivative, the g with g^p = f."""
+    F = f.field
+    p = F.char
+    out = []
+    for i in range(0, len(f.coeffs), p):
+        out.append(F.pth_root(f.coeffs[i]))
+    return Poly(F, out)
+
+
+def squarefree_decomposition(f):
+    """Multiplicity -> monic squarefree factor, for monic f != 0.
+
+    The product of factor^multiplicity reconstructs f exactly.  Handles
+    p-th-power parts (zero derivative) by recursing on the p-th root.
+    """
+    if f.is_zero():
+        raise PolyDomainError("squarefree decomposition of 0")
+    f = f.monic()
+    p = f.field.char
+    result = {}
+
+    def accumulate(mult, g):
+        if g.is_one():
+            return
+        if mult in result:
+            result[mult] = result[mult] * g
+        else:
+            result[mult] = g
+
+    if f.is_constant():
+        return result
+    df = f.deriv()
+    if df.is_zero():
+        for mult, g in squarefree_decomposition(_pth_root_poly(f)).items():
+            accumulate(mult * p, g)
+        return result
+    c = gcd(f, df)
+    w = f // c
+    i = 1
+    while not w.is_one():
+        y = gcd(w, c)
+        accumulate(i, w // y)
+        w = y
+        c = c // y
+        i += 1
+    # the residue holds exactly the factors with p-divisible multiplicity,
+    # at full multiplicity, so recurse without rescaling
+    if not c.is_constant():
+        for mult, g in squarefree_decomposition(c).items():
+            accumulate(mult, g)
+    return result
+
+
+def squarefree_split(f):
+    """(g, omega) with f = g^2 * omega, g monic maximal, omega squarefree up
+    to the unit lc(f) which is folded into omega."""
+    if f.is_zero():
+        raise PolyDomainError("squarefree split of 0")
+    F = f.field
+    lead = f.lc()
+    g = Poly.one(F)
+    w = Poly.one(F)
+    for mult, fac in squarefree_decomposition(f).items():
+        g = g * fac ** (mult // 2)
+        if mult % 2:
+            w = w * fac
+    return g, w.scale(lead)
+
+
+def monic_irreducibles(field, degree):
+    """All monic irreducibles of the given degree, lexicographic order
+    (coefficients compared low-degree-first as integers)."""
+    if degree < 1:
+        raise PolyDomainError("degree must be >= 1")
+    for tail in itertools.product(range(field.order), repeat=degree):
+        f = Poly(field, list(tail) + [field.one])
+        if is_irreducible(f):
+            yield f
+
+
+def count_monic_irreducibles(q, degree):
+    """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
+
+    def moebius(n):
+        m = 1
+        for p in _prime_factors(n):
+            if n % (p * p) == 0:
+                return 0
+            m = -m
+        return m
+
+    total = 0
+    for e in range(1, degree + 1):
+        if degree % e == 0:
+            total += moebius(e) * q ** (degree // e)
+    assert total % degree == 0
+    return total // degree
+
+
+def least_irreducible_poly(field, degree):
+    """Lexicographically least monic irreducible of the given degree."""
+    return Poly(field, least_irreducible(field, degree))
+
+
+def is_square_in_units(field, u):
+    """Whether the unit u of F_q is a square in F_q^* (odd q)."""
+    if u == 0:
+        raise PolyDomainError("0 is not a unit")
+    return field.is_square_unit(u)
