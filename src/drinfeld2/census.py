@@ -244,7 +244,12 @@ def realize_bound():
     raw = os.environ.get(REALIZE_BOUND_ENV)
     if raw is None:
         return DEFAULT_REALIZE_BOUND
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise RealizationBoundError(
+            "%s=%r is not an integer" % (REALIZE_BOUND_ENV, raw)
+        ) from None
 
 
 def realize(P, m, bound=None, ext=None):

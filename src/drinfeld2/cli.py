@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import census as census_mod
@@ -41,7 +40,6 @@ DOMAIN_ERRORS = (
     IncompatibleFieldError,
     PolyDomainError,
     OreDomainError,
-    frobenius.CharPolyError,
     census_mod.RealizationBoundError,
     ValueError,
     ZeroDivisionError,
@@ -76,7 +74,6 @@ def _add_output_args(sub):
         help="output format (default json)",
     )
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--seed", type=int, help="seed for any randomized checks")
     sub.add_argument(
         "--strict", action="store_true",
         help="exit with status 3 if any discrepancy is reported",
@@ -295,8 +292,6 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     try:
         return _COMMANDS[args.command](args)
     except DOMAIN_ERRORS as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 
-from . import linalg
 from .ff import ExtensionField, field_make, ext_make
 from .ore import OrePoly, height, rgcd
 from .polyring import Poly
@@ -22,25 +21,17 @@ class RankError(ValueError):
 def minimal_polynomial(ext, x):
     """Monic minimal polynomial of x in L over the base field F_q.
 
-    Finds the least k with 1, x, ..., x^k linearly dependent over F_q by
-    Gaussian elimination on coordinate vectors.
+    The product of (X - y) over the distinct Frobenius conjugates
+    y = x, x^q, x^(q^2), ... of x; its coefficients lie in F_q, whose codes
+    are the same in L.
     """
-    base = ext.base
-    powers = [ext.one]
-    for _ in range(ext.degree):
-        powers.append(ext.mul(powers[-1], x))
-    cols = [ext.coords(p) for p in powers]
-    for k in range(1, ext.degree + 1):
-        rows = [[cols[j][i] for j in range(k)] for i in range(ext.degree)]
-        rhs = list(cols[k])
-        try:
-            sol = linalg.solve(base, rows, rhs, require_unique=True)
-        except linalg.InconsistentSystem:
-            continue
-        # x^k = sum sol[j] x^j  =>  minimal polynomial T^k - sum sol[j] T^j
-        coeffs = [base.neg(c) for c in sol] + [base.one]
-        return Poly(base, coeffs)
-    raise AssertionError("element has no minimal polynomial")  # unreachable
+    f = Poly.one(ext)
+    y = x
+    while True:
+        f = f * Poly(ext, (ext.neg(y), ext.one))
+        y = ext.frobenius(y)
+        if y == x:
+            return Poly(ext.base, f.coeffs)
 
 
 class DrinfeldModule:

@@ -447,7 +447,6 @@ class ExtensionField(FiniteField):
             # tables[i][x] = x^(q^i)
             tables[0] = None  # identity, handled below
             self._frob_tables = tables
-            self._frob1 = frob
         i %= self.degree
         if i == 0:
             return a

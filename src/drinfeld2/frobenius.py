@@ -1,23 +1,22 @@
 """Frobenius characteristic polynomials for rank-2 modules.
 
 P_Phi(X) = X^2 - c X + mu P^m with c in A = F_q[T], deg c <= floor(m d / 2),
-mu in F_q^*, determined by the identity t^{2n} - Phi_c t^n + mu Phi_{P^m} = 0
-in L{t}.  The identity pins (c, mu) uniquely except when F = t^n itself lies
-in the image of A; that case (F = nu * Phi_{P^(m/2)}) is detected up front
-and yields the square (X - nu P^(m/2))^2.
+mu in F_q^*, satisfies t^{2n} - Phi_c t^n + mu Phi_{P^m} = 0 in L{t}.
+
+It is read off the motive of Phi, the free L[T]-module with basis {1, t}
+(Musleh-Schost, ISSAC 2023).  There t acts by
+A = [[0, (T - gamma)/delta], [1, -g/delta]], and the Frobenius t^n by
+M = A A^(1) ... A^(n-1), where A^(i) raises every coefficient of A to the
+q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
+(Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .ore import OrePoly
 from .polyring import Poly, squarefree_split
-
-
-class CharPolyError(ArithmeticError):
-    """The defining linear identity failed to pin down (c, mu)."""
 
 
 @dataclass(frozen=True)
@@ -75,52 +74,23 @@ def charpoly(dm):
     """Characteristic polynomial of the Frobenius t^n of L for the module dm."""
     ext = dm.ext
     base = ext.base
-    n = ext.degree
-    m, d, P = dm.m, dm.d, dm.P
-    bound = (m * d) // 2
-
-    # F in A: F = nu * Phi_{P^(m/2)} forces the square char poly and makes the
-    # linear identity below underdetermined, so handle it first.
-    if m % 2 == 0:
-        half = dm.phi(P ** (m // 2))
-        F = OrePoly.tau_power(ext, n)
-        for nu in base.units():
-            if half.lscale(ext.embed(nu)) == F:
-                c = (P ** (m // 2)).scale(base.mul(base.scalar(2), nu))
-                mu = base.mul(nu, nu)
-                return CharPoly(c=c, mu=mu, P=P, m=m)
-
-    # Columns of the F_q-linear system in (c_0..c_bound, mu):
-    #   sum_j c_j * (Phi_{T^j} t^n)  -  mu * Phi_{P^m}  =  t^{2n}
-    tau_n = OrePoly.tau_power(ext, n)
-    cols = []
-    tj = OrePoly.one(ext)
-    phi_T = dm.phi_T()
-    for _ in range(bound + 1):
-        cols.append(tj * tau_n)
-        tj = tj * phi_T
-    cols.append(-dm.phi(P ** m))
-    target = OrePoly.tau_power(ext, 2 * n)
-
-    rows = []
-    rhs = []
-    for k in range(2 * n + 1):
-        col_coords = [ext.coords(col[k]) for col in cols]
-        tgt = ext.coords(target[k])
-        for t in range(ext.degree):
-            rows.append([cc[t] for cc in col_coords])
-            rhs.append(tgt[t])
-    try:
-        sol = linalg.solve(base, rows, rhs, require_unique=True)
-    except linalg.LinearSolveError as exc:
-        raise CharPolyError(
-            "Frobenius identity did not determine (c, mu): %s" % exc
-        ) from exc
-    c = Poly(base, sol[:-1])
-    mu = sol[-1]
-    if mu == 0:
-        raise CharPolyError("solved mu = 0; arithmetic inconsistency")
-    return CharPoly(c=c, mu=mu, P=P, m=m)
+    f = ext.frob_iter
+    # M = A A^(1) ... A^(n-1) with A = [[0, (T - gamma)/delta], [1, -g/delta]];
+    # right multiplication by [[0, a], [1, b]] maps a row (x, y) to
+    # (y, x a + y b).
+    M = [[Poly.one(ext), Poly.zero(ext)], [Poly.zero(ext), Poly.one(ext)]]
+    for i in range(ext.degree):
+        inv = ext.inv(f(dm.delta, i))
+        a = Poly(ext, (ext.neg(ext.mul(f(dm.gamma, i), inv)), inv))
+        b = Poly.constant(ext, ext.neg(ext.mul(f(dm.g, i), inv)))
+        M = [[y, x * a + y * b] for x, y in M]
+    # The trace has coefficients in F_q, whose codes are the same in L.
+    c = Poly(base, (M[0][0] + M[1][1]).coeffs)
+    norm = ext.pow(dm.delta, (ext.order - 1) // (base.order - 1))
+    mu = base.inv(norm)
+    if ext.degree % 2:
+        mu = base.neg(mu)
+    return CharPoly(c=c, mu=mu, P=dm.P, m=dm.m)
 
 
 def verify(dm, cp):

@@ -440,10 +440,3 @@ def count_monic_irreducibles(q, degree):
 def least_irreducible_poly(field, degree):
     """Lexicographically least monic irreducible of the given degree."""
     return Poly(field, least_irreducible(field, degree))
-
-
-def is_square_in_units(field, u):
-    """Whether the unit u of F_q is a square in F_q^* (odd q)."""
-    if u == 0:
-        raise PolyDomainError("0 is not a unit")
-    return field.is_square_unit(u)

@@ -85,6 +85,10 @@ def test_realize_bound_env(capsys, monkeypatch):
     code, _, err = run(capsys, argv)
     assert code == 1
     assert "bound" in err
+    monkeypatch.setenv("DRINFELD2_REALIZE_MAX", "abc")
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "DRINFELD2_REALIZE_MAX" in err
 
 
 def test_domain_error_exit_code(capsys):
@@ -130,7 +134,7 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_deterministic_output(capsys):
-    argv = ["census", "--p", "3", "--P", "T", "--m", "1", "--seed", "1"]
+    argv = ["census", "--p", "3", "--P", "T", "--m", "1"]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2

@@ -10,12 +10,38 @@ from drinfeld2 import (
     all_modules,
     ext_make,
     field_make,
+    linalg,
     minimal_polynomial,
 )
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
 EXT9 = ext_make(F3, 2)
+
+
+def oracle_minimal_polynomial(ext, x):
+    """Least k with 1, x, ..., x^k linearly dependent over F_q, found by
+    Gaussian elimination on coordinate vectors."""
+    base = ext.base
+    powers = [ext.one]
+    for _ in range(ext.degree):
+        powers.append(ext.mul(powers[-1], x))
+    cols = [ext.coords(p) for p in powers]
+    for k in range(1, ext.degree + 1):
+        rows = [[cols[j][i] for j in range(k)] for i in range(ext.degree)]
+        try:
+            sol = linalg.solve(base, rows, list(cols[k]), require_unique=True)
+        except linalg.InconsistentSystem:
+            continue
+        # x^k = sum sol[j] x^j  =>  minimal polynomial T^k - sum sol[j] T^j
+        return Poly(base, [base.neg(c) for c in sol] + [base.one])
+    raise AssertionError("element has no minimal polynomial")
+
+
+def test_minimal_polynomial_matches_linear_solve_oracle():
+    for ext in (ext_make(F3, 4), ext_make(field_make(3, 2), 2)):
+        for x in ext.elements():
+            assert minimal_polynomial(ext, x) == oracle_minimal_polynomial(ext, x)
 
 
 def rand_poly(field, max_deg, rng):

@@ -2,7 +2,9 @@ import itertools
 import random
 
 from drinfeld2 import (
+    CharPoly,
     DrinfeldModule,
+    OrePoly,
     Poly,
     all_modules,
     charpoly,
@@ -10,6 +12,7 @@ from drinfeld2 import (
     euler_poincare,
     ext_make,
     field_make,
+    linalg,
     minpoly,
     verify,
 )
@@ -19,10 +22,71 @@ EXT1 = ext_make(F3, 1)
 EXT9 = ext_make(F3, 2)
 
 
+def oracle_charpoly(dm):
+    """(c, mu) from the linear identity t^{2n} - Phi_c t^n + mu Phi_{P^m} = 0,
+    solved over F_q by Gaussian elimination.
+
+    The identity is underdetermined when F = t^n is nu * Phi_{P^(m/2)}; that
+    case gives the square (X - nu P^(m/2))^2 and is detected first.
+    """
+    ext = dm.ext
+    base = ext.base
+    n = ext.degree
+    m, d, P = dm.m, dm.d, dm.P
+    bound = (m * d) // 2
+
+    if m % 2 == 0:
+        half = dm.phi(P ** (m // 2))
+        F = OrePoly.tau_power(ext, n)
+        for nu in base.units():
+            if half.lscale(ext.embed(nu)) == F:
+                c = (P ** (m // 2)).scale(base.mul(base.scalar(2), nu))
+                return CharPoly(c=c, mu=base.mul(nu, nu), P=P, m=m)
+
+    # Columns of the F_q-linear system in (c_0..c_bound, mu):
+    #   sum_j c_j * (Phi_{T^j} t^n)  -  mu * Phi_{P^m}  =  t^{2n}
+    tau_n = OrePoly.tau_power(ext, n)
+    cols = []
+    tj = OrePoly.one(ext)
+    phi_T = dm.phi_T()
+    for _ in range(bound + 1):
+        cols.append(tj * tau_n)
+        tj = tj * phi_T
+    cols.append(-dm.phi(P ** m))
+    target = OrePoly.tau_power(ext, 2 * n)
+
+    rows = []
+    rhs = []
+    for k in range(2 * n + 1):
+        col_coords = [ext.coords(col[k]) for col in cols]
+        tgt = ext.coords(target[k])
+        for t in range(ext.degree):
+            rows.append([cc[t] for cc in col_coords])
+            rhs.append(tgt[t])
+    sol = linalg.solve(base, rows, rhs, require_unique=True)
+    assert sol[-1] != 0
+    return CharPoly(c=Poly(base, sol[:-1]), mu=sol[-1], P=P, m=m)
+
+
+def test_charpoly_matches_linear_solve_oracle_on_sweep(sweep):
+    squares = 0
+    for pairs in sweep.values():
+        for dm, cp in pairs:
+            assert cp == oracle_charpoly(dm), dm
+            squares += cp.is_square()
+    assert squares > 0  # the oracle's square branch is exercised
+
+
+def test_charpoly_matches_linear_solve_oracle_over_F9():
+    ext = ext_make(field_make(3, 2), 1)
+    for dm in all_modules(ext):
+        assert charpoly(dm) == oracle_charpoly(dm), dm
+
+
 def brute_force_pairs(dm):
     """Every (c, mu) satisfying the Frobenius identity, by exhaustive search.
 
-    Independent of the linear-algebra solver; intended for small m*d only.
+    Independent of any solver; intended for small m*d only.
     """
     base = dm.ext.base
     bound = (dm.m * dm.d) // 2
@@ -30,8 +94,6 @@ def brute_force_pairs(dm):
     for coeffs in itertools.product(range(base.order), repeat=bound + 1):
         c = Poly(base, coeffs)
         for mu in base.units():
-            from drinfeld2 import CharPoly
-
             if verify(dm, CharPoly(c=c, mu=mu, P=dm.P, m=dm.m)):
                 found.append((c, mu))
     return found
