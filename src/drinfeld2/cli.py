@@ -20,7 +20,7 @@ import sys
 from . import census as census_mod
 from . import frobenius
 from .classify import classify as classify_module, endomorphism_order
-from .drinfeld import DrinfeldModule
+from .drinfeld import DrinfeldModule, RankError
 from .ff import FieldError, IncompatibleFieldError, ext_make, field_make
 from .ore import OreDomainError
 from .polyring import (
@@ -35,14 +35,14 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_STRICT = 3
 
+# The library's own error classes; anything else is a bug and propagates.
 DOMAIN_ERRORS = (
     FieldError,
     IncompatibleFieldError,
     PolyDomainError,
     OreDomainError,
+    RankError,
     census_mod.RealizationBoundError,
-    ValueError,
-    ZeroDivisionError,
 )
 
 

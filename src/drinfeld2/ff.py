@@ -9,6 +9,11 @@ trivially hashable and shareable.
 Fields of order up to _TABLE_LIMIT get exp/log tables built from a
 multiplicative generator; everything above that falls back to direct
 polynomial arithmetic modulo the defining polynomial.
+
+This module also holds the polynomial kernel: the one implementation of
+products, division, gcd, the Rabin irreducibility test and the enumeration
+of monic irreducibles on coefficient lists.  The extension fields use it for
+their moduli and table-free products, and polyring wraps it.
 """
 
 from __future__ import annotations
@@ -183,9 +188,9 @@ class PrimeField(FiniteField):
         return hash(("PrimeField", self.order))
 
 
-# --- coefficient-list helpers over an arbitrary FiniteField -----------------
-# Internal: used for modulus validation and extension arithmetic.  Lists are
-# low degree first with no canonical-form requirement.
+# --- the polynomial kernel (see the module docstring) -----------------------
+# Lists hold coefficient codes, low degree first.  Inputs may carry trailing
+# zeros; remainders and gcds come back trimmed.
 
 
 def _list_trim(c):
@@ -197,74 +202,98 @@ def _list_trim(c):
 def _list_mul(field, a, b):
     if not a or not b:
         return []
+    add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
             if y:
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
+                out[i + j] = add(out[i + j], mul(x, y))
     return out
 
 
-def _list_rem(field, a, b):
-    """Remainder of a modulo monic b."""
+def _list_divmod(field, a, b):
+    """(quotient, remainder) of a by b, whose last coefficient is nonzero.
+
+    A monic b is never inverted: the field product and the Rabin test divide
+    by monic polynomials all the time, and inverting is a power in F_p.
+    """
+    add, mul, neg = field.add, field.mul, field.neg
     r = list(a)
     db = len(b) - 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - db
-            for i in range(db):
-                r[shift + i] = field.sub(r[shift + i], field.mul(lead, b[i]))
-        r.pop()
-        _list_trim(r)
-    return r
-
-
-def _list_mulmod(field, a, b, mod):
-    return _list_rem(field, _list_mul(field, a, b), mod)
+    lead_inv = None if b[-1] == field.one else field.inv(b[-1])
+    q = [0] * max(len(r) - db, 0)
+    while len(r) > db:
+        c = r.pop()
+        if c == 0:
+            continue
+        if lead_inv is not None:
+            c = mul(c, lead_inv)
+        shift = len(r) - db
+        q[shift] = c
+        nc = neg(c)
+        for i in range(db):
+            r[shift + i] = add(r[shift + i], mul(nc, b[i]))
+    return q, _list_trim(r)
 
 
 def _list_powmod(field, a, e, mod):
+    """a^e modulo mod, by square-and-multiply (e = 0 gives [1] unreduced)."""
     result = [field.one]
-    base = _list_rem(field, a, mod)
+    base = _list_divmod(field, a, mod)[1]
     while e:
         if e & 1:
-            result = _list_mulmod(field, result, base, mod)
-        base = _list_mulmod(field, base, base, mod)
+            result = _list_divmod(field, _list_mul(field, result, base), mod)[1]
         e >>= 1
+        if e:
+            base = _list_divmod(field, _list_mul(field, base, base), mod)[1]
     return result
 
 
-def _list_gcd_deg(field, a, b):
-    """Degree of gcd(a, b); -1 for the zero polynomial."""
-    a, b = list(a), list(b)
+def _list_gcd(field, a, b):
+    """Monic gcd of a and b; [] when both are zero."""
+    a, b = _list_trim(list(a)), _list_trim(list(b))
     while b:
-        lead_inv = field.inv(b[-1])
-        bm = [field.mul(lead_inv, x) for x in b]
-        a, b = b, _list_rem(field, a, bm)
-    return len(a) - 1
+        a, b = b, _list_divmod(field, a, b)[1]
+    if a and a[-1] != field.one:
+        lead_inv = field.inv(a[-1])
+        a = [field.mul(lead_inv, x) for x in a]
+    return a
 
 
 def _list_irreducible(field, f):
-    """Rabin irreducibility test for monic f of degree >= 1 over field."""
+    """Rabin's irreducibility test for monic f of degree >= 1 over field."""
     d = len(f) - 1
     if d == 1:
         return True
     B = field.order
     x = [0, field.one]
-    xq = _list_powmod(field, x, B**d, f)
-    if _list_trim(list(xq)) != [0, field.one]:
+    if _list_powmod(field, x, B**d, f) != x:
         return False
     for r in _prime_factors(d):
         g = _list_powmod(field, x, B ** (d // r), f)
-        diff = list(g) + [0] * (2 - len(g))
-        diff[1] = field.sub(diff[1], field.one)
-        _list_trim(diff)
-        if _list_gcd_deg(field, f, diff) != 0:
+        g += [0] * (2 - len(g))
+        g[1] = field.sub(g[1], field.one)
+        if _list_gcd(field, f, g) != [field.one]:
             return False
     return True
+
+
+def _monic_irreducibles(field, degree):
+    """Monic irreducibles of the given degree as coefficient tuples, in
+    lexicographic order of (c_0, ..., c_{d-1}) compared as integer sequences.
+
+    From degree 2 on the search starts at c_0 = 1: c_0 = 0 means the factor T.
+    """
+    tails = itertools.product(
+        range(0 if degree == 1 else 1, field.order),
+        *[range(field.order)] * (degree - 1),
+    )
+    for tail in tails:
+        f = tail + (field.one,)
+        if _list_irreducible(field, f):
+            yield f
 
 
 def least_irreducible(field, degree):
@@ -275,11 +304,7 @@ def least_irreducible(field, degree):
     """
     if degree < 1:
         raise FieldError("degree must be >= 1")
-    for tail in itertools.product(range(field.order), repeat=degree):
-        f = list(tail) + [field.one]
-        if _list_irreducible(field, f):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    return next(_monic_irreducibles(field, degree))
 
 
 class ExtensionField(FiniteField):
@@ -303,7 +328,7 @@ class ExtensionField(FiniteField):
             raise FieldError("modulus is not monic")
         if any(c < 0 or c >= base.order for c in modulus):
             raise FieldError("modulus coefficient out of range")
-        if not _list_irreducible(base, list(modulus)):
+        if not _list_irreducible(base, modulus):
             raise FieldError("modulus is reducible over the base field")
         self.base = base
         self.degree = degree
@@ -365,11 +390,9 @@ class ExtensionField(FiniteField):
         return self.from_coords([self.base.neg(x) for x in self.coords(a)])
 
     def _mul_poly(self, a, b):
-        prod = _list_mulmod(
-            self.base, list(self.coords(a)), list(self.coords(b)), list(self.modulus)
-        )
-        prod += [0] * (self.degree - len(prod))
-        return self.from_coords(prod)
+        base = self.base
+        prod = _list_mul(base, self.coords(a), self.coords(b))
+        return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
 
     def _build_tables(self):
         n_units = self.order - 1
@@ -377,7 +400,7 @@ class ExtensionField(FiniteField):
         gen = None
         for cand in range(1, self.order):
             if all(
-                self._pow_poly(cand, n_units // f) != self.one for f in factors
+                self.pow(cand, n_units // f) != self.one for f in factors
             ):
                 gen = cand
                 break
@@ -393,16 +416,6 @@ class ExtensionField(FiniteField):
         self._exp = exp
         self._log = log
         self._n_units = n_units
-
-    def _pow_poly(self, a, e):
-        r = self.one
-        b = a
-        while e:
-            if e & 1:
-                r = self._mul_poly(r, b)
-            b = self._mul_poly(b, b)
-            e >>= 1
-        return r
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -425,9 +438,7 @@ class ExtensionField(FiniteField):
             return self.zero if e else self.one
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n_units]
-        if e < 0:
-            return self._pow_poly(self.inv(a), -e)
-        return self._pow_poly(a, e)
+        return super().pow(a, e)
 
     # --- Frobenius relative to the base field ---
 

@@ -3,89 +3,29 @@
 L is an ExtensionField over F_q; t stands for the q-power Frobenius.  Only
 right division and right gcd are provided (that is the side with a division
 algorithm in L{t}).  Coefficients are field codes, low t-degree first, no
-trailing zeros.
+trailing zeros.  OrePoly shares its dense base (construction, equality,
+addition, scaling and monic normalization) with polyring.Poly.
 """
 
 from __future__ import annotations
 
 from .ff import check_same_field
-from .polyring import NEG_INF
+from .polyring import _Dense
 
 
 class OreDomainError(ValueError):
     """An operation was applied outside its domain."""
 
 
-class OrePoly:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, (field.one,))
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
+class OrePoly(_Dense):
+    __slots__ = ()
+    _domain_error = OreDomainError
 
     @classmethod
     def tau_power(cls, field, k, coeff=None):
         if coeff is None:
             coeff = field.one
         return cls(field, [0] * k + [coeff])
-
-    @property
-    def deg(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def lc(self):
-        if not self.coeffs:
-            raise OreDomainError("leading coefficient of 0")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, OrePoly)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs,))
-
-    def __add__(self, other):
-        check_same_field(self.field, other.field)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return OrePoly(F, out)
-
-    def __neg__(self):
-        F = self.field
-        return OrePoly(F, [F.neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Twisted product: (a t^i)(b t^j) = a * b^(q^i) t^(i+j)."""
@@ -104,19 +44,8 @@ class OrePoly:
                     out[i + j] = add(out[i + j], mul(x, frob(y, i)))
         return OrePoly(F, out)
 
-    def lscale(self, c):
-        """Left multiplication by the constant c (plain coefficient scaling)."""
-        F = self.field
-        if c == 0:
-            return OrePoly.zero(F)
-        return OrePoly(F, [F.mul(c, x) for x in self.coeffs])
-
-    def monic(self):
-        if self.is_zero():
-            raise OreDomainError("monic normalization of 0")
-        if self.lc() == self.field.one:
-            return self
-        return self.lscale(self.field.inv(self.lc()))
+    # left multiplication by a constant is plain coefficient scaling
+    lscale = _Dense.scale
 
     def rdivmod(self, other):
         """(quot, rem) with self = quot * other + rem, deg rem < deg other."""

@@ -3,14 +3,25 @@
 Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
 arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
 enumeration of monic irreducibles.  Coefficients are stored as field codes,
-low degree first, with no trailing zeros.
+low degree first, with no trailing zeros.  Products, division, gcd and the
+irreducibility test are thin wrappers over the polynomial kernel in ff.
+Poly and ore.OrePoly share the dense base _Dense (construction, equality,
+addition, scaling and monic normalization).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .ff import FiniteField, _prime_factors, check_same_field, least_irreducible
+from .ff import (
+    _list_divmod,
+    _list_gcd,
+    _list_irreducible,
+    _list_mul,
+    _list_powmod,
+    _monic_irreducibles,
+    _prime_factors,
+    check_same_field,
+    least_irreducible,
+)
 
 NEG_INF = float("-inf")
 
@@ -19,8 +30,15 @@ class PolyDomainError(ValueError):
     """An operation was applied outside its domain."""
 
 
-class Poly:
+class _Dense:
+    """Coefficient tuple over a field, low degree first, no trailing zeros.
+
+    The shared base of Poly and OrePoly: everything here means the same in
+    F_q[T] and in L{t}.  A subclass names its error class in _domain_error.
+    """
+
     __slots__ = ("field", "coeffs")
+    _domain_error = ValueError
 
     def __init__(self, field, coeffs):
         coeffs = list(coeffs)
@@ -43,10 +61,6 @@ class Poly:
     def constant(cls, field, c):
         return cls(field, (c,))
 
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, field.one))
-
     # --- structure ---
 
     @property
@@ -56,15 +70,9 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_one(self):
-        return self.coeffs == (self.field.one,)
-
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def lc(self):
         if not self.coeffs:
-            raise PolyDomainError("leading coefficient of 0")
+            raise self._domain_error("leading coefficient of 0")
         return self.coeffs[-1]
 
     def __getitem__(self, i):
@@ -72,7 +80,7 @@ class Poly:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Poly)
+            type(other) is type(self)
             and other.field == self.field
             and other.coeffs == self.coeffs
         )
@@ -80,7 +88,7 @@ class Poly:
     def __hash__(self):
         return hash((self.coeffs,))
 
-    # --- arithmetic ---
+    # --- additive structure and scaling ---
 
     def __add__(self, other):
         check_same_field(self.field, other.field)
@@ -91,35 +99,49 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
-        return Poly(F, out)
+        return type(self)(F, out)
 
     def __neg__(self):
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return type(self)(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        check_same_field(self.field, other.field)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return Poly(F, out)
-
     def scale(self, c):
+        """Multiply every coefficient by the constant c (from the left)."""
         F = self.field
         if c == 0:
-            return Poly.zero(F)
-        return Poly(F, [F.mul(c, x) for x in self.coeffs])
+            return type(self).zero(F)
+        return type(self)(F, [F.mul(c, x) for x in self.coeffs])
+
+    def monic(self):
+        if self.is_zero():
+            raise self._domain_error("monic normalization of 0")
+        if self.lc() == self.field.one:
+            return self
+        return self.scale(self.field.inv(self.lc()))
+
+
+class Poly(_Dense):
+    __slots__ = ()
+    _domain_error = PolyDomainError
+
+    @classmethod
+    def x(cls, field):
+        return cls(field, (0, field.one))
+
+    def is_one(self):
+        return self.coeffs == (self.field.one,)
+
+    def is_constant(self):
+        return len(self.coeffs) <= 1
+
+    # --- multiplicative structure (the ff kernel does the work) ---
+
+    def __mul__(self, other):
+        check_same_field(self.field, other.field)
+        return Poly(self.field, _list_mul(self.field, self.coeffs, other.coeffs))
 
     def __pow__(self, e):
         if e < 0:
@@ -138,20 +160,7 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        r = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        inv_lead = F.inv(other.lc())
-        q = [0] * max(len(r) - db, 0)
-        while len(r) - 1 >= db and r:
-            if r[-1]:
-                c = F.mul(r[-1], inv_lead)
-                shift = len(r) - 1 - db
-                q[shift] = c
-                for i in range(db):
-                    r[shift + i] = F.sub(r[shift + i], F.mul(c, other.coeffs[i]))
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
+        q, r = _list_divmod(F, self.coeffs, other.coeffs)
         return Poly(F, q), Poly(F, r)
 
     def __floordiv__(self, other):
@@ -165,13 +174,6 @@ class Poly:
         if self.is_zero():
             return other.is_zero()
         return (other % self).is_zero()
-
-    def monic(self):
-        if self.is_zero():
-            raise PolyDomainError("monic normalization of 0")
-        if self.lc() == self.field.one:
-            return self
-        return self.scale(self.field.inv(self.lc()))
 
     def deriv(self):
         F = self.field
@@ -271,7 +273,10 @@ def poly_from_human(field, text, var="T"):
             if rest == "":
                 power = 1
             elif rest.startswith("^"):
-                power = int(rest[1:])
+                try:
+                    power = int(rest[1:])
+                except ValueError:
+                    raise PolyDomainError("bad term %r in %r" % (term, text)) from None
             else:
                 raise PolyDomainError("bad term %r in %r" % (term, text))
         else:
@@ -300,41 +305,21 @@ def poly_from_str(field, text, var="T"):
 def gcd(a, b):
     """Monic greatest common divisor."""
     check_same_field(a.field, b.field)
-    while not b.is_zero():
-        a, b = b, a % b.monic()
-    if a.is_zero():
-        return a
-    return a.monic()
+    return Poly(a.field, _list_gcd(a.field, a.coeffs, b.coeffs))
 
 
 def pow_mod(base, e, mod):
-    result = Poly.one(mod.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+    check_same_field(base.field, mod.field)
+    if mod.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    return Poly(mod.field, _list_powmod(mod.field, base.coeffs, e, mod.coeffs))
 
 
 def is_irreducible(f):
     """Rabin test; requires deg f >= 1."""
     if f.is_constant():
         raise PolyDomainError("irreducibility is undefined for constants")
-    d = len(f.coeffs) - 1
-    if d == 1:
-        return True
-    fm = f.monic()
-    B = f.field.order
-    x = Poly.x(f.field)
-    if pow_mod(x, B**d, fm) != x % fm:
-        return False
-    for r in _prime_factors(d):
-        g = pow_mod(x, B ** (d // r), fm) - x
-        if not gcd(fm, g).is_one():
-            return False
-    return True
+    return _list_irreducible(f.field, f.monic().coeffs)
 
 
 def _pth_root_poly(f):
@@ -412,10 +397,8 @@ def monic_irreducibles(field, degree):
     (coefficients compared low-degree-first as integers)."""
     if degree < 1:
         raise PolyDomainError("degree must be >= 1")
-    for tail in itertools.product(range(field.order), repeat=degree):
-        f = Poly(field, list(tail) + [field.one])
-        if is_irreducible(f):
-            yield f
+    for f in _monic_irreducibles(field, degree):
+        yield Poly(field, f)
 
 
 def count_monic_irreducibles(q, degree):

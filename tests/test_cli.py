@@ -92,11 +92,24 @@ def test_realize_bound_env(capsys, monkeypatch):
 
 
 def test_domain_error_exit_code(capsys):
-    argv = ["charpoly", "--p", "3", "--n", "1", "--gamma-T", "0",
-            "--g", "1", "--delta", "0"]
-    code, _, err = run(capsys, argv)
-    assert code == 1
-    assert "delta" in err
+    cases = [
+        (["charpoly", "--p", "3", "--n", "1", "--gamma-T", "0",
+          "--g", "1", "--delta", "0"], "delta"),
+        (["census", "--p", "3", "--P", "T^x", "--m", "1"], "T^x"),
+    ]
+    for argv, needle in cases:
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert needle in err
+
+
+def test_internal_errors_propagate(monkeypatch):
+    def broken(dm):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.frobenius, "charpoly", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["charpoly"] + MODULE_ARGS)
 
 
 def test_usage_error_exit_code(capsys):

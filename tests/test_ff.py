@@ -10,6 +10,7 @@ from drinfeld2 import (
     ext_make,
     field_make,
 )
+from drinfeld2 import ff
 from drinfeld2.ff import check_same_field, least_irreducible
 
 
@@ -41,6 +42,10 @@ def test_auto_modulus_is_least_irreducible():
     assert least_irreducible(base, 2) == (1, 0, 1)
     ext = ext_make(base, 2)
     assert ext.modulus == (1, 0, 1)
+    # values from the search over every candidate, c_0 = 0 included
+    assert least_irreducible(base, 9) == (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)
+    assert least_irreducible(base, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
+    assert least_irreducible(PrimeField(5), 6) == (1, 0, 0, 0, 1, 1, 1)
 
 
 def test_reducible_modulus_rejected():
@@ -76,11 +81,30 @@ def test_field_axioms_exhaustive(p, s):
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
-def test_table_mul_matches_polynomial_mul():
-    ext = ext_make(PrimeField(3), 2)
-    for a in ext.elements():
-        for b in ext.elements():
-            assert ext.mul(a, b) == ext._mul_poly(a, b)
+def test_table_mul_matches_polynomial_mul(monkeypatch):
+    # each field against a twin built without tables (base field included)
+    builds = [
+        lambda: field_make(3, 2),
+        lambda: field_make(5, 2),
+        lambda: field_make(3, 3),
+        lambda: ext_make(field_make(3, 2), 2),
+    ]
+    for build in builds:
+        ext = build()
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = build()
+        assert ext._exp is not None and twin._exp is None
+        assert twin == ext
+        for a in ext.elements():
+            for b in ext.elements():
+                assert twin.mul(a, b) == ext.mul(a, b)
+            assert twin.frob_iter(a, 1) == ext.frob_iter(a, 1)
+            exponents = (0, 1, 2, 5, ext.order - 2) + ((-3, -1) if a else ())
+            for e in exponents:
+                assert twin.pow(a, e) == ext.pow(a, e)
+            if a:
+                assert twin.inv(a) == ext.inv(a)
 
 
 def test_frobenius_is_additive_and_periodic():

@@ -39,14 +39,15 @@ def test_schoolbook_product_oracle():
 
 def test_divmod_reconstruction_random():
     rng = random.Random(7)
-    for _ in range(300):
-        a = rand_poly(F5, rng.randrange(6), rng)
-        b = rand_poly(F5, rng.randrange(4), rng)
-        if b.is_zero():
-            continue
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.deg < b.deg
+    for field in (F5, F9):
+        for _ in range(300):
+            a = rand_poly(field, rng.randrange(6), rng)
+            b = rand_poly(field, rng.randrange(4), rng)
+            if b.is_zero():
+                continue
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.is_zero() or r.deg < b.deg
 
 
 @given(
@@ -112,6 +113,9 @@ def test_irreducible_counts_match_necklace_formula():
 def test_least_irreducible_poly():
     assert least_irreducible_poly(F3, 1) == Poly.x(F3)
     assert least_irreducible_poly(F3, 2) == Poly(F3, (1, 0, 1))
+    for field in (F3, F9):
+        for d in range(1, 5):
+            assert least_irreducible_poly(field, d) == next(monic_irreducibles(field, d))
 
 
 def test_squarefree_decomposition_reconstructs():
