@@ -3,6 +3,8 @@
 Enumerates admissible characteristic polynomials, evaluates the closed-form
 counts, optionally brute-forces every module over L = F_{q^(md)} to measure
 which classes are realized, and counts distinct Euler-Poincare divisors.
+P and m are checked once per family, and one pass over the (c, mu) grid
+feeds the verdict tallies, the chi groups and the admissible set.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -13,14 +15,15 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import frobenius
-from .classify import Verdict, weil_admissible
+from .classify import Verdict, _check_family, _weil_verdict
 from .drinfeld import DrinfeldModule
 from .ff import ext_make
-from .polyring import Poly, PolyDomainError, is_irreducible
+from .polyring import Poly
 
 REALIZE_BOUND_ENV = "DRINFELD2_REALIZE_MAX"
 DEFAULT_REALIZE_BOUND = 5**4
@@ -121,29 +124,39 @@ def candidate_pairs(P, m):
 
 
 def admissible_pairs(P, m):
-    """(c, mu, verdict) for every admissible candidate."""
+    """(c, mu, verdict) for every admissible candidate; checks P and m first."""
+    _check_family(P, m)
     for c, mu in candidate_pairs(P, m):
-        verdict = weil_admissible(c, mu, P, m)
+        verdict = _weil_verdict(c, mu, P, m)
         if verdict.is_admissible():
             yield c, mu, verdict
 
 
+def _census_pass(P, m):
+    """The one pass over the (c, mu) grid: (CensusReport with the verdict
+    tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict})."""
+    pairs = list(admissible_pairs(P, m))
+    Pm = P**m  # only after admissible_pairs has checked m
+    one = Poly.one(P.field)
+    groups = {}
+    for c, mu, _ in pairs:
+        key = (one - c + Pm.scale(mu)).monic().coeffs
+        groups.setdefault(key, []).append((c.coeffs, mu))
+    admissible = {(c.coeffs, mu): verdict for c, mu, verdict in pairs}
+    tally = Counter(admissible.values())
+    report = CensusReport(
+        q=P.field.order, d=int(P.deg), m=m, P=P,
+        ordinary_count=tally[Verdict.ORDINARY],
+        ss2_count=tally[Verdict.SUPERSINGULAR_2],
+        ss3_count=tally[Verdict.SUPERSINGULAR_3],
+        ss4_count=tally[Verdict.SUPERSINGULAR_4],
+    )
+    return report, groups, admissible
+
+
 def enumerate_census(P, m):
     """Tally admissibility verdicts over the full (c, mu) grid."""
-    base = P.field
-    if P.is_constant() or not is_irreducible(P):
-        raise PolyDomainError("P must be monic irreducible")
-    report = CensusReport(q=base.order, d=int(P.deg), m=m, P=P)
-    for _, _, verdict in admissible_pairs(P, m):
-        if verdict is Verdict.ORDINARY:
-            report.ordinary_count += 1
-        elif verdict is Verdict.SUPERSINGULAR_2:
-            report.ss2_count += 1
-        elif verdict is Verdict.SUPERSINGULAR_3:
-            report.ss3_count += 1
-        else:
-            report.ss4_count += 1
-    return report
+    return _census_pass(P, m)[0]
 
 
 # --- closed forms -----------------------------------------------------------
@@ -218,6 +231,16 @@ def _rational_to_report(value, label, discrepancies):
     return None
 
 
+def _chi_formula_report(q, d, m, count, discrepancies):
+    """chi_formula(q, d, m) as reported, noting where it differs from count."""
+    closed = _rational_to_report(chi_formula(q, d, m), "chi_formula", discrepancies)
+    if closed is not None and closed != count:
+        discrepancies.append(
+            "chi_formula %d != enumerative chi count %d" % (closed, count)
+        )
+    return closed
+
+
 # --- Euler-Poincare census --------------------------------------------------
 
 
@@ -227,13 +250,7 @@ def chi_census(P, m):
     chi_Phi is the ideal (1 - c + mu P^m); ideals of A are compared by monic
     generator (generators differ by F_q^* units).
     """
-    Pm = P**m
-    one = Poly.one(P.field)
-    groups = {}
-    for c, mu, _ in admissible_pairs(P, m):
-        val = one - c + Pm.scale(mu)
-        key = val.monic().coeffs
-        groups.setdefault(key, []).append((c.coeffs, mu))
+    groups = _census_pass(P, m)[1]
     return len(groups), groups
 
 
@@ -252,7 +269,7 @@ def realize_bound():
         ) from None
 
 
-def realize(P, m, bound=None, ext=None):
+def realize(P, m, bound=None):
     """Brute-force every module (gamma a fixed root of P, g in L, delta in
     L^*) over L = F_{q^(md)} and collect the distinct characteristic
     polynomials.
@@ -260,9 +277,9 @@ def realize(P, m, bound=None, ext=None):
     Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
     missing_ordinary) where keys are (c coefficients, mu).
     """
+    _check_family(P, m)
     base = P.field
-    d = int(P.deg)
-    n = m * d
+    n = m * int(P.deg)
     order = base.order**n
     if bound is None:
         bound = realize_bound()
@@ -271,8 +288,7 @@ def realize(P, m, bound=None, ext=None):
             "|L| = %d exceeds the sweep bound %d (set %s to raise it)"
             % (order, bound, REALIZE_BOUND_ENV)
         )
-    if ext is None:
-        ext = ext_make(base, n)
+    ext = ext_make(base, n)
     gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
     realized = set()
     for g in ext.elements():
@@ -280,19 +296,16 @@ def realize(P, m, bound=None, ext=None):
             dm = DrinfeldModule(ext, gamma, g, delta)
             cp = frobenius.charpoly(dm)
             realized.add(cp.key())
-    admissible = {}
-    for c, mu, verdict in admissible_pairs(P, m):
-        admissible[(c.coeffs, mu)] = verdict
+    admissible = _census_pass(P, m)[2]
     ordinary = {k for k, v in admissible.items() if v is Verdict.ORDINARY}
-    missing_ordinary = sorted(ordinary - realized)
-    return realized, set(admissible), ordinary, missing_ordinary
+    return realized, set(admissible), ordinary, sorted(ordinary - realized)
 
 
 # --- full report ------------------------------------------------------------
 
 
 def full_report(P, m, do_realize=False, bound=None):
-    report = enumerate_census(P, m)
+    report, groups, _ = _census_pass(P, m)
     q, d = report.q, report.d
 
     total_formula = formula_total(q, d, m)
@@ -307,17 +320,10 @@ def full_report(P, m, do_realize=False, bound=None):
     if total_formula is None and formula_case(d, m) is None:
         report.discrepancies.append("no closed form for m odd, d even")
 
-    chi_count, _ = chi_census(P, m)
-    report.chi_distinct_enumerative = chi_count
-    chi_closed = chi_formula(q, d, m)
-    report.chi_formula = _rational_to_report(
-        chi_closed, "chi_formula", report.discrepancies
+    report.chi_distinct_enumerative = len(groups)
+    report.chi_formula = _chi_formula_report(
+        q, d, m, len(groups), report.discrepancies
     )
-    if report.chi_formula is not None and report.chi_formula != chi_count:
-        report.discrepancies.append(
-            "chi_formula %d != enumerative chi count %d"
-            % (report.chi_formula, chi_count)
-        )
 
     if do_realize:
         realized, admissible, ordinary, missing = realize(P, m, bound=bound)

@@ -110,6 +110,14 @@ def _imaginary_at_infinity(c, mu, P, m):
     return not base.is_square_unit(disc.lc())
 
 
+def _check_family(P, m):
+    """Raise PolyDomainError unless P is monic irreducible of degree >= 1 and m >= 1."""
+    if P.is_constant() or P.lc() != P.field.one or not is_irreducible(P):
+        raise PolyDomainError("P must be monic irreducible of degree >= 1")
+    if m < 1:
+        raise PolyDomainError("m must be >= 1")
+
+
 def weil_admissible(c, mu, P, m):
     """Classify the candidate X^2 - cX + mu P^m.
 
@@ -118,18 +126,17 @@ def weil_admissible(c, mu, P, m):
     supersingular ones (P | c) additionally need a single place of K(F)
     above P, or F itself in A (the perfect-square case).
     """
-    base = P.field
-    d = len(P.coeffs) - 1
-    if m < 1:
-        raise PolyDomainError("m must be >= 1")
+    _check_family(P, m)
     if mu == 0:
         raise PolyDomainError("mu must be a unit")
-    if P.is_constant() or P.lc() != base.one or not is_irreducible(P):
-        raise PolyDomainError("P must be monic irreducible")
-    md = m * d
-    if not c.is_zero() and c.deg > md // 2:
+    if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
+    return _weil_verdict(c, mu, P, m)
 
+
+def _weil_verdict(c, mu, P, m):
+    """`weil_admissible` on inputs already known to pass its checks."""
+    base = P.field
     four_mu = base.mul(base.scalar(4), mu)
     disc = c * c - (P**m).scale(four_mu)
     if disc.is_zero():

@@ -23,12 +23,7 @@ from .classify import classify as classify_module, endomorphism_order
 from .drinfeld import DrinfeldModule, RankError
 from .ff import FieldError, IncompatibleFieldError, ext_make, field_make
 from .ore import OreDomainError
-from .polyring import (
-    PolyDomainError,
-    is_irreducible,
-    least_irreducible_poly,
-    poly_from_str,
-)
+from .polyring import PolyDomainError, least_irreducible_poly, poly_from_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -118,18 +113,13 @@ def _build_module(args):
 
 
 def _resolve_P(args):
+    """P from --P or --d; the census checks P and m."""
     base = field_make(args.p, args.s)
     if args.P is not None:
-        P = poly_from_str(base, args.P)
-        if P.is_constant() or P.lc() != base.one or not is_irreducible(P):
-            raise PolyDomainError("P must be monic irreducible of degree >= 1")
-    else:
-        if args.d < 1:
-            raise PolyDomainError("--d must be >= 1")
-        P = least_irreducible_poly(base, args.d)
-    if args.m < 1:
-        raise PolyDomainError("--m must be >= 1")
-    return P
+        return poly_from_str(base, args.P)
+    if args.d < 1:
+        raise PolyDomainError("--d must be >= 1")
+    return least_irreducible_poly(base, args.d)
 
 
 def _emit(args, payload, plain_lines, csv_text=None):
@@ -252,13 +242,10 @@ def _cmd_realize(args):
 def _cmd_chi(args):
     P = _resolve_P(args)
     count, groups = census_mod.chi_census(P, args.m)
-    closed = census_mod.chi_formula(P.field.order, int(P.deg), args.m)
     discrepancies = []
-    closed_int = census_mod._rational_to_report(closed, "chi_formula", discrepancies)
-    if closed_int is not None and closed_int != count:
-        discrepancies.append(
-            "chi_formula %d != enumerative chi count %d" % (closed_int, count)
-        )
+    closed_int = census_mod._chi_formula_report(
+        P.field.order, int(P.deg), args.m, count, discrepancies
+    )
     payload = {
         "q": P.field.order,
         "P": P.to_human(),

@@ -1,18 +1,25 @@
+from collections import Counter
+
 import pytest
 
 from drinfeld2 import (
+    CharPoly,
     Poly,
+    PolyDomainError,
     RealizationBoundError,
+    Verdict,
     chi_census,
     chi_formula,
     enumerate_census,
+    euler_poincare,
     field_make,
     formula_total,
     full_report,
     least_irreducible_poly,
     realize,
+    weil_admissible,
 )
-from drinfeld2.census import CSV_HEADER, csv_row, formula_case
+from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -91,6 +98,47 @@ def test_realization_matches_admissibility_q3_m2():
     realized, admissible, ordinary, missing = realize(T3, 2)
     assert realized <= admissible
     assert missing == []
+
+
+def test_realize_rejects_bad_P_before_sweeping():
+    # a P without a root in L, and a P whose sweep would cover all of F_81
+    for P, m in ((Poly(F3, (1, 2, 0, 1)) * Poly(F3, (1, 0, 1)), 1), (T3 * T3, 2)):
+        with pytest.raises(PolyDomainError, match="monic irreducible"):
+            realize(P, m)
+
+
+def test_single_pass_matches_weil_admissible_oracle():
+    # oracle: the public, checked weil_admissible on every candidate, and the
+    # per-module Euler-Poincare generator for the chi groups
+    for base in (F3, F5, field_make(3, 2)):
+        q = base.order
+        for d in (1, 2):
+            P = least_irreducible_poly(base, d)
+            for m in (1, 2, 3):
+                if q ** (m * d // 2 + 1) * (q - 1) > 500:
+                    continue
+                oracle = {}
+                chi = {}
+                for c, mu in candidate_pairs(P, m):
+                    verdict = weil_admissible(c, mu, P, m)
+                    if verdict.is_admissible():
+                        oracle[(c.coeffs, mu)] = verdict
+                        key = euler_poincare(CharPoly(c, mu, P, m)).coeffs
+                        chi.setdefault(key, []).append((c.coeffs, mu))
+                tally = Counter(oracle.values())
+                expected = tuple(tally[v] for v in Verdict if v.is_admissible())
+                report = full_report(P, m)
+                for r in (report, enumerate_census(P, m)):
+                    counts = (r.ordinary_count, r.ss2_count, r.ss3_count, r.ss4_count)
+                    assert counts == expected, (q, d, m)
+                assert report.chi_distinct_enumerative == len(chi), (q, d, m)
+                assert chi_census(P, m) == (len(chi), chi), (q, d, m)
+                if q ** (m * d) <= 81:
+                    _, admissible, ordinary, _ = realize(P, m)
+                    assert admissible == set(oracle), (q, d, m)
+                    assert ordinary == {
+                        k for k, v in oracle.items() if v is Verdict.ORDINARY
+                    }, (q, d, m)
 
 
 def test_realize_bound_refusal():

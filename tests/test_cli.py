@@ -96,6 +96,9 @@ def test_domain_error_exit_code(capsys):
         (["charpoly", "--p", "3", "--n", "1", "--gamma-T", "0",
           "--g", "1", "--delta", "0"], "delta"),
         (["census", "--p", "3", "--P", "T^x", "--m", "1"], "T^x"),
+        (["census", "--p", "3", "--P", "T^2", "--m", "1"], "monic irreducible"),
+        (["chi", "--p", "3", "--P", "2*T", "--m", "1"], "monic irreducible"),
+        (["realize", "--p", "3", "--P", "T", "--m", "0"], "m must be >= 1"),
     ]
     for argv, needle in cases:
         code, _, err = run(capsys, argv)
