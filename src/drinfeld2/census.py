@@ -1,8 +1,9 @@
 """Isogeny-class census for given (q, P, m).
 
 Enumerates admissible characteristic polynomials, evaluates the closed-form
-counts, optionally brute-forces every module over L = F_{q^(md)} to measure
-which classes are realized, and counts distinct Euler-Poincare divisors.
+counts, optionally sweeps the modules over L = F_{q^(md)}, one per
+constant-twist orbit, to measure which classes are realized, and counts
+distinct Euler-Poincare divisors.
 P and m are checked once per family, and one pass over the (c, mu) grid
 feeds the verdict tallies, the chi groups and the admissible set.
 
@@ -14,6 +15,7 @@ not an error.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -21,7 +23,6 @@ from fractions import Fraction
 
 from . import frobenius
 from .classify import Verdict, _check_family, _weil_verdict
-from .drinfeld import DrinfeldModule
 from .ff import ext_make
 from .polyring import Poly
 
@@ -269,18 +270,25 @@ def realize_bound():
         ) from None
 
 
-def realize(P, m, bound=None):
-    """Brute-force every module (gamma a fixed root of P, g in L, delta in
-    L^*) over L = F_{q^(md)} and collect the distinct characteristic
-    polynomials.
+def _coset_representatives(ext, k):
+    """One unit from each coset of the k-th powers in L^*, for k dividing
+    |L| - 1; x is keyed by x^((|L| - 1)/k), whose kernel is (L^*)^k."""
+    e = (ext.order - 1) // k
+    reps = {}
+    for x in ext.units():
+        reps.setdefault(ext.pow(x, e), x)
+        if len(reps) == k:
+            break
+    return list(reps.values())
 
-    Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
-    missing_ordinary) where keys are (c coefficients, mu).
-    """
-    _check_family(P, m)
+
+def _sweep(P, m, bound):
+    """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}, one
+    module per constant-twist orbit; P and m must already be checked."""
     base = P.field
+    q = base.order
     n = m * int(P.deg)
-    order = base.order**n
+    order = q**n
     if bound is None:
         bound = realize_bound()
     if order > bound:
@@ -290,22 +298,52 @@ def realize(P, m, bound=None):
         )
     ext = ext_make(base, n)
     gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+    # A constant twist by u in L^* is an isomorphism over L, so it keeps the
+    # charpoly; it fixes gamma and maps (g, delta) to
+    # (g u^(1-q), delta u^(1-q^2)).  For g = 0 only the coset of delta modulo
+    # (L^*)^(q^2-1) matters: gcd(q^2 - 1, |L| - 1) representatives.  For
+    # g != 0, u^(1-q) runs over (L^*)^(q-1), of index q - 1, so g moves to
+    # one of q - 1 representatives; the u fixing g are those in F_q^*, and
+    # they fix delta too, so delta runs over all of L^*.
+    # (q - 1)(|L| - 1) + gcd(q^2 - 1, |L| - 1) modules in all.
+    points = itertools.chain(
+        itertools.product(
+            (0,), _coset_representatives(ext, math.gcd(q * q - 1, order - 1))
+        ),
+        itertools.product(_coset_representatives(ext, q - 1), ext.units()),
+    )
     realized = set()
-    for g in ext.elements():
-        for delta in ext.units():
-            dm = DrinfeldModule(ext, gamma, g, delta)
-            cp = frobenius.charpoly(dm)
-            realized.add(cp.key())
-    admissible = _census_pass(P, m)[2]
+    for g, delta in points:
+        c, mu = frobenius._charpoly(ext, gamma, g, delta)
+        realized.add((c.coeffs, mu))
+    return realized
+
+
+def _against_admissible(realized, admissible):
+    """The `realize` tuple from the sweep's keys and the admissible map."""
     ordinary = {k for k, v in admissible.items() if v is Verdict.ORDINARY}
     return realized, set(admissible), ordinary, sorted(ordinary - realized)
+
+
+def realize(P, m, bound=None):
+    """Collect the distinct Frobenius characteristic polynomials of the
+    modules (gamma a fixed root of P, g in L, delta in L^*) over
+    L = F_{q^(md)}, sweeping one module per constant-twist orbit:
+    (q - 1)(|L| - 1) + gcd(q^2 - 1, |L| - 1) modules.
+
+    Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
+    missing_ordinary) where keys are (c coefficients, mu).
+    """
+    _check_family(P, m)
+    realized = _sweep(P, m, bound)
+    return _against_admissible(realized, _census_pass(P, m)[2])
 
 
 # --- full report ------------------------------------------------------------
 
 
 def full_report(P, m, do_realize=False, bound=None):
-    report, groups, _ = _census_pass(P, m)
+    report, groups, admissible = _census_pass(P, m)
     q, d = report.q, report.d
 
     total_formula = formula_total(q, d, m)
@@ -326,7 +364,9 @@ def full_report(P, m, do_realize=False, bound=None):
     )
 
     if do_realize:
-        realized, admissible, ordinary, missing = realize(P, m, bound=bound)
+        realized, admissible, ordinary, missing = _against_admissible(
+            _sweep(P, m, bound), admissible
+        )
         report.realized_distinct = len(realized)
         extraneous = realized - admissible
         if extraneous:

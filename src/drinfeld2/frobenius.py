@@ -70,9 +70,9 @@ class CharPoly:
         }
 
 
-def charpoly(dm):
-    """Characteristic polynomial of the Frobenius t^n of L for the module dm."""
-    ext = dm.ext
+def _charpoly(ext, gamma, g, delta):
+    """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
+    L = ext; c is a polynomial over the base field F_q."""
     base = ext.base
     f = ext.frob_iter
     # M = A A^(1) ... A^(n-1) with A = [[0, (T - gamma)/delta], [1, -g/delta]];
@@ -80,16 +80,22 @@ def charpoly(dm):
     # (y, x a + y b).
     M = [[Poly.one(ext), Poly.zero(ext)], [Poly.zero(ext), Poly.one(ext)]]
     for i in range(ext.degree):
-        inv = ext.inv(f(dm.delta, i))
-        a = Poly(ext, (ext.neg(ext.mul(f(dm.gamma, i), inv)), inv))
-        b = Poly.constant(ext, ext.neg(ext.mul(f(dm.g, i), inv)))
+        inv = ext.inv(f(delta, i))
+        a = Poly(ext, (ext.neg(ext.mul(f(gamma, i), inv)), inv))
+        b = Poly.constant(ext, ext.neg(ext.mul(f(g, i), inv)))
         M = [[y, x * a + y * b] for x, y in M]
     # The trace has coefficients in F_q, whose codes are the same in L.
     c = Poly(base, (M[0][0] + M[1][1]).coeffs)
-    norm = ext.pow(dm.delta, (ext.order - 1) // (base.order - 1))
+    norm = ext.pow(delta, (ext.order - 1) // (base.order - 1))
     mu = base.inv(norm)
     if ext.degree % 2:
         mu = base.neg(mu)
+    return c, mu
+
+
+def charpoly(dm):
+    """Characteristic polynomial of the Frobenius t^n of L for the module dm."""
+    c, mu = _charpoly(dm.ext, dm.gamma, dm.g, dm.delta)
     return CharPoly(c=c, mu=mu, P=dm.P, m=dm.m)
 
 

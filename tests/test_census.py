@@ -1,24 +1,32 @@
+import importlib
+import itertools
+import math
 from collections import Counter
 
 import pytest
 
 from drinfeld2 import (
     CharPoly,
+    DrinfeldModule,
     Poly,
     PolyDomainError,
     RealizationBoundError,
     Verdict,
+    charpoly,
     chi_census,
     chi_formula,
     enumerate_census,
     euler_poincare,
+    ext_make,
     field_make,
     formula_total,
     full_report,
     least_irreducible_poly,
+    monic_irreducibles,
     realize,
     weil_admissible,
 )
+from drinfeld2 import census, cli, ff
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 
 F3 = field_make(3, 1)
@@ -139,6 +147,88 @@ def test_single_pass_matches_weil_admissible_oracle():
                     assert ordinary == {
                         k for k, v in oracle.items() if v is Verdict.ORDINARY
                     }, (q, d, m)
+
+
+def test_realize_matches_full_sweep_oracle():
+    # oracle: every module (gamma, g, delta) with g in L and delta in L^*,
+    # gamma the first root of P in L, through the public module and charpoly
+    for base in (F3, F5, field_make(7, 1), field_make(3, 2)):
+        q = base.order
+        for d, m in itertools.product((1, 2, 3, 4), repeat=2):
+            if q ** (m * d) > 81:
+                continue
+            ext = ext_make(base, m * d)
+            pool = 1 if ext.order == 81 else 3
+            for P in itertools.islice(monic_irreducibles(base, d), pool):
+                gamma = next(
+                    x for x in ext.elements() if P.eval(x, field=ext) == ext.zero
+                )
+                oracle = {
+                    charpoly(DrinfeldModule(ext, gamma, g, delta)).key()
+                    for g in ext.elements()
+                    for delta in ext.units()
+                }
+                assert realize(P, m)[0] == oracle, (q, d, m, P.coeffs)
+
+
+def test_coset_representatives(monkeypatch):
+    # the twist classes the sweep uses: k = q - 1 and gcd(q^2 - 1, |L| - 1)
+    fields = [
+        ext_make(F3, 2),
+        ext_make(F3, 3),
+        ext_make(F3, 4),
+        ext_make(F5, 3),
+        ext_make(field_make(3, 2), 2),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(ff, "_TABLE_LIMIT", 0)
+        fields.append(ext_make(F3, 4))  # table-free
+    for ext in fields:
+        q = ext.base.order
+        for k in (q - 1, math.gcd(q * q - 1, ext.order - 1)):
+            reps = census._coset_representatives(ext, k)
+            assert len(reps) == k, (ext, k)
+            powers = {ext.pow(u, k) for u in ext.units()}
+            for x, y in itertools.combinations(reps, 2):
+                assert ext.mul(x, ext.inv(y)) not in powers, (ext, k, x, y)
+
+
+def test_full_report_walks_grid_once(monkeypatch, capsys):
+    # the package re-exports the function `classify` under the module's name
+    classify = importlib.import_module("drinfeld2.classify")
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        census, "candidate_pairs", counted("walks", census.candidate_pairs)
+    )
+    monkeypatch.setattr(
+        classify, "is_irreducible", counted("checks", classify.is_irreducible)
+    )
+    report = full_report(T3, 2, do_realize=True)
+    assert (report.realized_distinct, report.realized_ordinary_coverage) == (15, 1.0)
+    assert counts == {"walks": 1, "checks": 1}
+    counts.clear()
+    code = cli.main(["realize", "--p", "3", "--P", "T", "--m", "2", "--strict"])
+    assert counts == {"walks": 1, "checks": 1}
+    assert code == 3
+    # the stdout of this command in the golden CLI corpus
+    assert capsys.readouterr().out == (
+        '{\n  "q": 3,\n  "d": 1,\n  "m": 2,\n  "P": "T",\n  "case": 2,\n'
+        '  "ordinary_count": 10,\n  "ss2_count": 0,\n  "ss3_count": 3,\n'
+        '  "ss4_count": 2,\n  "total": 15,\n  "formula_total": 6,\n'
+        '  "realized_distinct": 15,\n  "realized_ordinary_coverage": 1.0,\n'
+        '  "chi_distinct_enumerative": 9,\n  "chi_formula": 6,\n'
+        '  "discrepancies": [\n'
+        '    "formula_total 6 != enumerative total 15",\n'
+        '    "chi_formula 6 != enumerative chi count 9"\n  ]\n}\n'
+    )
 
 
 def test_realize_bound_refusal():
