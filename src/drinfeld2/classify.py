@@ -81,35 +81,6 @@ def _is_square_in_residue_field(z, P):
     return pow_mod(z, e, P).is_one()
 
 
-def _imaginary_at_infinity(c, mu, P, m):
-    """Whether the infinite place of K stays inert in K(sqrt(c^2 - 4 mu P^m)).
-
-    Finite Hensel-style criteria: for md odd, always; for md even it depends
-    on the top coefficients as below.
-    """
-    base = P.field
-    md = m * (len(P.coeffs) - 1)
-    if md % 2 == 1:
-        return True
-    half = md // 2
-    four_mu = base.mul(base.scalar(4), mu)
-    if c.is_zero() or c.deg < half:
-        # lc(disc) = -4 mu; 4 is always a square
-        return not base.is_square_unit(base.neg(mu))
-    c0 = c.lc()
-    if base.mul(c0, c0) != four_mu:
-        # lc(disc) = c0^2 - 4 mu in even degree md
-        disc0 = base.sub(base.mul(c0, c0), four_mu)
-        return not base.is_square_unit(disc0)
-    # leading terms cancel; fall back to the full discriminant
-    disc = c * c - (P**m).scale(four_mu)
-    if disc.is_zero():
-        return False
-    if int(disc.deg) % 2 == 1:
-        return True
-    return not base.is_square_unit(disc.lc())
-
-
 def _check_family(P, m):
     """Raise PolyDomainError unless P is monic irreducible of degree >= 1 and m >= 1."""
     if P.is_constant() or P.lc() != P.field.one or not is_irreducible(P):
@@ -142,7 +113,9 @@ def _weil_verdict(c, mu, P, m):
     if disc.is_zero():
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
-    if not _imaginary_at_infinity(c, mu, P, m):
+    # K(sqrt(disc)) is imaginary exactly when the infinite place does not
+    # split: deg disc odd, or lc(disc) a non-square
+    if int(disc.deg) % 2 == 0 and base.is_square_unit(disc.lc()):
         return Verdict.NOT_ADMISSIBLE
     if not (c % P).is_zero():
         return Verdict.ORDINARY

@@ -4,11 +4,15 @@ Elements are plain integer codes in range(order).  For a prime field the code
 is the residue itself; for an extension of degree k over a base of order B the
 code is the base-B digit expansion of the coefficient vector, low degree
 first.  All operations are pure functions of the codes, so elements are
-trivially hashable and shareable.
+trivially hashable and shareable.  B is a power of p at every level of a
+tower, so the code is also a base-p number: the text form lists its base-p
+digits, low first.
 
 Fields of order up to _TABLE_LIMIT get exp/log tables built from a
 multiplicative generator; everything above that falls back to direct
-polynomial arithmetic modulo the defining polynomial.
+polynomial arithmetic modulo the defining polynomial.  The Frobenius
+x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
+square-and-multiply in a table-free one.
 
 This module also holds the polynomial kernel: the one implementation of
 products, division, gcd, the Rabin irreducibility test and the enumeration
@@ -99,11 +103,8 @@ class FiniteField:
 
     def scalar(self, k):
         """Image of the integer k under the canonical map Z -> field."""
-        k %= self.char
-        r = self.zero
-        for _ in range(k):
-            r = self.add(r, self.one)
-        return r
+        # the prime field's codes are its residues in every encoding
+        return k % self.char
 
     def elements(self):
         return range(self.order)
@@ -124,10 +125,18 @@ class FiniteField:
     # --- text form: comma-separated base-p digits, low degree first ---
 
     def pdigits(self, a):
-        raise NotImplementedError
+        """The pdeg base-p digits of the code of a, low first."""
+        out = []
+        for _ in range(self.pdeg):
+            a, d = divmod(a, self.char)
+            out.append(d)
+        return tuple(out)
 
     def from_pdigits(self, digits):
-        raise NotImplementedError
+        a = 0
+        for d in reversed(digits):
+            a = a * self.char + d
+        return a
 
     def to_str(self, a):
         return ",".join(str(d) for d in self.pdigits(a))
@@ -171,12 +180,6 @@ class PrimeField(FiniteField):
 
     def mul(self, a, b):
         return (a * b) % self.order
-
-    def pdigits(self, a):
-        return (a,)
-
-    def from_pdigits(self, digits):
-        return digits[0]
 
     def __repr__(self):
         return "PrimeField(%d)" % self.order
@@ -340,7 +343,6 @@ class ExtensionField(FiniteField):
         self._log = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-        self._frob_tables = None
 
     # --- digit codecs ---
 
@@ -363,20 +365,6 @@ class ExtensionField(FiniteField):
     def embed(self, a):
         """Embed a base-field code; with this encoding it is the identity."""
         return a
-
-    def pdigits(self, a):
-        out = []
-        for c in self.coords(a):
-            out.extend(self.base.pdigits(c))
-        return tuple(out)
-
-    def from_pdigits(self, digits):
-        k = self.base.pdeg
-        coords = [
-            self.base.from_pdigits(digits[i * k : (i + 1) * k])
-            for i in range(self.degree)
-        ]
-        return self.from_coords(coords)
 
     # --- arithmetic ---
 
@@ -429,7 +417,7 @@ class ExtensionField(FiniteField):
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(self._n_units - self._log[a]) % self._n_units]
-        return self.pow(a, self.order - 2)
+        return super().inv(a)
 
     def pow(self, a, e):
         if a == 0:
@@ -448,20 +436,7 @@ class ExtensionField(FiniteField):
 
     def frob_iter(self, a, i):
         """a^(q^i) where q is the base-field order; period self.degree."""
-        if self._frob_tables is None:
-            q = self.base.order
-            tables = [list(range(self.order))]
-            frob = [self.pow(x, q) for x in range(self.order)]
-            for _ in range(1, self.degree):
-                prev = tables[-1]
-                tables.append([frob[x] for x in prev])
-            # tables[i][x] = x^(q^i)
-            tables[0] = None  # identity, handled below
-            self._frob_tables = tables
-        i %= self.degree
-        if i == 0:
-            return a
-        return self._frob_tables[i][a]
+        return self.pow(a, self.base.order ** (i % self.degree))
 
     def __repr__(self):
         return "ExtensionField(%r, degree=%d)" % (self.base, self.degree)
@@ -501,5 +476,5 @@ def ext_make(base, n, modulus=AUTO):
 
 
 def check_same_field(f1, f2):
-    if f1 != f2:
+    if f1 is not f2 and f1 != f2:
         raise IncompatibleFieldError("operands belong to different fields")

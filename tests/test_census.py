@@ -168,7 +168,11 @@ def test_realize_matches_full_sweep_oracle():
                     for g in ext.elements()
                     for delta in ext.units()
                 }
-                assert realize(P, m)[0] == oracle, (q, d, m, P.coeffs)
+                realized, admissible = realize(P, m)[:2]
+                assert realized == oracle, (q, d, m, P.coeffs)
+                # every admissible class is realized, so the census's
+                # admissible set is the realized one
+                assert admissible == oracle, (q, d, m, P.coeffs)
 
 
 def test_coset_representatives(monkeypatch):

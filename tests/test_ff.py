@@ -3,14 +3,18 @@ from hypothesis import given, strategies as st
 
 from drinfeld2 import (
     AUTO,
+    DrinfeldModule,
     ExtensionField,
     FieldError,
     IncompatibleFieldError,
     PrimeField,
+    charpoly,
+    classify,
     ext_make,
     field_make,
+    verify,
 )
-from drinfeld2 import ff
+from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
 
 
@@ -56,11 +60,11 @@ def test_reducible_modulus_rejected():
 
 
 def test_extension_generator_cube_is_frobenius():
-    # y^3 by square-and-multiply must agree with the Frobenius table
+    # y^3 by plain products must agree with the Frobenius
     base = PrimeField(3)
     ext = ext_make(base, 2)
     y = ext.from_coords((0, 1))
-    assert ext.pow(y, 3) == ext.frobenius(y)
+    assert ext.mul(ext.mul(y, y), y) == ext.frobenius(y)
 
 
 @pytest.mark.parametrize("p,s", [(3, 2), (5, 2), (3, 3)])
@@ -105,6 +109,88 @@ def test_table_mul_matches_polynomial_mul(monkeypatch):
                 assert twin.pow(a, e) == ext.pow(a, e)
             if a:
                 assert twin.inv(a) == ext.inv(a)
+
+
+# F_9 and F_27 over F_3, and the towers F_81/F_9 and F_729/F_9, where the
+# base-field order q and the coordinate radix differ from p
+TOWER_BUILDS = [
+    lambda: field_make(3, 2),
+    lambda: field_make(3, 3),
+    lambda: ext_make(field_make(3, 2), 2),
+    lambda: ext_make(field_make(3, 2), 3),
+]
+
+
+def oracle_pdigits(F, a):
+    """The recursive codec: the digits of each coordinate over the base,
+    concatenated low first."""
+    if isinstance(F, PrimeField):
+        return (a,)
+    out = []
+    for c in F.coords(a):
+        out.extend(oracle_pdigits(F.base, c))
+    return tuple(out)
+
+
+def oracle_from_pdigits(F, digits):
+    if isinstance(F, PrimeField):
+        return digits[0]
+    k = F.base.pdeg
+    return F.from_coords(
+        [oracle_from_pdigits(F.base, digits[i * k : (i + 1) * k]) for i in range(F.degree)]
+    )
+
+
+def test_text_codec_matches_recursive_oracle():
+    for build in TOWER_BUILDS:
+        F = build()
+        for a in F.elements():
+            digits = oracle_pdigits(F, a)
+            assert F.pdigits(a) == digits, (F, a)
+            assert F.from_pdigits(list(digits)) == a, (F, a)
+            assert oracle_from_pdigits(F, F.pdigits(a)) == a, (F, a)
+            text = ",".join(str(d) for d in digits)
+            assert F.to_str(a) == text, (F, a)
+            assert F.from_str(text) == a, (F, a)
+
+
+def test_frob_iter_is_iterated_q_power(monkeypatch):
+    # frob_iter(a, i) against i rounds of x -> x*x*...*x (q factors of plain
+    # mul), on each tower and on its table-free twin, which has the same codes
+    for build in TOWER_BUILDS:
+        F = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = build()
+        assert twin == F and twin._exp is None
+        q = F.base.order
+        for a in F.elements():
+            powers = [a]
+            for _ in range(F.degree):
+                x, y = powers[-1], F.one
+                for _ in range(q):
+                    y = F.mul(y, x)
+                powers.append(y)
+            assert powers[-1] == a, (F, a)
+            for i in range(-1, F.degree + 1):
+                assert F.frob_iter(a, i) == powers[i % F.degree], (F, a, i)
+                assert twin.frob_iter(a, i) == powers[i % F.degree], (F, a, i)
+
+
+def test_table_free_field_above_limit(capsys):
+    # F_{3^11} is above _TABLE_LIMIT, so modules over it run on table-free
+    # arithmetic and Frobenius
+    L = ext_make(PrimeField(3), 11)
+    assert L.order > ff._TABLE_LIMIT and L._exp is None
+    gamma = L.from_str("2,1")
+    for g, delta in ((1, 1), (0, 2), (L.from_str("0,0,1"), L.from_str("1,2"))):
+        dm = DrinfeldModule(L, gamma, g, delta)
+        assert verify(dm, charpoly(dm)), (g, delta)
+    classify(dm)
+    argv = ["charpoly", "--p", "3", "--n", "11", "--gamma-T", "2,1",
+            "--g", "1", "--delta", "1"]
+    assert cli.main(argv) == 0
+    assert '"charpoly"' in capsys.readouterr().out
 
 
 def test_frobenius_is_additive_and_periodic():
