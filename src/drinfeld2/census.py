@@ -127,8 +127,9 @@ def candidate_pairs(P, m):
 def admissible_pairs(P, m):
     """(c, mu, verdict) for every admissible candidate; checks P and m first."""
     _check_family(P, m)
+    Pm = P**m
     for c, mu in candidate_pairs(P, m):
-        verdict = _weil_verdict(c, mu, P, m)
+        verdict = _weil_verdict(c, mu, P, m, Pm)
         if verdict.is_admissible():
             yield c, mu, verdict
 

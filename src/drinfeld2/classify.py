@@ -102,14 +102,15 @@ def weil_admissible(c, mu, P, m):
         raise PolyDomainError("mu must be a unit")
     if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
-    return _weil_verdict(c, mu, P, m)
+    return _weil_verdict(c, mu, P, m, P**m)
 
 
-def _weil_verdict(c, mu, P, m):
-    """`weil_admissible` on inputs already known to pass its checks."""
+def _weil_verdict(c, mu, P, m, Pm):
+    """`weil_admissible` on inputs already known to pass its checks; Pm is
+    P**m, raised once by the caller for a whole family."""
     base = P.field
     four_mu = base.mul(base.scalar(4), mu)
-    disc = c * c - (P**m).scale(four_mu)
+    disc = c * c - Pm.scale(four_mu)
     if disc.is_zero():
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
@@ -151,10 +152,10 @@ def endomorphism_order(cp):
     order.  Conductors listed are the monic divisors of g; those not coprime
     to P are flagged (not excluded).
     """
-    disc = cp.discriminant()
-    if disc.is_zero():
+    split = frobenius.conductor_split(cp)
+    if split is None:
         return EndRingKind.QUATERNIONIC_CASE, None, None, [], []
-    g, omega = squarefree_split(disc)
+    g, omega = split
     kind = EndRingKind.MAXIMAL_ORDER if g.is_one() else EndRingKind.NON_MAXIMAL_ORDER
     conductors = _monic_divisors(g)
     # P irreducible, so non-coprime to P just means divisible by P

@@ -66,7 +66,7 @@ class DrinfeldModule:
         for c in reversed(a.coeffs):
             acc = acc * self._phi_T
             if c:
-                acc = acc + OrePoly.constant(ext, ext.embed(c))
+                acc = acc + OrePoly.constant(ext, c)
         return acc
 
     def phi_ideal(self, i1, i2):

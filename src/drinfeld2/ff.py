@@ -6,13 +6,16 @@ code is the base-B digit expansion of the coefficient vector, low degree
 first.  All operations are pure functions of the codes, so elements are
 trivially hashable and shareable.  B is a power of p at every level of a
 tower, so the code is also a base-p number: the text form lists its base-p
-digits, low first.
+digits, low first, and add and neg work digit by digit on it, mod p, in
+every field.
 
 Fields of order up to _TABLE_LIMIT get exp/log tables built from a
 multiplicative generator; everything above that falls back to direct
-polynomial arithmetic modulo the defining polynomial.  The Frobenius
-x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
-square-and-multiply in a table-free one.
+polynomial arithmetic modulo the defining polynomial.  The coordinate codec
+(coords/from_coords, one digit per base-field element) serves only that
+table-free product and the table walk.  The Frobenius x -> x^(q^i) is just
+a power, one exp/log lookup in a tabled field and square-and-multiply in a
+table-free one.
 
 This module also holds the polynomial kernel: the one implementation of
 products, division, gcd, the Rabin irreducibility test and the enumeration
@@ -35,17 +38,6 @@ class FieldError(ValueError):
 
 class IncompatibleFieldError(ValueError):
     """Operands belong to different fields."""
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _prime_factors(n):
@@ -72,11 +64,26 @@ class FiniteField:
     zero = 0
     one = 1
 
+    # (Z/p)^pdeg on the base-p digits of the code: addition in F_p[y]/(f) is
+    # coefficientwise whatever f is, at every level of a tower
     def add(self, a, b):
-        raise NotImplementedError
+        p = self.char
+        out, scale = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * scale
+            scale *= p
+        return out
 
     def neg(self, a):
-        raise NotImplementedError
+        p = self.char
+        out, scale = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * scale
+            scale *= p
+        return out
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -162,7 +169,7 @@ class PrimeField(FiniteField):
     """F_p for an odd prime p; codes are residues."""
 
     def __init__(self, p):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise FieldError("p = %d is not prime" % p)
         if p == 2:
             raise FieldError("p = 2 unsupported (odd characteristic required)")
@@ -172,6 +179,7 @@ class PrimeField(FiniteField):
         # the defining polynomial of F_p over itself is x
         self.modulus = (0, 1)
 
+    # the one-digit case of FiniteField.add and neg
     def add(self, a, b):
         return (a + b) % self.order
 
@@ -362,20 +370,7 @@ class ExtensionField(FiniteField):
             a = a * B + c
         return a
 
-    def embed(self, a):
-        """Embed a base-field code; with this encoding it is the identity."""
-        return a
-
     # --- arithmetic ---
-
-    def add(self, a, b):
-        ca, cb = self.coords(a), self.coords(b)
-        return self.from_coords(
-            [self.base.add(x, y) for x, y in zip(ca, cb)]
-        )
-
-    def neg(self, a):
-        return self.from_coords([self.base.neg(x) for x in self.coords(a)])
 
     def _mul_poly(self, a, b):
         base = self.base

@@ -186,12 +186,11 @@ class Poly(_Dense):
         """Horner evaluation; field may be an extension of the coefficient
         field (codes below the base order embed as constants)."""
         F = field if field is not None else self.field
-        if field is not None and field != self.field:
-            if getattr(field, "base", None) != self.field:
-                raise PolyDomainError("cannot evaluate in an unrelated field")
+        if F != self.field and getattr(F, "base", None) != self.field:
+            raise PolyDomainError("cannot evaluate in an unrelated field")
         acc = F.zero
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), F.embed(c) if F != self.field else c)
+            acc = F.add(F.mul(acc, x), c)
         return acc
 
     # --- text forms ---

@@ -235,6 +235,23 @@ def test_full_report_walks_grid_once(monkeypatch, capsys):
     )
 
 
+def test_full_report_raises_P_to_the_m_at_most_twice(monkeypatch):
+    # one raise for the verdicts and one for the chi groups, not one per
+    # candidate
+    P, m = T3 + Poly.one(F3), 3
+    raises = Counter()
+    power = Poly.__pow__
+
+    def counted(self, e):
+        raises[(self.coeffs, e)] += 1
+        return power(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    report = full_report(P, m)
+    assert report.total > 0
+    assert 1 <= raises[(P.coeffs, m)] <= 2
+
+
 def test_realize_bound_refusal():
     with pytest.raises(RealizationBoundError):
         realize(T5, 4, bound=100)

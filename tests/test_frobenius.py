@@ -39,7 +39,7 @@ def oracle_charpoly(dm):
         half = dm.phi(P ** (m // 2))
         F = OrePoly.tau_power(ext, n)
         for nu in base.units():
-            if half.lscale(ext.embed(nu)) == F:
+            if half.lscale(nu) == F:
                 c = (P ** (m // 2)).scale(base.mul(base.scalar(2), nu))
                 return CharPoly(c=c, mu=base.mul(nu, nu), P=P, m=m)
 
