@@ -175,13 +175,6 @@ def formula_case(d, m):
     return None
 
 
-def _qpow(q, e):
-    """q^e as an exact rational; e may be negative."""
-    if e >= 0:
-        return Fraction(q**e)
-    return Fraction(1, q**-e)
-
-
 def formula_total(q, d, m):
     """Closed-form isogeny-class count as an exact rational, or None when the
     (m odd, d even) regime has no published form.
@@ -195,15 +188,17 @@ def formula_total(q, d, m):
     if case == 1:
         hi = md // 2 + 1  # floor(md/2) + 1
         lo = ((m - 2) * d) // 2 + 1  # floor((m-2)d/2) + 1, floor of negatives
-        return Fraction(q - 1) * (_qpow(q, hi) - _qpow(q, lo) + 1)
+        return Fraction(q - 1) * (Fraction(q) ** hi - Fraction(q) ** lo + 1)
     if case == 2:
         return Fraction(q - 1) * (
-            Fraction(q - 1, 2) * _qpow(q, md // 2)
-            - _qpow(q, (m - 2) * d // 2 + 1)
+            Fraction(q - 1, 2) * Fraction(q) ** (md // 2)
+            - Fraction(q) ** ((m - 2) * d // 2 + 1)
             + q
         )
     return Fraction(q - 1) * (
-        Fraction(q - 1, 2) * _qpow(q, md // 2) - _qpow(q, (m - 2) * d // 2) + 1
+        Fraction(q - 1, 2) * Fraction(q) ** (md // 2)
+        - Fraction(q) ** ((m - 2) * d // 2)
+        + 1
     )
 
 
@@ -218,9 +213,9 @@ def chi_formula(q, d, m):
     if case == 1:
         hi = md // 2 + 1
         lo = ((m - 2) * d) // 2 + 1
-        return qf * _qpow(q, hi) - qf * _qpow(q, lo) + 1
-    head = Fraction(q * q + 1, 2 * q - 2) * _qpow(q, md // 2)
-    tail = qf * _qpow(q, (m - 2) * d // 2 + 1)
+        return qf * Fraction(q) ** hi - qf * Fraction(q) ** lo + 1
+    head = Fraction(q * q + 1, 2 * q - 2) * Fraction(q) ** (md // 2)
+    tail = qf * Fraction(q) ** ((m - 2) * d // 2 + 1)
     return head - tail + (q if case == 2 else 1)
 
 
@@ -283,15 +278,14 @@ def _coset_representatives(ext, k):
     return list(reps.values())
 
 
-def _sweep(P, m, bound):
+def _sweep(P, m):
     """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}, one
     module per constant-twist orbit; P and m must already be checked."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
     order = q**n
-    if bound is None:
-        bound = realize_bound()
+    bound = realize_bound()
     if order > bound:
         raise RealizationBoundError(
             "|L| = %d exceeds the sweep bound %d (set %s to raise it)"
@@ -326,7 +320,7 @@ def _against_admissible(realized, admissible):
     return realized, set(admissible), ordinary, sorted(ordinary - realized)
 
 
-def realize(P, m, bound=None):
+def realize(P, m):
     """Collect the distinct Frobenius characteristic polynomials of the
     modules (gamma a fixed root of P, g in L, delta in L^*) over
     L = F_{q^(md)}, sweeping one module per constant-twist orbit:
@@ -336,14 +330,14 @@ def realize(P, m, bound=None):
     missing_ordinary) where keys are (c coefficients, mu).
     """
     _check_family(P, m)
-    realized = _sweep(P, m, bound)
+    realized = _sweep(P, m)
     return _against_admissible(realized, _census_pass(P, m)[2])
 
 
 # --- full report ------------------------------------------------------------
 
 
-def full_report(P, m, do_realize=False, bound=None):
+def full_report(P, m, do_realize=False):
     report, groups, admissible = _census_pass(P, m)
     q, d = report.q, report.d
 
@@ -366,7 +360,7 @@ def full_report(P, m, do_realize=False, bound=None):
 
     if do_realize:
         realized, admissible, ordinary, missing = _against_admissible(
-            _sweep(P, m, bound), admissible
+            _sweep(P, m), admissible
         )
         report.realized_distinct = len(realized)
         extraneous = realized - admissible

@@ -119,6 +119,9 @@ class DrinfeldModule:
     # --- serialization ---
 
     def to_json(self):
+        """(q, n) and the codes of gamma, g, delta determine the module: every
+        field has one presentation, fixed by its orders (see ff), so the
+        codes read back in `from_json` as the same elements."""
         ext = self.ext
         return {
             "q": ext.base.order,

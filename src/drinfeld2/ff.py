@@ -9,6 +9,10 @@ tower, so the code is also a base-p number: the text form lists its base-p
 digits, low first, and add and neg work digit by digit on it, mod p, in
 every field.
 
+Each field has exactly one presentation, fixed by (p, s, n): every extension
+is taken modulo the lexicographically least monic irreducible of its degree
+over its base, so a field is named by its orders alone.
+
 Fields of order up to _TABLE_LIMIT get exp/log tables built from a
 multiplicative generator; everything above that falls back to direct
 polynomial arithmetic modulo the defining polynomial.  The coordinate codec
@@ -26,8 +30,6 @@ their moduli and table-free products, and polyring wraps it.
 from __future__ import annotations
 
 import itertools
-
-AUTO = "auto"
 
 _TABLE_LIMIT = 1 << 16
 
@@ -69,12 +71,13 @@ class FiniteField:
     def add(self, a, b):
         p = self.char
         out, scale = 0, 1
-        while a or b:
+        while a and b:
             a, x = divmod(a, p)
             b, y = divmod(b, p)
             out += (x + y) % p * scale
             scale *= p
-        return out
+        # one code has run out: the other's remaining digits carry over as is
+        return out + (a + b) * scale
 
     def neg(self, a):
         p = self.char
@@ -176,8 +179,6 @@ class PrimeField(FiniteField):
         self.order = p
         self.char = p
         self.pdeg = 1
-        # the defining polynomial of F_p over itself is x
-        self.modulus = (0, 1)
 
     # the one-digit case of FiniteField.add and neg
     def add(self, a, b):
@@ -319,31 +320,18 @@ def least_irreducible(field, degree):
 
 
 class ExtensionField(FiniteField):
-    """base[y]/(modulus) for a monic irreducible modulus over base.
+    """base[y]/(modulus), modulus the least monic irreducible of the degree.
 
-    Codes are base-B digit expansions (B = base.order) of the coefficient
-    vector, so the base field embeds as the codes below B.
+    That modulus is the field's one presentation: equal (base, degree) give
+    the same field with the same codes.  Codes are base-B digit expansions
+    (B = base.order) of the coefficient vector, so the base field embeds as
+    the codes below B.
     """
 
-    def __init__(self, base, degree, modulus=AUTO):
-        if degree < 1:
-            raise FieldError("extension degree must be >= 1")
-        if modulus is AUTO or modulus == AUTO:
-            modulus = least_irreducible(base, degree)
-        modulus = tuple(modulus)
-        if len(modulus) != degree + 1:
-            raise FieldError(
-                "modulus degree %d, expected %d" % (len(modulus) - 1, degree)
-            )
-        if modulus[-1] != base.one:
-            raise FieldError("modulus is not monic")
-        if any(c < 0 or c >= base.order for c in modulus):
-            raise FieldError("modulus coefficient out of range")
-        if not _list_irreducible(base, modulus):
-            raise FieldError("modulus is reducible over the base field")
+    def __init__(self, base, degree):
         self.base = base
         self.degree = degree
-        self.modulus = modulus
+        self.modulus = least_irreducible(base, degree)
         self.order = base.order**degree
         self.char = base.char
         self.pdeg = base.pdeg * degree
@@ -407,13 +395,6 @@ class ExtensionField(FiniteField):
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_poly(a, b)
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self._n_units - self._log[a]) % self._n_units]
-        return super().inv(a)
-
     def pow(self, a, e):
         if a == 0:
             if e < 0:
@@ -440,34 +421,29 @@ class ExtensionField(FiniteField):
         return (
             isinstance(other, ExtensionField)
             and other.base == self.base
-            and other.modulus == self.modulus
+            and other.degree == self.degree
         )
 
     def __hash__(self):
-        return hash(("ExtensionField", self.base, self.modulus))
+        return hash(("ExtensionField", self.base, self.degree))
 
 
-def field_make(p, s, modulus=AUTO):
-    """Construct F_q, q = p^s, for an odd prime p.
-
-    With modulus=AUTO the lexicographically least monic irreducible of degree
-    s over F_p is used, so equal inputs always give the same presentation.
-    """
+def field_make(p, s):
+    """Construct F_q, q = p^s, for an odd prime p, presented modulo the
+    lexicographically least monic irreducible of degree s over F_p."""
     if p == 2:
         raise FieldError("p = 2 unsupported (odd characteristic required)")
     if s < 1:
         raise FieldError("s must be >= 1")
     prime = PrimeField(p)
     if s == 1:
-        if modulus is not AUTO and modulus != AUTO and tuple(modulus) != (0, 1):
-            raise FieldError("prime field modulus must be AUTO or (0, 1)")
         return prime
-    return ExtensionField(prime, s, modulus)
+    return ExtensionField(prime, s)
 
 
-def ext_make(base, n, modulus=AUTO):
+def ext_make(base, n):
     """Construct the working extension L = F_{q^n} over base = F_q."""
-    return ExtensionField(base, n, modulus)
+    return ExtensionField(base, n)
 
 
 def check_same_field(f1, f2):

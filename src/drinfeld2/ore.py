@@ -22,10 +22,8 @@ class OrePoly(_Dense):
     _domain_error = OreDomainError
 
     @classmethod
-    def tau_power(cls, field, k, coeff=None):
-        if coeff is None:
-            coeff = field.one
-        return cls(field, [0] * k + [coeff])
+    def tau_power(cls, field, k):
+        return cls(field, [0] * k + [field.one])
 
     def __mul__(self, other):
         """Twisted product: (a t^i)(b t^j) = a * b^(q^i) t^(i+j)."""

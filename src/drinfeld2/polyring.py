@@ -196,12 +196,12 @@ class Poly(_Dense):
     # --- text forms ---
 
     def __str__(self):
-        return self.to_human(var="T")
+        return self.to_human()
 
     def __repr__(self):
-        return "Poly(%s)" % self.to_human(var="T")
+        return "Poly(%s)" % self.to_human()
 
-    def to_human(self, var="T"):
+    def to_human(self):
         if self.is_zero():
             return "0"
         F = self.field
@@ -214,7 +214,7 @@ class Poly(_Dense):
             if i == 0:
                 terms.append(cs)
             else:
-                head = var if i == 1 else "%s^%d" % (var, i)
+                head = "T" if i == 1 else "T^%d" % i
                 terms.append(head if c == F.one else "%s*%s" % (cs, head))
         return "+".join(terms)
 
@@ -228,14 +228,14 @@ class Poly(_Dense):
 # --- parsing ----------------------------------------------------------------
 
 
-def poly_from_machine(field, text, var="T"):
+def poly_from_machine(field, text):
     text = text.strip()
     sep = ";" if ";" in text else ","
     coeffs = [field.from_str(t.strip()) for t in text.split(sep)]
     return Poly(field, coeffs)
 
 
-def poly_from_human(field, text, var="T"):
+def poly_from_human(field, text):
     """Parse sums of terms like '2*T^3', 'T', '1'; '-' is accepted."""
     s = text.replace(" ", "")
     if not s:
@@ -261,14 +261,14 @@ def poly_from_human(field, text, var="T"):
     for sign, term in terms:
         if "*" in term:
             cpart, vpart = term.split("*", 1)
-        elif term.startswith(var):
+        elif term.startswith("T"):
             cpart, vpart = "1", term
         else:
             cpart, vpart = term, ""
         if vpart:
-            if not vpart.startswith(var):
+            if not vpart.startswith("T"):
                 raise PolyDomainError("bad term %r in %r" % (term, text))
-            rest = vpart[len(var):]
+            rest = vpart[1:]
             if rest == "":
                 power = 1
             elif rest.startswith("^"):
@@ -290,12 +290,12 @@ def poly_from_human(field, text, var="T"):
     return Poly(field, out)
 
 
-def poly_from_str(field, text, var="T"):
+def poly_from_str(field, text):
     """Accept either the human form ('T^2+2*T+1') or the machine coefficient
     list ('1,2,1', low degree first)."""
-    if var in text:
-        return poly_from_human(field, text, var=var)
-    return poly_from_machine(field, text, var=var)
+    if "T" in text:
+        return poly_from_human(field, text)
+    return poly_from_machine(field, text)
 
 
 # --- gcd, irreducibility, squarefree splitting ------------------------------

@@ -252,9 +252,12 @@ def test_full_report_raises_P_to_the_m_at_most_twice(monkeypatch):
     assert 1 <= raises[(P.coeffs, m)] <= 2
 
 
-def test_realize_bound_refusal():
+def test_realize_bound_refusal(monkeypatch):
+    from drinfeld2.census import REALIZE_BOUND_ENV
+
+    monkeypatch.setenv(REALIZE_BOUND_ENV, "100")
     with pytest.raises(RealizationBoundError):
-        realize(T5, 4, bound=100)
+        realize(T5, 4)
 
 
 def test_realize_bound_env_override(monkeypatch):

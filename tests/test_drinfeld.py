@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -147,11 +148,20 @@ def test_twist_dispatcher():
 
 
 def test_json_roundtrip():
-    dm = DrinfeldModule(EXT9, EXT9.from_coords((2, 1)), 5, 7)
-    data = dm.to_json()
-    back = DrinfeldModule.from_json(data)
-    assert (back.gamma, back.g, back.delta) == (dm.gamma, dm.g, dm.delta)
-    assert back.ext == dm.ext
+    F9 = field_make(3, 2)
+    cases = [
+        (EXT9, EXT9.from_coords((2, 1)), 5, 7),
+        (EXT1, 2, 1, 2),  # F_3, n = 1
+        (ext_make(F3, 4), 17, 40, 63),  # F_{3^4}
+        (ext_make(F9, 2), 30, 1, 77),  # the tower F_{9^2}
+        (ext_make(F3, 11), 3**10 + 5, 3**11 - 1, 12345),  # table-free
+    ]
+    for ext, gamma, g, delta in cases:
+        dm = DrinfeldModule(ext, gamma, g, delta)
+        back = DrinfeldModule.from_json(json.dumps(dm.to_json()))
+        assert back.ext == dm.ext, ext
+        assert back.to_json() == dm.to_json(), ext
+        assert (back.gamma, back.g, back.delta) == (dm.gamma, dm.g, dm.delta)
 
 
 def test_all_modules_count():

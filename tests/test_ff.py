@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld2 import (
-    AUTO,
     DrinfeldModule,
-    ExtensionField,
     FieldError,
     IncompatibleFieldError,
     PrimeField,
@@ -55,13 +53,6 @@ def test_auto_modulus_is_least_irreducible():
     assert least_irreducible(base, 9) == (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)
     assert least_irreducible(base, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
     assert least_irreducible(PrimeField(5), 6) == (1, 0, 0, 0, 1, 1, 1)
-
-
-def test_reducible_modulus_rejected():
-    base = PrimeField(3)
-    # y^2 - 1 = (y-1)(y+1)
-    with pytest.raises(FieldError):
-        ExtensionField(base, 2, modulus=(2, 0, 1))
 
 
 def test_extension_generator_cube_is_frobenius():
