@@ -87,30 +87,16 @@ CSV_HEADER = (
 
 
 def csv_row(report):
-    def cell(v):
-        if v is None:
-            return ""
-        return str(v)
-
-    return ",".join(
-        [
-            cell(report.q),
-            cell(report.d),
-            cell(report.m),
-            cell(report.case),
-            cell(report.ordinary_count),
-            cell(report.ss2_count),
-            cell(report.ss3_count),
-            cell(report.ss4_count),
-            cell(report.total),
-            cell(report.formula_total),
-            cell(report.chi_distinct_enumerative),
-            cell(report.chi_formula),
-            cell(report.realized_distinct),
-            cell(report.realized_ordinary_coverage),
-            '"%s"' % "; ".join(report.discrepancies),
-        ]
+    """The `to_json` values under CSV_HEADER, "" for None, and the quoted
+    discrepancies last."""
+    data = report.to_json()
+    keys = (
+        "q", "d", "m", "case", "ordinary_count", "ss2_count", "ss3_count",
+        "ss4_count", "total", "formula_total", "chi_distinct_enumerative",
+        "chi_formula", "realized_distinct", "realized_ordinary_coverage",
     )
+    cells = ["" if data[k] is None else str(data[k]) for k in keys]
+    return ",".join(cells + ['"%s"' % "; ".join(data["discrepancies"])])
 
 
 def candidate_pairs(P, m):
@@ -139,10 +125,9 @@ def _census_pass(P, m):
     tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict})."""
     pairs = list(admissible_pairs(P, m))
     Pm = P**m  # only after admissible_pairs has checked m
-    one = Poly.one(P.field)
     groups = {}
     for c, mu, _ in pairs:
-        key = (one - c + Pm.scale(mu)).monic().coeffs
+        key = frobenius._at_one(c, mu, Pm).monic().coeffs
         groups.setdefault(key, []).append((c.coeffs, mu))
     admissible = {(c.coeffs, mu): verdict for c, mu, verdict in pairs}
     tally = Counter(admissible.values())

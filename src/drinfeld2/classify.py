@@ -59,17 +59,19 @@ def supersingular(dm, cp=None):
     """
     if cp is None:
         cp = frobenius.charpoly(dm)
-    H = dm.height()
+    phi_P = dm.phi(dm.P)
+    H = dm._height_of(phi_P)
     by_height = H == 2
-    by_trace = (cp.c % dm.P).is_zero()
-    kexp = kernel_size_exp(dm.phi(dm.P))
+    c_mod_P = cp.c % dm.P
+    by_trace = c_mod_P.is_zero()
+    kexp = kernel_size_exp(phi_P)
     by_kernel = kexp == 0
     if not (by_height == by_trace == by_kernel):
         raise ConsistencyError(
             "criteria disagree: height=%r trace=%r kernel=%r for %r"
             % (by_height, by_trace, by_kernel, dm)
         )
-    witness = {"height": H, "c_mod_P": str(cp.c % dm.P), "kernel_exp": kexp}
+    witness = {"height": H, "c_mod_P": str(c_mod_P), "kernel_exp": kexp}
     return by_height, witness
 
 
@@ -109,8 +111,7 @@ def _weil_verdict(c, mu, P, m, Pm):
     """`weil_admissible` on inputs already known to pass its checks; Pm is
     P**m, raised once by the caller for a whole family."""
     base = P.field
-    four_mu = base.mul(base.scalar(4), mu)
-    disc = c * c - Pm.scale(four_mu)
+    disc = frobenius._discriminant(c, mu, Pm)
     if disc.is_zero():
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
@@ -132,16 +133,19 @@ def _weil_verdict(c, mu, P, m, Pm):
 
 
 def _monic_divisors(g):
-    """All monic divisors of the monic polynomial g, by direct scan."""
+    """All monic divisors of the monic polynomial g, by degree and then by
+    coefficients low degree first; each one has degree <= deg g / 2 or is
+    the cofactor of one that has, so only those degrees are scanned."""
     base = g.field
-    out = [Poly.one(base)]
-    dg = int(g.deg)
-    for degree in range(1, dg + 1):
+    found = {}
+    for degree in range(int(g.deg) // 2 + 1):
         for tail in itertools.product(range(base.order), repeat=degree):
-            cand = Poly(base, list(tail) + [base.one])
-            if cand.divides(g):
-                out.append(cand)
-    return out
+            f = Poly(base, tail + (base.one,))
+            cofactor, r = divmod(g, f)
+            if r.is_zero():
+                found[f.coeffs] = f
+                found[cofactor.coeffs] = cofactor
+    return sorted(found.values(), key=lambda f: (len(f.coeffs), f.coeffs))
 
 
 def endomorphism_order(cp):

@@ -82,21 +82,23 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("charpoly", "Frobenius characteristic polynomial of one module"),
-        ("classify", "full per-module classification report"),
-        ("endring", "endomorphism-order data read off the discriminant"),
+    for name, run, helptext in (
+        ("charpoly", _cmd_charpoly, "Frobenius characteristic polynomial of one module"),
+        ("classify", _cmd_classify, "full per-module classification report"),
+        ("endring", _cmd_endring, "endomorphism-order data read off the discriminant"),
     ):
         sub = subs.add_parser(name, help=helptext)
+        sub.set_defaults(run=run)
         _add_module_args(sub)
         _add_output_args(sub)
 
-    for name, helptext in (
-        ("census", "enumerate admissible isogeny classes for (q, P, m)"),
-        ("chi", "count distinct Euler-Poincare divisors for (q, P, m)"),
-        ("realize", "brute-force which classes occur over F_{q^(md)}"),
+    for name, run, helptext in (
+        ("census", _cmd_census, "enumerate admissible isogeny classes for (q, P, m)"),
+        ("chi", _cmd_chi, "count distinct Euler-Poincare divisors for (q, P, m)"),
+        ("realize", _cmd_realize, "brute-force which classes occur over F_{q^(md)}"),
     ):
         sub = subs.add_parser(name, help=helptext)
+        sub.set_defaults(run=run)
         _add_family_args(sub)
         _add_output_args(sub)
 
@@ -266,21 +268,11 @@ def _cmd_chi(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "charpoly": _cmd_charpoly,
-    "classify": _cmd_classify,
-    "endring": _cmd_endring,
-    "census": _cmd_census,
-    "chi": _cmd_chi,
-    "realize": _cmd_realize,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

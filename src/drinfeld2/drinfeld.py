@@ -81,7 +81,11 @@ class DrinfeldModule:
 
     def height(self):
         """Module height ht(Phi_P)/d; 2 means Phi_P is purely inseparable."""
-        h = height(self.phi(self.P))
+        return self._height_of(self.phi(self.P))
+
+    def _height_of(self, phi_P):
+        """`height` read off phi_P = Phi_P, which the caller has evaluated."""
+        h = height(phi_P)
         assert h % self.d == 0
         H = h // self.d
         assert H in (1, 2)
@@ -105,16 +109,6 @@ class DrinfeldModule:
         ext = self.ext
         f = ext.frob_iter
         return DrinfeldModule(ext, f(self.gamma, 1), f(self.g, 1), f(self.delta, 1))
-
-    def twist(self, u):
-        """Conjugation Psi_T = u Phi_T u^{-1} for u a nonzero constant or t."""
-        if isinstance(u, OrePoly):
-            if u.coeffs == (0, u.field.one):
-                return self.twist_tau()
-            if len(u.coeffs) == 1:
-                return self.twist_constant(u.coeffs[0])
-            raise ValueError("twist supports nonzero constants and t only")
-        return self.twist_constant(u)
 
     # --- serialization ---
 

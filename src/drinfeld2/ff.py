@@ -19,7 +19,9 @@ polynomial arithmetic modulo the defining polynomial.  The coordinate codec
 (coords/from_coords, one digit per base-field element) serves only that
 table-free product and the table walk.  The Frobenius x -> x^(q^i) is just
 a power, one exp/log lookup in a tabled field and square-and-multiply in a
-table-free one.
+table-free one.  _square_and_multiply is the package's one square-and-multiply
+loop: field powers, powers modulo a polynomial and polyring's Poly powers all
+pass it their product.
 
 This module also holds the polynomial kernel: the one implementation of
 products, division, gcd, the Rabin irreducibility test and the enumeration
@@ -54,6 +56,19 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+def _square_and_multiply(mul, one, a, e):
+    """a^e for e >= 0 under the product mul with identity one; the last,
+    unused squaring is skipped."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
+    return result
 
 
 class FiniteField:
@@ -102,14 +117,7 @@ class FiniteField:
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _square_and_multiply(self.mul, self.one, a, e)
 
     def scalar(self, k):
         """Image of the integer k under the canonical map Z -> field."""
@@ -252,15 +260,13 @@ def _list_divmod(field, a, b):
 
 def _list_powmod(field, a, e, mod):
     """a^e modulo mod, by square-and-multiply (e = 0 gives [1] unreduced)."""
-    result = [field.one]
-    base = _list_divmod(field, a, mod)[1]
-    while e:
-        if e & 1:
-            result = _list_divmod(field, _list_mul(field, result, base), mod)[1]
-        e >>= 1
-        if e:
-            base = _list_divmod(field, _list_mul(field, base, base), mod)[1]
-    return result
+
+    def mulmod(x, y):
+        return _list_divmod(field, _list_mul(field, x, y), mod)[1]
+
+    return _square_and_multiply(
+        mulmod, [field.one], _list_divmod(field, a, mod)[1], e
+    )
 
 
 def _list_gcd(field, a, b):

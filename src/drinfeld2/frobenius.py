@@ -9,6 +9,10 @@ A = [[0, (T - gamma)/delta], [1, -g/delta]], and the Frobenius t^n by
 M = A A^(1) ... A^(n-1), where A^(i) raises every coefficient of A to the
 q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
 (Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
+
+The discriminant c^2 - 4 mu P^m and P_Phi(1) = 1 - c + mu P^m are defined
+here once (_discriminant, _at_one), on a P^m that the per-candidate loops in
+classify and census raise once per family.
 """
 
 from __future__ import annotations
@@ -17,6 +21,17 @@ from dataclasses import dataclass
 
 from .ore import OrePoly
 from .polyring import Poly, squarefree_split
+
+
+def _discriminant(c, mu, Pm):
+    """c^2 - 4 mu Pm in A, for Pm = P^m."""
+    base = Pm.field
+    return c * c - Pm.scale(base.mul(base.scalar(4), mu))
+
+
+def _at_one(c, mu, Pm):
+    """1 - c + mu Pm in A, for Pm = P^m."""
+    return Poly.one(Pm.field) - c + Pm.scale(mu)
 
 
 @dataclass(frozen=True)
@@ -32,8 +47,7 @@ class CharPoly:
 
     def discriminant(self):
         """c^2 - 4 mu P^m in A."""
-        four_mu = self.field.mul(self.field.scalar(4), self.mu)
-        return self.c * self.c - (self.P ** self.m).scale(four_mu)
+        return _discriminant(self.c, self.mu, self.P**self.m)
 
     def constant_term(self):
         """P_Phi(0) = mu P^m."""
@@ -41,7 +55,7 @@ class CharPoly:
 
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
-        return Poly.one(self.field) - self.c + self.constant_term()
+        return _at_one(self.c, self.mu, self.P**self.m)
 
     def x_coeffs(self):
         """[mu P^m, -c, 1] as polynomials in T, low X-degree first."""

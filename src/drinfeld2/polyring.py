@@ -4,7 +4,8 @@ Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
 arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
 enumeration of monic irreducibles.  Coefficients are stored as field codes,
 low degree first, with no trailing zeros.  Products, division, gcd and the
-irreducibility test are thin wrappers over the polynomial kernel in ff.
+irreducibility test are thin wrappers over the polynomial kernel in ff, and
+Poly powers run on ff's one square-and-multiply loop.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
 addition, scaling and monic normalization).
 """
@@ -19,6 +20,7 @@ from .ff import (
     _list_powmod,
     _monic_irreducibles,
     _prime_factors,
+    _square_and_multiply,
     check_same_field,
     least_irreducible,
 )
@@ -146,14 +148,7 @@ class Poly(_Dense):
     def __pow__(self, e):
         if e < 0:
             raise PolyDomainError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _square_and_multiply(Poly.__mul__, Poly.one(self.field), self, e)
 
     def __divmod__(self, other):
         check_same_field(self.field, other.field)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -18,6 +20,8 @@ from drinfeld2 import (
     weil_admissible,
 )
 
+from drinfeld2.classify import _monic_divisors
+
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
 EXT9 = ext_make(F3, 2)
@@ -29,6 +33,19 @@ def test_tri_criterion_agrees_exhaustively():
         for dm in all_modules(ext):
             ss, witness = supersingular(dm)  # raises ConsistencyError on a clash
             assert ss == (witness["height"] == 2)
+
+
+def test_supersingular_evaluates_phi_P_once(monkeypatch):
+    calls = []
+    phi = DrinfeldModule.phi
+
+    def counted(self, a):
+        calls.append(a)
+        return phi(self, a)
+
+    monkeypatch.setattr(DrinfeldModule, "phi", counted)
+    classify(DrinfeldModule(EXT9, EXT9.from_coords((1, 1)), 4, 7))
+    assert len(calls) == 1
 
 
 def test_supersingular_examples():
@@ -129,3 +146,46 @@ def test_classification_report_json_serializes():
     assert data2["is_supersingular"] is True
     assert data2["end_ring_kind"] == "QUATERNIONIC_CASE"
     assert data2["conductor_g"] is None
+
+
+def oracle_monic_divisors(g):
+    """Every monic polynomial of degree <= deg g that divides g, by degree and
+    then lexicographically on the coefficients, low degree first."""
+    base = g.field
+    out = [Poly.one(base)]
+    for degree in range(1, int(g.deg) + 1):
+        for tail in itertools.product(range(base.order), repeat=degree):
+            cand = Poly(base, list(tail) + [base.one])
+            if cand.divides(g):
+                out.append(cand)
+    return out
+
+
+def test_monic_divisors_match_full_scan_oracle():
+    rng = random.Random(31)
+    for field, max_deg in ((F3, 6), (field_make(5, 1), 4), (field_make(7, 1), 3),
+                           (field_make(3, 2), 3)):
+        for _ in range(12):
+            # random monic g, and square-rich g = h^2 * k
+            g = Poly(field, [rng.randrange(field.order) for _ in range(max_deg)]
+                     + [field.one])
+            h = Poly(field, [rng.randrange(field.order) for _ in range(max_deg // 2)]
+                     + [field.one])
+            k = Poly(field, (rng.randrange(field.order), field.one))
+            for f in (g, h * h, h * h * k, Poly.one(field)):
+                assert _monic_divisors(f) == oracle_monic_divisors(f), (field, f)
+
+
+def test_monic_divisors_scan_half_the_degrees(monkeypatch):
+    F7 = field_make(7, 1)
+    calls = []
+    divmod_ = Poly.__divmod__
+
+    def counted(self, other):
+        calls.append(other)
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    g = Poly(F7, (0,) * 6 + (1,))  # T^6
+    assert [f.deg for f in _monic_divisors(g)] == list(range(7))
+    assert len(calls) <= 400  # the full scan makes about 137k

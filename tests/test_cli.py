@@ -53,6 +53,39 @@ def test_census_csv_total(capsys):
     row = lines[1].split(",")
     assert row[:4] == ["3", "1", "1", "1"]
     assert row[8] == "6"  # enumerative total
+    # a float coverage, realized counts and two quoted discrepancies
+    argv = ["realize", "--p", "3", "--P", "T", "--m", "2", "--output", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        "q,d,m,case,ordinary,ss2,ss3,ss4,total,formula_total,chi_distinct,"
+        "chi_formula,realized_distinct,ordinary_coverage,discrepancies\n"
+        '3,1,2,2,10,0,3,2,15,6,9,6,15,1.0,"formula_total 6 != enumerative '
+        'total 15; chi_formula 6 != enumerative chi count 9"\n'
+    )
+
+
+def test_module_csv_output(capsys):
+    # the flattened JSON payload, one "key,json value" line per leaf
+    code, out, _ = run(capsys, ["charpoly"] + MODULE_ARGS + ["--output", "csv"])
+    assert code == 0
+    assert out == (
+        'module.q,3\nmodule.n,1\nmodule.gamma_T,"0"\nmodule.g,"1"\n'
+        'module.delta,"1"\ncharpoly.c,"2"\ncharpoly.mu,"2"\ncharpoly.P,"T"\n'
+        "charpoly.m,1\n"
+    )
+    argv = ["endring", "--p", "7", "--n", "5", "--gamma-T", "0", "--g", "0",
+            "--delta", "1", "--output", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == (
+        'module.q,7\nmodule.n,5\nmodule.gamma_T,"0,0,0,0,0"\n'
+        'module.g,"0,0,0,0,0"\nmodule.delta,"1,0,0,0,0"\ncharpoly.c,"0"\n'
+        'charpoly.mu,"6"\ncharpoly.P,"T"\ncharpoly.m,5\n'
+        'end_ring_kind,"NON_MAXIMAL_ORDER"\nconductor_g,"T^2"\nomega,"4*T"\n'
+        'admissible_conductors,["1", "T", "T^2"]\n'
+        'non_coprime_conductors,["T", "T^2"]\n'
+    )
 
 
 def test_census_accepts_machine_poly_and_d_flag(capsys):

@@ -127,6 +127,8 @@ def test_constant_twist_is_conjugation():
         psi = dm.twist_constant(u)
         cu = OrePoly.constant(EXT9, u)
         assert cu * dm.phi_T() == psi.phi_T() * cu
+    with pytest.raises(ValueError):
+        dm.twist_constant(0)
 
 
 def test_tau_twist_is_conjugation():
@@ -134,17 +136,6 @@ def test_tau_twist_is_conjugation():
     psi = dm.twist_tau()
     t = OrePoly.tau_power(EXT9, 1)
     assert t * dm.phi_T() == psi.phi_T() * t
-
-
-def test_twist_dispatcher():
-    dm = DrinfeldModule(EXT9, 0, 1, 1)
-    assert dm.twist(2).g == dm.twist_constant(2).g
-    t = OrePoly.tau_power(EXT9, 1)
-    assert dm.twist(t).g == dm.twist_tau().g
-    with pytest.raises(ValueError):
-        dm.twist(0)
-    with pytest.raises(ValueError):
-        dm.twist(OrePoly(EXT9, (1, 1)))
 
 
 def test_json_roundtrip():

@@ -20,6 +20,7 @@ from drinfeld2 import (
     squarefree_decomposition,
     squarefree_split,
 )
+from drinfeld2.polyring import pow_mod
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -196,6 +197,21 @@ def test_monic_and_edge_cases():
     with pytest.raises(PolyDomainError):
         Poly.zero(F5).lc()
     assert Poly(F5, (0, 0, 0)).is_zero()
+
+
+def test_powers_match_repeated_multiplication():
+    rng = random.Random(29)
+    for field in (F3, F9):
+        for _ in range(4):
+            f = rand_poly(field, 3, rng)
+            M = rand_poly(field, 3, rng) + Poly(field, (0, 0, 0, 0, 1))
+            power = Poly.one(field)
+            for e in range(13):
+                assert f**e == power, (field, f, e)
+                assert pow_mod(f, e, M) == power % M, (field, f, M, e)
+                power = power * f
+    with pytest.raises(PolyDomainError):
+        Poly(F3, (1, 1)) ** -1
 
 
 def test_deriv():
