@@ -1,9 +1,10 @@
 """Isogeny-class census for given (q, P, m).
 
 Enumerates admissible characteristic polynomials, evaluates the closed-form
-counts, optionally sweeps the modules over L = F_{q^(md)}, one per
-constant-twist orbit, to measure which classes are realized, and counts
-distinct Euler-Poincare divisors.
+counts, optionally sweeps the modules over L = F_{q^(md)} to measure which
+classes are realized, and counts distinct Euler-Poincare divisors.  The
+sweep computes one charpoly per Frobenius orbit of j, scaled by F_q^*, plus
+gcd(q^2 - 1, |L| - 1) for g = 0.
 P and m are checked once per family, and one pass over the (c, mu) grid
 feeds the verdict tallies, the chi groups and the admissible set.
 
@@ -264,8 +265,9 @@ def _coset_representatives(ext, k):
 
 
 def _sweep(P, m):
-    """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}, one
-    module per constant-twist orbit; P and m must already be checked."""
+    """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}: one
+    charpoly per Frobenius orbit of j, scaled by F_q^*, plus
+    gcd(q^2 - 1, |L| - 1) for g = 0.  P and m must already be checked."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
@@ -281,21 +283,30 @@ def _sweep(P, m):
     # A constant twist by u in L^* is an isomorphism over L, so it keeps the
     # charpoly; it fixes gamma and maps (g, delta) to
     # (g u^(1-q), delta u^(1-q^2)).  For g = 0 only the coset of delta modulo
-    # (L^*)^(q^2-1) matters: gcd(q^2 - 1, |L| - 1) representatives.  For
-    # g != 0, u^(1-q) runs over (L^*)^(q-1), of index q - 1, so g moves to
-    # one of q - 1 representatives; the u fixing g are those in F_q^*, and
-    # they fix delta too, so delta runs over all of L^*.
-    # (q - 1)(|L| - 1) + gcd(q^2 - 1, |L| - 1) modules in all.
-    points = itertools.chain(
-        itertools.product(
-            (0,), _coset_representatives(ext, math.gcd(q * q - 1, order - 1))
-        ),
-        itertools.product(_coset_representatives(ext, q - 1), ext.units()),
-    )
+    # (L^*)^(q^2-1) matters: gcd(q^2 - 1, |L| - 1) representatives.
     realized = set()
-    for g, delta in points:
-        c, mu = frobenius._charpoly(ext, gamma, g, delta)
+    for delta in _coset_representatives(ext, math.gcd(q * q - 1, order - 1)):
+        c, mu = frobenius._charpoly(ext, gamma, 0, delta)
         realized.add((c.coeffs, mu))
+    # For g != 0 put j = g^(q+1)/delta.  The modules with a given j are
+    # (v, v^(q+1)/j) for v in L^*, twists of (1, 1/j), and the charpoly of
+    # the one at v is (zeta^-1 c, zeta^-2 mu) with zeta = N_{L/F_q}(v).  The
+    # norm is onto F_q^*, so the one charpoly at g = 1 gives all q - 1 keys
+    # of j.  The Frobenius x -> x^(q^d) fixes gamma and g = 1 and keeps the
+    # charpoly, so one delta per orbit of it on L^* is enough.
+    scalings = [(u, base.mul(u, u)) for u in base.units()]  # u = zeta^-1
+    frob = q ** int(P.deg)
+    seen = set()
+    for delta in ext.units():
+        if delta in seen:
+            continue
+        x = delta
+        while x not in seen:
+            seen.add(x)
+            x = ext.pow(x, frob)
+        c, mu = frobenius._charpoly(ext, gamma, ext.one, delta)
+        for u, u2 in scalings:
+            realized.add((c.scale(u).coeffs, base.mul(u2, mu)))
     return realized
 
 
@@ -308,8 +319,8 @@ def _against_admissible(realized, admissible):
 def realize(P, m):
     """Collect the distinct Frobenius characteristic polynomials of the
     modules (gamma a fixed root of P, g in L, delta in L^*) over
-    L = F_{q^(md)}, sweeping one module per constant-twist orbit:
-    (q - 1)(|L| - 1) + gcd(q^2 - 1, |L| - 1) modules.
+    L = F_{q^(md)}: one charpoly per Frobenius orbit of j = g^(q+1)/delta,
+    scaled by F_q^*, plus gcd(q^2 - 1, |L| - 1) for g = 0.
 
     Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
     missing_ordinary) where keys are (c coefficients, mu).

@@ -26,7 +26,7 @@ from drinfeld2 import (
     realize,
     weil_admissible,
 )
-from drinfeld2 import census, cli, ff
+from drinfeld2 import census, cli, ff, frobenius
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 
 F3 = field_make(3, 1)
@@ -175,8 +175,60 @@ def test_realize_matches_full_sweep_oracle():
                 assert admissible == oracle, (q, d, m, P.coeffs)
 
 
+def twist_orbit_sweep(P, m):
+    """census._sweep's keys from one module per constant-twist orbit, with no
+    Frobenius orbits and no F_q^* scaling: (q - 1)(|L| - 1) +
+    gcd(q^2 - 1, |L| - 1) charpolys."""
+    base = P.field
+    q = base.order
+    ext = ext_make(base, m * int(P.deg))
+    gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+    points = itertools.chain(
+        itertools.product(
+            (0,),
+            census._coset_representatives(ext, math.gcd(q * q - 1, ext.order - 1)),
+        ),
+        itertools.product(census._coset_representatives(ext, q - 1), ext.units()),
+    )
+    realized = set()
+    for g, delta in points:
+        c, mu = frobenius._charpoly(ext, gamma, g, delta)
+        realized.add((c.coeffs, mu))
+    return realized
+
+
+def test_sweep_matches_twist_orbit_oracle(monkeypatch):
+    # |L| = 243 to 729, where the full-sweep oracle is too slow; d > 1 tells
+    # the orbits of x -> x^(q^d) from those of x -> x^q
+    monkeypatch.setenv(census.REALIZE_BOUND_ENV, "729")
+    for q, d, m in ((3, 1, 5), (9, 1, 3), (7, 3, 1), (3, 2, 3), (3, 3, 2)):
+        base = field_make(3, 2) if q == 9 else field_make(q, 1)
+        P = least_irreducible_poly(base, d)
+        assert census._sweep(P, m) == twist_orbit_sweep(P, m), (q, d, m)
+
+
+def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
+    # over F_625: 164 orbits of x -> x^5 on L^* (Burnside:
+    # (624 + 4 + 24 + 4)/4) at g = 1, plus gcd(24, 624) = 24 cosets at
+    # g = 0; one module per constant-twist orbit would be 2520
+    monkeypatch.setenv(census.REALIZE_BOUND_ENV, "625")
+    calls = Counter()
+    charpoly_ = frobenius._charpoly
+
+    def counted(*args):
+        calls["charpoly"] += 1
+        return charpoly_(*args)
+
+    monkeypatch.setattr(frobenius, "_charpoly", counted)
+    realized, admissible, _, missing = realize(T5, 4)
+    assert calls["charpoly"] == 188
+    assert realized == admissible and len(realized) == 286
+    assert missing == []
+
+
 def test_coset_representatives(monkeypatch):
-    # the twist classes the sweep uses: k = q - 1 and gcd(q^2 - 1, |L| - 1)
+    # k = gcd(q^2 - 1, |L| - 1) gives the sweep's g = 0 twist classes;
+    # k = q - 1 checks the function alone
     fields = [
         ext_make(F3, 2),
         ext_make(F3, 3),

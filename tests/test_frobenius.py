@@ -12,10 +12,12 @@ from drinfeld2 import (
     euler_poincare,
     ext_make,
     field_make,
+    least_irreducible_poly,
     linalg,
     minpoly,
     verify,
 )
+from drinfeld2.frobenius import _charpoly
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -186,3 +188,58 @@ def test_charpoly_str_and_json():
     assert "X^2" in str(cp)
     data = cp.to_json()
     assert data == {"c": "2", "mu": "2", "P": "T", "m": 1}
+
+
+# ((p, s), n, d): L = F_{q^n} over F_q = F_{p^s}, and gamma a root in L of
+# the least monic irreducible P of degree d over F_q
+LAW_FIELDS = (
+    ((3, 1), 4, 2),
+    ((5, 1), 3, 1),
+    ((7, 1), 2, 1),
+    ((3, 2), 2, 1),
+    ((3, 2), 3, 1),
+)
+
+
+def law_fields():
+    for (p, s), n, d in LAW_FIELDS:
+        base = field_make(p, s)
+        ext = ext_make(base, n)
+        P = least_irreducible_poly(base, d)
+        gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+        yield ext, d, gamma
+
+
+def test_charpoly_twist_law():
+    # (g v, delta v^(q+1)) is a twist of (g, delta), and its charpoly is
+    # (zeta^-1 c, zeta^-2 mu) with zeta = N_{L/F_q}(v) and q the base order
+    rng = random.Random(11)
+    for ext, _, gamma in law_fields():
+        base = ext.base
+        q = base.order
+        for _ in range(10):
+            g = rng.randrange(ext.order)
+            delta = rng.randrange(1, ext.order)
+            v = rng.randrange(1, ext.order)
+            c, mu = _charpoly(ext, gamma, g, delta)
+            zeta = ext.pow(v, (ext.order - 1) // (q - 1))
+            inv = base.inv(zeta)
+            twisted = _charpoly(
+                ext, gamma, ext.mul(g, v), ext.mul(delta, ext.pow(v, q + 1))
+            )
+            expected = (c.scale(inv), base.mul(base.mul(inv, inv), mu))
+            assert twisted == expected, (ext, g, delta, v)
+
+
+def test_charpoly_frobenius_law():
+    # x -> x^(q^d) on the coefficients fixes gamma in F_{q^d} and keeps the
+    # charpoly
+    rng = random.Random(12)
+    for ext, d, gamma in law_fields():
+        for _ in range(10):
+            g = rng.randrange(ext.order)
+            delta = rng.randrange(1, ext.order)
+            conjugate = _charpoly(
+                ext, gamma, ext.frob_iter(g, d), ext.frob_iter(delta, d)
+            )
+            assert conjugate == _charpoly(ext, gamma, g, delta), (ext, g, delta)
