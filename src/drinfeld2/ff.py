@@ -6,22 +6,33 @@ code is the base-B digit expansion of the coefficient vector, low degree
 first.  All operations are pure functions of the codes, so elements are
 trivially hashable and shareable.  B is a power of p at every level of a
 tower, so the code is also a base-p number: the text form lists its base-p
-digits, low first, and add and neg work digit by digit on it, mod p, in
-every field.
+digits, low first.
 
 Each field has exactly one presentation, fixed by (p, s, n): every extension
 is taken modulo the lexicographically least monic irreducible of its degree
 over its base, so a field is named by its orders alone.
 
-Fields of order up to _TABLE_LIMIT get exp/log tables built from a
-multiplicative generator; everything above that falls back to direct
-polynomial arithmetic modulo the defining polynomial.  The coordinate codec
-(coords/from_coords, one digit per base-field element) serves only that
-table-free product and the table walk.  The Frobenius x -> x^(q^i) is just
-a power, one exp/log lookup in a tabled field and square-and-multiply in a
-table-free one.  _square_and_multiply is the package's one square-and-multiply
-loop: field powers, powers modulo a polynomial and polyring's Poly powers all
-pass it their product.
+Fields of order up to _TABLE_LIMIT are tabled: exp/log tables on the least
+generator g of the unit group, and the Zech logarithms zech[k] = log(1 + g^k)
+(the representation of Givaro's GFqDom).  There a product is one exp lookup,
+a sum one zech and one exp lookup, and -a = a g^(N/2), N = order - 1.  The
+tables come from one walk x -> x g over the units.  Multiplying by g is
+F_p-linear on the base-p code, so the walk splits the code into a low and a
+high half, looks up the products of g with each half (p^(pdeg/2) products
+each, rounded down and up), and adds the two digit by digit.  Since 1 + x
+differs from x only in its lowest base-p digit, zech costs one lookup into
+log per unit.
+
+Fields above the limit use direct polynomial arithmetic modulo the defining
+polynomial, and add and neg work digit by digit, mod p, on the base-p code:
+addition is coefficientwise at every level of a tower.  That digit loop is
+also the oracle for the Zech sums in the tests.  The coordinate codec
+(coords/from_coords, one digit per base-field element) serves only the
+table-free product and the halves of the table walk.  The Frobenius
+x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
+square-and-multiply in a table-free one.  _square_and_multiply is the
+package's one square-and-multiply loop: field powers, powers modulo a
+polynomial and polyring's Poly powers all pass it their product.
 
 This module also holds the polynomial kernel: the one implementation of
 products, division, gcd, the Rabin irreducibility test and the enumeration
@@ -81,9 +92,25 @@ class FiniteField:
     zero = 0
     one = 1
 
-    # (Z/p)^pdeg on the base-p digits of the code: addition in F_p[y]/(f) is
-    # coefficientwise whatever f is, at every level of a tower
+    # A tabled ExtensionField sets _zech, and there a sum is one lookup on
+    # logs: a + b = a(1 + b/a) and -a = a g^(N/2), N = order - 1.  A log
+    # difference lies in (-N, N), and a negative index into zech reads its
+    # residue mod N.  Every other field adds in (Z/p)^pdeg on the base-p
+    # digits of the code: addition in F_p[y]/(f) is coefficientwise whatever
+    # f is, at every level of a tower.
+    _zech = None
+
     def add(self, a, b):
+        zech = self._zech
+        if zech is not None:
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else self._exp[la + z]
         p = self.char
         out, scale = 0, 1
         while a and b:
@@ -95,6 +122,8 @@ class FiniteField:
         return out + (a + b) * scale
 
     def neg(self, a):
+        if self._zech is not None:
+            return self._exp[self._log[a] + self._half] if a else 0
         p = self.char
         out, scale = 0, 1
         while a:
@@ -343,6 +372,7 @@ class ExtensionField(FiniteField):
         self.pdeg = base.pdeg * degree
         self._exp = None
         self._log = None
+        self._zech = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -371,28 +401,50 @@ class ExtensionField(FiniteField):
         prod = _list_mul(base, self.coords(a), self.coords(b))
         return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
 
-    def _build_tables(self):
+    def _least_generator(self):
+        """The least code that generates the unit group."""
         n_units = self.order - 1
         factors = _prime_factors(n_units)
-        gen = None
         for cand in range(1, self.order):
-            if all(
-                self.pow(cand, n_units // f) != self.one for f in factors
-            ):
-                gen = cand
-                break
-        assert gen is not None
+            if all(self.pow(cand, n_units // f) != self.one for f in factors):
+                return cand
+        raise AssertionError("the unit group of a finite field is cyclic")
+
+    def _build_tables(self):
+        gen = self._least_generator()
+        # x -> x*gen is F_p-linear on the base-p code x = lo + split*hi, so a
+        # step of the walk adds one product from a table of low halves to one
+        # from a table of high halves, digit by digit
+        p, n_units = self.char, self.order - 1
+        split = p ** (self.pdeg // 2)
+        low = [self._mul_poly(lo, gen) for lo in range(split)]
+        high = [self._mul_poly(hi * split, gen) for hi in range(self.order // split)]
+        # _zech is set last, so until then this is the digit loop
+        digit_add = FiniteField.add
+        # one int object per value, shared by exp, log and zech
+        ints = list(range(self.order))
         exp = [0] * (2 * n_units)
         log = [0] * self.order
         x = self.one
         for i in range(n_units):
             exp[i] = x
             exp[i + n_units] = x
-            log[x] = i
-            x = self._mul_poly(x, gen)
+            log[x] = ints[i]
+            hi, lo = divmod(x, split)
+            x = ints[digit_add(self, low[lo], high[hi])]
+        # zech[k] = log(1 + gen^k), a reference into log.  1 + x moves only
+        # the lowest base-p digit of x, and 1 + x = 0 exactly at x = -1,
+        # k = n_units/2.
+        zech = [
+            log[x + 1 if x % p != p - 1 else x + 1 - p]
+            for x in itertools.islice(exp, n_units)
+        ]
+        zech[n_units // 2] = None
         self._exp = exp
         self._log = log
+        self._zech = zech
         self._n_units = n_units
+        self._half = n_units // 2
 
     def mul(self, a, b):
         if a == 0 or b == 0:

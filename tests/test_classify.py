@@ -7,6 +7,7 @@ import pytest
 from drinfeld2 import (
     DrinfeldModule,
     EndRingKind,
+    OrePoly,
     Poly,
     PolyDomainError,
     Verdict,
@@ -189,3 +190,111 @@ def test_monic_divisors_scan_half_the_degrees(monkeypatch):
     g = Poly(F7, (0,) * 6 + (1,))  # T^6
     assert [f.deg for f in _monic_divisors(g)] == list(range(7))
     assert len(calls) <= 400  # the full scan makes about 137k
+
+
+# --- the conductor of End_L(Phi) --------------------------------------------
+# O_K = A[sqrt(omega)] and the order of conductor f is A[f sqrt(omega)].
+# endomorphism_order reads (g, omega) off the charpoly, so its conductor g is
+# that of A[pi] = A[g sqrt(omega)], the same for the whole isogeny class;
+# End_L(Phi) lies between A[pi] and O_K and varies within the class.
+
+
+def end_contains(dm, cp, f):
+    """Whether End_L(dm) contains A[f sqrt(omega)], for f | g.
+
+    2 pi - c = g sqrt(omega), so f sqrt(omega) is an endomorphism exactly
+    when Phi_{g/f} right-divides 2 t^n - Phi_c; the quotient then commutes
+    with Phi_T, because L{t} has no zero divisors.
+    """
+    ext = dm.ext
+    g = endomorphism_order(cp)[1]
+    h, r = divmod(g, f)
+    assert r.is_zero()
+    two_pi_minus_c = OrePoly.tau_power(ext, ext.degree).lscale(ext.scalar(2)) - dm.phi(cp.c)
+    return two_pi_minus_c.rdivmod(dm.phi(h))[1].is_zero()
+
+
+def end_conductor(dm, cp):
+    """The least admissible conductor f with A[f sqrt(omega)] in End_L(dm);
+    None in the quaternionic case.  f = g always passes."""
+    conductors = endomorphism_order(cp)[3]
+    return next((f for f in conductors if end_contains(dm, cp, f)), None)
+
+
+def test_end_conductor_over_f27():
+    # every module over F_27 with gamma in {0, 1}: the passing conductors are
+    # exactly the multiples of f_End, and g = 1 forces f_End = 1
+    L = ext_make(F3, 3)
+    ordinary_non_maximal = maximal_end = 0
+    for gamma in (0, 1):
+        for g in L.elements():
+            for delta in L.units():
+                dm = DrinfeldModule(L, gamma, g, delta)
+                cp = charpoly(dm)
+                kind, cond, _, conductors, _ = endomorphism_order(cp)
+                f_end = end_conductor(dm, cp)
+                if kind is EndRingKind.QUATERNIONIC_CASE:
+                    assert f_end is None
+                    continue
+                assert f_end in conductors
+                for f in conductors:
+                    assert end_contains(dm, cp, f) == f_end.divides(f), (dm, f)
+                if cond.is_one():
+                    assert f_end.is_one()
+                elif not supersingular(dm, cp)[0]:
+                    ordinary_non_maximal += 1
+                    maximal_end += f_end.is_one()
+    # End is maximal for a quarter of the ordinary modules whose A[pi] is not
+    assert (maximal_end, ordinary_non_maximal) == (104, 416)
+
+
+def test_end_conductor_reproducer():
+    # Phi_T = t + t^2 over F_27: A[pi] has conductor T + 1, but t commutes
+    # with Phi_T and t^3 = pi, so End_L(Phi) = O_K
+    L = ext_make(F3, 3)
+    dm = DrinfeldModule(L, 0, 1, 1)
+    cp = charpoly(dm)
+    kind, g, omega, conductors, _ = endomorphism_order(cp)
+    assert kind is EndRingKind.NON_MAXIMAL_ORDER
+    assert g == omega == Poly(F3, (1, 1))
+    tau = OrePoly.tau_power(L, 1)
+    assert tau * dm.phi_T() == dm.phi_T() * tau
+    assert end_conductor(dm, cp).is_one()
+
+
+def embedding(sub, ext):
+    """A field embedding of sub = F_{q^k} into ext = F_{q^n} over F_q (k | n):
+    y goes to a root in ext of sub's modulus."""
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ext.add(ext.mul(acc, x), c)
+        return acc
+
+    root = next(x for x in ext.elements() if horner(sub.modulus, x) == 0)
+    return lambda a: horner(sub.coords(a), root)
+
+
+def test_end_conductor_picks_up_subfield_frobenius():
+    # a module defined over F_{q^k} has t^k in End_L, so End_L contains the
+    # order A[t^k], whose conductor is that of the module over F_{q^k}
+    rng = random.Random(5)
+    strict = 0
+    for q, n, k in ((3, 3, 1), (3, 4, 1), (3, 4, 2), (5, 2, 1), (3, 6, 2), (3, 6, 3)):
+        base = field_make(q, 1)
+        L, sub = ext_make(base, n), ext_make(base, k)
+        iota = embedding(sub, L)
+        for _ in range(25):
+            coeffs = (rng.randrange(sub.order), rng.randrange(sub.order),
+                      rng.randrange(1, sub.order))
+            small = DrinfeldModule(sub, *coeffs)
+            dm = DrinfeldModule(L, *map(iota, coeffs))
+            cp = charpoly(dm)
+            if cp.is_square():
+                continue
+            g_k = endomorphism_order(charpoly(small))[1]
+            f_end = end_conductor(dm, cp)
+            assert f_end.divides(g_k), (q, n, k, coeffs)
+            strict += f_end != endomorphism_order(cp)[1]
+    assert strict > 0

@@ -192,6 +192,87 @@ def test_digit_add_matches_coordinate_oracle():
     )
 
 
+def per_unit_walk(F):
+    """exp/log as the tables were first built: one _mul_poly per unit, from
+    the least code whose powers run through every unit."""
+    n_units = F.order - 1
+    for gen in range(1, F.order):
+        exp = [F.one]
+        for _ in range(n_units - 1):
+            x = F._mul_poly(exp[-1], gen)
+            if x == F.one:
+                break
+            exp.append(x)
+        if len(exp) == n_units:
+            break
+    log = [0] * F.order
+    for i, x in enumerate(exp):
+        log[x] = i
+    return exp + exp, log
+
+
+def test_tables_match_per_unit_walk():
+    builds = [(3, 2), (3, 3), (7, 2), (3, 4), (5, 3), (3, 7), (5, 4)]
+    fields = [field_make(p, s) for p, s in builds]
+    F9 = field_make(3, 2)
+    fields += [ext_make(F9, 1), ext_make(F9, 2), ext_make(F9, 3)]
+    for F in fields:
+        assert (F._exp, F._log) == per_unit_walk(F), F
+    # in F_{5^4}/F_5 no y + k is primitive; the least generator is y^2 + y
+    assert field_make(5, 4)._exp[1] == 30
+
+
+def test_table_build_makes_split_products_only(monkeypatch):
+    # one table build is the generator search plus p^floor(pdeg/2) low-half
+    # and p^ceil(pdeg/2) high-half products: no product per unit
+    calls = []
+    mul_poly = ff.ExtensionField._mul_poly
+
+    def counted(self, a, b):
+        calls.append(self)
+        return mul_poly(self, a, b)
+
+    monkeypatch.setattr(ff.ExtensionField, "_mul_poly", counted)
+    F9 = field_make(3, 2)
+    for base, degree in [(PrimeField(3), 2), (PrimeField(3), 7), (PrimeField(5), 4),
+                         (PrimeField(3), 10), (F9, 1), (F9, 2), (F9, 3)]:
+        calls.clear()
+        F = ff.ExtensionField(base, degree)
+        built = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = ff.ExtensionField(base, degree)
+        calls.clear()
+        assert twin._least_generator() == F._exp[1]
+        p, half = F.char, F.pdeg // 2
+        assert built == len(calls) + p**half + p ** (F.pdeg - half), F
+
+
+def test_zech_edge_cases(monkeypatch):
+    builds = TOWER_BUILDS[:3] + [lambda: field_make(5, 2)]
+    for build in builds:
+        F = build()
+        assert len(F._zech) == F.order - 1
+        assert [k for k, z in enumerate(F._zech) if z is None] == [(F.order - 1) // 2]
+        assert F.neg(0) == 0 and F.add(0, 0) == 0
+        for a in F.units():
+            assert F.add(a, F.neg(a)) == 0, (F, a)
+            assert F.add(a, 0) == F.add(0, a) == a, (F, a)
+            assert F.sub(a, a) == 0 and F.sub(a, 0) == a, (F, a)
+            assert F.sub(0, a) == F.neg(a), (F, a)
+    # F_81/F_9 against its table-free twin, whose add is the digit loop
+    F = TOWER_BUILDS[2]()
+    with monkeypatch.context() as m:
+        m.setattr(ff, "_TABLE_LIMIT", 0)
+        twin = TOWER_BUILDS[2]()
+    assert twin == F and twin._zech is None
+    for a in F.elements():
+        assert F.neg(a) == twin.neg(a), a
+        for b in F.elements():
+            assert F.add(a, b) == twin.add(a, b), (a, b)
+            assert F.sub(a, b) == twin.sub(a, b), (a, b)
+
+
 @functools.lru_cache(maxsize=None)
 def _large_field(p, s):
     return field_make(p, s)
