@@ -142,11 +142,6 @@ def _census_pass(P, m):
     return report, groups, admissible
 
 
-def enumerate_census(P, m):
-    """Tally admissibility verdicts over the full (c, mu) grid."""
-    return _census_pass(P, m)[0]
-
-
 # --- closed forms -----------------------------------------------------------
 
 

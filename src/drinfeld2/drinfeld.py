@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 
-from .ff import ExtensionField, field_make, ext_make
-from .ore import OrePoly, height, rgcd
+from .ff import field_make, ext_make
+from .ore import OrePoly, height
 from .polyring import Poly
 
 
@@ -29,7 +29,7 @@ def minimal_polynomial(ext, x):
     y = x
     while True:
         f = f * Poly(ext, (ext.neg(y), ext.one))
-        y = ext.frobenius(y)
+        y = ext.frob_iter(y, 1)
         if y == x:
             return Poly(ext.base, f.coeffs)
 
@@ -69,16 +69,6 @@ class DrinfeldModule:
                 acc = acc + OrePoly.constant(ext, c)
         return acc
 
-    def phi_ideal(self, i1, i2):
-        """Monic generator of the left ideal generated by Phi_{i1}, Phi_{i2}."""
-        if i1.is_zero() and i2.is_zero():
-            raise ValueError("ideal generators are both zero")
-        return rgcd(self.phi(i1), self.phi(i2))
-
-    def frobenius_ore(self):
-        """F = t^n as an element of L{t}."""
-        return OrePoly.tau_power(self.ext, self.n)
-
     def height(self):
         """Module height ht(Phi_P)/d; 2 means Phi_P is purely inseparable."""
         return self._height_of(self.phi(self.P))
@@ -90,25 +80,6 @@ class DrinfeldModule:
         H = h // self.d
         assert H in (1, 2)
         return H
-
-    # --- twists (used for isogeny-invariance checks) ---
-
-    def twist_constant(self, u):
-        """Conjugate by a nonzero constant u: coefficients a_i -> a_i u^(1-q^i)."""
-        ext = self.ext
-        if u == 0:
-            raise ValueError("twist constant must be nonzero")
-        uq = ext.frob_iter(u, 1)
-        uq2 = ext.frob_iter(u, 2)
-        g2 = ext.mul(self.g, ext.mul(u, ext.inv(uq)))
-        d2 = ext.mul(self.delta, ext.mul(u, ext.inv(uq2)))
-        return DrinfeldModule(ext, self.gamma, g2, d2)
-
-    def twist_tau(self):
-        """Conjugate by t: all coefficients to the q-th power."""
-        ext = self.ext
-        f = ext.frob_iter
-        return DrinfeldModule(ext, f(self.gamma, 1), f(self.g, 1), f(self.delta, 1))
 
     # --- serialization ---
 
@@ -162,11 +133,3 @@ def _split_prime_power(q):
                 raise ValueError("q is not a prime power")
             return p, s
     raise ValueError("bad q")
-
-
-def all_modules(ext):
-    """Every rank-2 module over L: gamma in L, g in L, delta in L^*."""
-    for gamma in ext.elements():
-        for g in ext.elements():
-            for delta in ext.units():
-                yield DrinfeldModule(ext, gamma, g, delta)

@@ -464,10 +464,6 @@ class ExtensionField(FiniteField):
 
     # --- Frobenius relative to the base field ---
 
-    def frobenius(self, a):
-        """a raised to the base-field order (the relative q-power map)."""
-        return self.frob_iter(a, 1)
-
     def frob_iter(self, a, i):
         """a^(q^i) where q is the base-field order; period self.degree."""
         return self.pow(a, self.base.order ** (i % self.degree))

@@ -49,20 +49,9 @@ class CharPoly:
         """c^2 - 4 mu P^m in A."""
         return _discriminant(self.c, self.mu, self.P**self.m)
 
-    def constant_term(self):
-        """P_Phi(0) = mu P^m."""
-        return (self.P ** self.m).scale(self.mu)
-
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
         return _at_one(self.c, self.mu, self.P**self.m)
-
-    def x_coeffs(self):
-        """[mu P^m, -c, 1] as polynomials in T, low X-degree first."""
-        return [self.constant_term(), -self.c, Poly.one(self.field)]
-
-    def is_square(self):
-        return self.discriminant().is_zero()
 
     def __str__(self):
         return "X^2 - (%s)X + (%s)*(%s)^%d" % (
@@ -71,9 +60,6 @@ class CharPoly:
             self.P,
             self.m,
         )
-
-    def key(self):
-        return (self.c.coeffs, self.mu)
 
     def to_json(self):
         return {
@@ -123,19 +109,6 @@ def verify(dm, cp):
         + dm.phi(cp.P ** cp.m).lscale(cp.mu)
     )
     return expr.is_zero()
-
-
-def minpoly(cp):
-    """Minimal polynomial of F over K as X-coefficients (low degree first).
-
-    Equals the characteristic polynomial unless that is a perfect square, in
-    which case the linear factor X - c/2 is returned.
-    """
-    if cp.is_square():
-        base = cp.field
-        half = base.inv(base.scalar(2))
-        return [-(cp.c.scale(half)), Poly.one(base)]
-    return cp.x_coeffs()
 
 
 def euler_poincare(cp):

@@ -1,8 +1,8 @@
 """The twisted polynomial ring L{t} with t*lam = lam^q * t.
 
 L is an ExtensionField over F_q; t stands for the q-power Frobenius.  Only
-right division and right gcd are provided (that is the side with a division
-algorithm in L{t}).  Coefficients are field codes, low t-degree first, no
+right division is provided (that is the side with a division algorithm in
+L{t}).  Coefficients are field codes, low t-degree first, no
 trailing zeros.  OrePoly shares its dense base (construction, equality,
 addition, scaling and monic normalization) with polyring.Poly.
 """
@@ -87,15 +87,6 @@ class OrePoly(_Dense):
         return "OrePoly(%s)" % self
 
 
-def rgcd(a, b):
-    """Monic generator of the left ideal L{t}a + L{t}b (right gcd)."""
-    if a.is_zero() and b.is_zero():
-        raise OreDomainError("rgcd(0, 0) is undefined")
-    while not b.is_zero():
-        a, b = b, a.rdivmod(b)[1]
-    return a.monic()
-
-
 def height(u):
     """Exact power of t dividing u on the left (index of the least nonzero
     coefficient)."""
@@ -105,10 +96,6 @@ def height(u):
         if c != 0:
             return i
     raise AssertionError  # unreachable
-
-
-def is_separable(u):
-    return height(u) == 0
 
 
 def kernel_size_exp(u):

@@ -19,7 +19,6 @@ from .ff import (
     _list_mul,
     _list_powmod,
     _monic_irreducibles,
-    _prime_factors,
     _square_and_multiply,
     check_same_field,
     least_irreducible,
@@ -393,25 +392,6 @@ def monic_irreducibles(field, degree):
         raise PolyDomainError("degree must be >= 1")
     for f in _monic_irreducibles(field, degree):
         yield Poly(field, f)
-
-
-def count_monic_irreducibles(q, degree):
-    """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
-
-    def moebius(n):
-        m = 1
-        for p in _prime_factors(n):
-            if n % (p * p) == 0:
-                return 0
-            m = -m
-        return m
-
-    total = 0
-    for e in range(1, degree + 1):
-        if degree % e == 0:
-            total += moebius(e) * q ** (degree // e)
-    assert total % degree == 0
-    return total // degree
 
 
 def least_irreducible_poly(field, degree):

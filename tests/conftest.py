@@ -1,6 +1,7 @@
 import pytest
 
-from drinfeld2 import all_modules, charpoly, ext_make, field_make
+from drinfeld2 import charpoly, ext_make, field_make
+from oracles import all_modules
 
 SWEEP_PARAMS = [(3, 1), (3, 2), (5, 1), (5, 2)]
 

@@ -1,0 +1,56 @@
+"""Fixtures and oracles shared by the tests.
+
+They enumerate or transform modules by the definitions, so the library code
+under test can be checked against them; nothing in drinfeld2 calls them.
+"""
+
+from drinfeld2 import DrinfeldModule
+
+
+def all_modules(ext):
+    """Every rank-2 module over L: gamma in L, g in L, delta in L^*."""
+    for gamma in ext.elements():
+        for g in ext.elements():
+            for delta in ext.units():
+                yield DrinfeldModule(ext, gamma, g, delta)
+
+
+def twist_constant(dm, u):
+    """Conjugate dm by a nonzero constant u: coefficients a_i -> a_i u^(1-q^i)."""
+    ext = dm.ext
+    if u == 0:
+        raise ValueError("twist constant must be nonzero")
+    uq = ext.frob_iter(u, 1)
+    uq2 = ext.frob_iter(u, 2)
+    g2 = ext.mul(dm.g, ext.mul(u, ext.inv(uq)))
+    d2 = ext.mul(dm.delta, ext.mul(u, ext.inv(uq2)))
+    return DrinfeldModule(ext, dm.gamma, g2, d2)
+
+
+def twist_tau(dm):
+    """Conjugate dm by t: all coefficients to the q-th power."""
+    f = dm.ext.frob_iter
+    return DrinfeldModule(dm.ext, f(dm.gamma, 1), f(dm.g, 1), f(dm.delta, 1))
+
+
+def count_monic_irreducibles(q, degree):
+    """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
+
+    def moebius(n):
+        m = 1
+        p = 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                m = -m
+            p += 1
+        return -m if n > 1 else m
+
+    total = 0
+    for e in range(1, degree + 1):
+        if degree % e == 0:
+            total += moebius(e) * q ** (degree // e)
+    assert total % degree == 0
+    return total // degree

@@ -16,21 +16,21 @@ from drinfeld2 import (
     EndRingKind,
     OrePoly,
     Poly,
-    all_modules,
     charpoly,
     chi_census,
     chi_formula,
     endomorphism_order,
-    enumerate_census,
     ext_make,
     field_make,
     formula_total,
+    full_report,
     kernel_size_exp,
     least_irreducible_poly,
     monic_irreducibles,
     realize,
     verify,
 )
+from oracles import twist_constant, twist_tau
 
 
 @contextmanager
@@ -57,11 +57,11 @@ def test_criterion_1_cayley_hamilton(sweep):
 def test_criterion_2_count_reproduction_case_1():
     with scorecard(2, "case-1 census counts match the closed form"):
         F3 = field_make(3, 1)
-        report3 = enumerate_census(Poly.x(F3), 1)
+        report3 = full_report(Poly.x(F3), 1)
         assert report3.total == 6
         assert formula_total(3, 1, 1) == 6
         F5 = field_make(5, 1)
-        report5 = enumerate_census(Poly.x(F5), 1)
+        report5 = full_report(Poly.x(F5), 1)
         assert report5.total == 20
         assert formula_total(5, 1, 1) == 20
 
@@ -244,7 +244,7 @@ def test_criterion_8d_frobenius_centrality(rng):
     with scorecard(8, "(d) t^n commutes with Phi_a, 1000 cases"):
         for _ in range(1000):
             dm = _random_module(rng)
-            F = dm.frobenius_ore()
+            F = OrePoly.tau_power(dm.ext, dm.n)
             a = _random_poly(dm.ext.base, rng.randrange(4), rng)
             assert F * dm.phi(a) == dm.phi(a) * F
 
@@ -255,8 +255,8 @@ def test_criterion_8e_twist_invariance(rng):
             dm = _random_module(rng)
             cp = charpoly(dm)
             u = rng.randrange(1, dm.ext.order)
-            tw = dm.twist_constant(u)
+            tw = twist_constant(dm, u)
             cp_u = charpoly(tw)
             assert (cp_u.c, cp_u.mu) == (cp.c, cp.mu)
-            cp_t = charpoly(dm.twist_tau())
+            cp_t = charpoly(twist_tau(dm))
             assert (cp_t.c, cp_t.mu) == (cp.c, cp.mu)

@@ -15,7 +15,6 @@ from drinfeld2 import (
     charpoly,
     chi_census,
     chi_formula,
-    enumerate_census,
     euler_poincare,
     ext_make,
     field_make,
@@ -36,7 +35,7 @@ T5 = Poly.x(F5)
 
 
 def test_case_1_counts_q3():
-    report = enumerate_census(T3, 1)
+    report = full_report(T3, 1)
     assert (report.ordinary_count, report.ss2_count) == (4, 2)
     assert (report.ss3_count, report.ss4_count) == (0, 0)
     assert report.total == 6
@@ -44,7 +43,7 @@ def test_case_1_counts_q3():
 
 
 def test_case_1_counts_q5():
-    report = enumerate_census(T5, 1)
+    report = full_report(T5, 1)
     assert report.total == 20
     assert formula_total(5, 1, 1) == 20  # (q-1)(q - 1 + 1)
 
@@ -69,7 +68,7 @@ def test_counts_stable_across_P_of_equal_degree():
     chis = set()
     for c0 in (0, 1, 2):
         P = Poly(F3, (c0, 1))
-        report = enumerate_census(P, 2)
+        report = full_report(P, 2)
         totals.add(
             (report.ordinary_count, report.ss2_count, report.ss3_count,
              report.ss4_count)
@@ -84,7 +83,7 @@ def test_counts_stable_across_degree2_P():
 
     counts = set()
     for P in list(monic_irreducibles(F3, 2))[:2]:
-        report = enumerate_census(P, 1)
+        report = full_report(P, 1)
         counts.add(report.total)
     assert len(counts) == 1
 
@@ -93,7 +92,7 @@ def test_reducible_P_rejected():
     from drinfeld2 import PolyDomainError
 
     with pytest.raises(PolyDomainError):
-        enumerate_census(T3 * T3, 1)
+        full_report(T3 * T3, 1)
 
 
 def test_realization_matches_admissibility_q3_m1():
@@ -136,9 +135,9 @@ def test_single_pass_matches_weil_admissible_oracle():
                 tally = Counter(oracle.values())
                 expected = tuple(tally[v] for v in Verdict if v.is_admissible())
                 report = full_report(P, m)
-                for r in (report, enumerate_census(P, m)):
-                    counts = (r.ordinary_count, r.ss2_count, r.ss3_count, r.ss4_count)
-                    assert counts == expected, (q, d, m)
+                counts = (report.ordinary_count, report.ss2_count,
+                          report.ss3_count, report.ss4_count)
+                assert counts == expected, (q, d, m)
                 assert report.chi_distinct_enumerative == len(chi), (q, d, m)
                 assert chi_census(P, m) == (len(chi), chi), (q, d, m)
                 if q ** (m * d) <= 81:
@@ -163,11 +162,11 @@ def test_realize_matches_full_sweep_oracle():
                 gamma = next(
                     x for x in ext.elements() if P.eval(x, field=ext) == ext.zero
                 )
-                oracle = {
-                    charpoly(DrinfeldModule(ext, gamma, g, delta)).key()
-                    for g in ext.elements()
-                    for delta in ext.units()
-                }
+                oracle = set()
+                for g in ext.elements():
+                    for delta in ext.units():
+                        cp = charpoly(DrinfeldModule(ext, gamma, g, delta))
+                        oracle.add((cp.c.coeffs, cp.mu))
                 realized, admissible = realize(P, m)[:2]
                 assert realized == oracle, (q, d, m, P.coeffs)
                 # every admissible class is realized, so the census's
@@ -367,6 +366,6 @@ def test_report_json():
 
 def test_least_irreducible_helper_feeds_census():
     P = least_irreducible_poly(F3, 2)
-    report = enumerate_census(P, 1)
+    report = full_report(P, 1)
     assert report.d == 2
     assert report.total > 0

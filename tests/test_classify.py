@@ -11,7 +11,6 @@ from drinfeld2 import (
     Poly,
     PolyDomainError,
     Verdict,
-    all_modules,
     charpoly,
     classify,
     endomorphism_order,
@@ -22,6 +21,7 @@ from drinfeld2 import (
 )
 
 from drinfeld2.classify import _monic_divisors
+from oracles import all_modules
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -291,7 +291,7 @@ def test_end_conductor_picks_up_subfield_frobenius():
             small = DrinfeldModule(sub, *coeffs)
             dm = DrinfeldModule(L, *map(iota, coeffs))
             cp = charpoly(dm)
-            if cp.is_square():
+            if cp.discriminant().is_zero():
                 continue
             g_k = endomorphism_order(charpoly(small))[1]
             f_end = end_conductor(dm, cp)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,22 @@ def run(capsys, argv):
 
 
 MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", "1"]
+
+# Exit code and stdout of every subcommand in every output format at one small
+# input: --p 3 --n 2 --gamma-T 0 --g 1 --delta 1 for the module subcommands,
+# --p 3 --P T --m 2 for the family ones.
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+
+
+def _pin_id(pin):
+    words = pin["argv"].split()
+    return words[0] + "-" + words[-1]
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_output_bytes_pinned(capsys, pin):
+    code, out, _ = run(capsys, pin["argv"].split())
+    assert (code, out) == (pin["exit"], pin["stdout"])
 
 
 def test_charpoly_json(capsys):

@@ -8,12 +8,12 @@ from drinfeld2 import (
     OrePoly,
     Poly,
     RankError,
-    all_modules,
     ext_make,
     field_make,
     linalg,
     minimal_polynomial,
 )
+from oracles import all_modules, twist_constant, twist_tau
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -108,32 +108,20 @@ def test_height_values():
     assert DrinfeldModule(EXT1, 1, 2, 1).height() == 1
 
 
-def test_phi_ideal_of_equal_generators():
-    dm = DrinfeldModule(EXT9, 0, 1, 1)
-    a = Poly.x(F3)
-    g = dm.phi_ideal(a, a)
-    assert g == dm.phi(a).monic()
-
-
-def test_frobenius_ore():
-    dm = DrinfeldModule(EXT9, 0, 1, 1)
-    assert dm.frobenius_ore() == OrePoly.tau_power(EXT9, 2)
-
-
 def test_constant_twist_is_conjugation():
     # u Phi_T = Psi_T u as Ore polynomials, for every unit u
     dm = DrinfeldModule(EXT9, EXT9.from_coords((0, 1)), 3, 5)
     for u in EXT9.units():
-        psi = dm.twist_constant(u)
+        psi = twist_constant(dm, u)
         cu = OrePoly.constant(EXT9, u)
         assert cu * dm.phi_T() == psi.phi_T() * cu
     with pytest.raises(ValueError):
-        dm.twist_constant(0)
+        twist_constant(dm, 0)
 
 
 def test_tau_twist_is_conjugation():
     dm = DrinfeldModule(EXT9, EXT9.from_coords((1, 2)), 3, 5)
-    psi = dm.twist_tau()
+    psi = twist_tau(dm)
     t = OrePoly.tau_power(EXT9, 1)
     assert t * dm.phi_T() == psi.phi_T() * t
 
