@@ -6,7 +6,10 @@ classes are realized, and counts distinct Euler-Poincare divisors.  The
 sweep computes one charpoly per Frobenius orbit of j, scaled by F_q^*, plus
 gcd(q^2 - 1, |L| - 1) for g = 0.
 P and m are checked once per family, and one pass over the (c, mu) grid
-feeds the verdict tallies, the chi groups and the admissible set.
+feeds the verdict tallies, the chi groups and the admissible set.  The pass
+raises P^m once, forms -4 mu P^m and mu P^m once per mu, and c^2, 1 - c and
+the verdict by trace once per c; each candidate adds c^2 - 4 mu P^m, and
+each admissible one 1 - c + mu P^m.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -23,7 +26,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import frobenius
-from .classify import Verdict, _check_family, _weil_verdict
+from .classify import (
+    Verdict, _check_family, _trace_verdict, _unit_squares, _weil_verdict,
+)
 from .ff import ext_make
 from .polyring import Poly
 
@@ -112,25 +117,35 @@ def candidate_pairs(P, m):
 
 
 def admissible_pairs(P, m):
-    """(c, mu, verdict) for every admissible candidate; checks P and m first."""
+    """(c, mu, verdict, chi) for every admissible candidate, chi the monic
+    generator of (1 - c + mu P^m); checks P and m first.  `candidate_pairs`
+    yields one c object for all of its mu in turn, so the per-c parts are
+    formed when that object changes."""
     _check_family(P, m)
+    base = P.field
     Pm = P**m
+    minus_4 = base.scalar(-4)
+    per_mu = {mu: (Pm.scale(base.mul(minus_4, mu)), Pm.scale(mu)) for mu in base.units()}
+    squares = _unit_squares(base)
+    one = Poly.one(base)
+    last = None
     for c, mu in candidate_pairs(P, m):
-        verdict = _weil_verdict(c, mu, P, m, Pm)
+        if c is not last:
+            last = c
+            cc, trace_verdict, one_minus_c = c * c, _trace_verdict(c, P, m), one - c
+        minus_4mu_Pm, mu_Pm = per_mu[mu]
+        verdict = _weil_verdict(cc, trace_verdict, minus_4mu_Pm, P, squares)
         if verdict.is_admissible():
-            yield c, mu, verdict
+            yield c, mu, verdict, (one_minus_c + mu_Pm).monic()
 
 
 def _census_pass(P, m):
     """The one pass over the (c, mu) grid: (CensusReport with the verdict
     tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict})."""
-    pairs = list(admissible_pairs(P, m))
-    Pm = P**m  # only after admissible_pairs has checked m
-    groups = {}
-    for c, mu, _ in pairs:
-        key = frobenius._at_one(c, mu, Pm).monic().coeffs
-        groups.setdefault(key, []).append((c.coeffs, mu))
-    admissible = {(c.coeffs, mu): verdict for c, mu, verdict in pairs}
+    groups, admissible = {}, {}
+    for c, mu, verdict, chi in admissible_pairs(P, m):
+        groups.setdefault(chi.coeffs, []).append((c.coeffs, mu))
+        admissible[(c.coeffs, mu)] = verdict
     tally = Counter(admissible.values())
     report = CensusReport(
         q=P.field.order, d=int(P.deg), m=m, P=P,

@@ -3,7 +3,9 @@
 Ordinary vs supersingular (three equivalent criteria), admissibility of a
 candidate characteristic polynomial X^2 - cX + mu P^m as an isogeny-class
 invariant, and the endomorphism-order ledger read off the discriminant split
-disc = g^2 * omega.
+disc = g^2 * omega.  A supersingular candidate (P | c) needs one place of
+K(sqrt(disc)) above P: with disc = P^k u and P coprime to u, k odd or u a
+non-square modulo P.  That is read off v_P(disc) with no squarefree split.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .polyring import (
     PolyDomainError,
     is_irreducible,
     pow_mod,
-    squarefree_split,
 )
 
 
@@ -97,39 +98,57 @@ def weil_admissible(c, mu, P, m):
     Admissible candidates are exactly the rank-2 isogeny-class invariants:
     ordinary ones need P coprime to c and an imaginary quadratic K(F);
     supersingular ones (P | c) additionally need a single place of K(F)
-    above P, or F itself in A (the perfect-square case).
+    above P, or F itself in A (the perfect-square case).  With
+    disc = P^k u and P coprime to u, there is one place above P exactly
+    when k is odd or u is a non-square modulo P.
     """
     _check_family(P, m)
     if mu == 0:
         raise PolyDomainError("mu must be a unit")
     if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
-    return _weil_verdict(c, mu, P, m, P**m)
-
-
-def _weil_verdict(c, mu, P, m, Pm):
-    """`weil_admissible` on inputs already known to pass its checks; Pm is
-    P**m, raised once by the caller for a whole family."""
     base = P.field
-    disc = frobenius._discriminant(c, mu, Pm)
+    minus_4mu_Pm = (P**m).scale(base.mul(base.scalar(-4), mu))
+    return _weil_verdict(c * c, _trace_verdict(c, P, m), minus_4mu_Pm, P,
+                         _unit_squares(base))
+
+
+def _unit_squares(base):
+    """The squares of F_q^*."""
+    return {base.mul(u, u) for u in base.units()}
+
+
+def _trace_verdict(c, P, m):
+    """The verdict of an admissible candidate with trace c: ORDINARY when P
+    does not divide c, else SUPERSINGULAR_2 or SUPERSINGULAR_3."""
+    if not (c % P).is_zero():
+        return Verdict.ORDINARY
+    if c.is_zero() and m % 2 == 1:
+        return Verdict.SUPERSINGULAR_2
+    return Verdict.SUPERSINGULAR_3
+
+
+def _weil_verdict(cc, trace_verdict, minus_4mu_Pm, P, squares):
+    """`weil_admissible` on checked inputs, from its per-c parts (cc = c^2
+    and `_trace_verdict`), its per-mu part -4 mu P^m and the squares of F_q^*."""
+    disc = cc + minus_4mu_Pm
     if disc.is_zero():
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
     # K(sqrt(disc)) is imaginary exactly when the infinite place does not
     # split: deg disc odd, or lc(disc) a non-square
-    if int(disc.deg) % 2 == 0 and base.is_square_unit(disc.lc()):
+    if disc.deg % 2 == 0 and disc.lc() in squares:
         return Verdict.NOT_ADMISSIBLE
-    if not (c % P).is_zero():
-        return Verdict.ORDINARY
-    # supersingular candidate: require one place of K(sqrt(disc)) above P
-    _, omega = squarefree_split(disc)
-    if not P.divides(omega):
-        z = omega % P
-        if _is_square_in_residue_field(z, P):
-            return Verdict.NOT_ADMISSIBLE
-    if c.is_zero() and m % 2 == 1:
-        return Verdict.SUPERSINGULAR_2
-    return Verdict.SUPERSINGULAR_3
+    if trace_verdict is Verdict.ORDINARY:
+        return trace_verdict
+    # supersingular candidate: require one place of K(sqrt(disc)) above P,
+    # read off disc = P^k u: k odd, or u a non-square mod P
+    k, (rest, u) = 0, divmod(disc, P)
+    while u.is_zero():
+        k, (rest, u) = k + 1, divmod(rest, P)
+    if k % 2 == 0 and _is_square_in_residue_field(u, P):
+        return Verdict.NOT_ADMISSIBLE
+    return trace_verdict
 
 
 def _monic_divisors(g):

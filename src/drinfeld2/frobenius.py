@@ -9,10 +9,6 @@ A = [[0, (T - gamma)/delta], [1, -g/delta]], and the Frobenius t^n by
 M = A A^(1) ... A^(n-1), where A^(i) raises every coefficient of A to the
 q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
 (Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
-
-The discriminant c^2 - 4 mu P^m and P_Phi(1) = 1 - c + mu P^m are defined
-here once (_discriminant, _at_one), on a P^m that the per-candidate loops in
-classify and census raise once per family.
 """
 
 from __future__ import annotations
@@ -21,17 +17,6 @@ from dataclasses import dataclass
 
 from .ore import OrePoly
 from .polyring import Poly, squarefree_split
-
-
-def _discriminant(c, mu, Pm):
-    """c^2 - 4 mu Pm in A, for Pm = P^m."""
-    base = Pm.field
-    return c * c - Pm.scale(base.mul(base.scalar(4), mu))
-
-
-def _at_one(c, mu, Pm):
-    """1 - c + mu Pm in A, for Pm = P^m."""
-    return Poly.one(Pm.field) - c + Pm.scale(mu)
 
 
 @dataclass(frozen=True)
@@ -47,11 +32,12 @@ class CharPoly:
 
     def discriminant(self):
         """c^2 - 4 mu P^m in A."""
-        return _discriminant(self.c, self.mu, self.P**self.m)
+        F = self.field
+        return self.c * self.c - (self.P**self.m).scale(F.mul(F.scalar(4), self.mu))
 
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
-        return _at_one(self.c, self.mu, self.P**self.m)
+        return Poly.one(self.field) - self.c + (self.P**self.m).scale(self.mu)
 
     def __str__(self):
         return "X^2 - (%s)X + (%s)*(%s)^%d" % (

@@ -4,7 +4,8 @@ They enumerate or transform modules by the definitions, so the library code
 under test can be checked against them; nothing in drinfeld2 calls them.
 """
 
-from drinfeld2 import DrinfeldModule
+from drinfeld2 import DrinfeldModule, Verdict, squarefree_split
+from drinfeld2.polyring import pow_mod
 
 
 def all_modules(ext):
@@ -31,6 +32,28 @@ def twist_tau(dm):
     """Conjugate dm by t: all coefficients to the q-th power."""
     f = dm.ext.frob_iter
     return DrinfeldModule(dm.ext, f(dm.gamma, 1), f(dm.g, 1), f(dm.delta, 1))
+
+
+def weil_verdict(c, mu, P, m):
+    """The verdict of X^2 - cX + mu P^m through the squarefree split
+    disc = g^2 omega: a supersingular candidate (P | c) needs P | omega or
+    omega a non-square mod P, the Euler criterion in A/P = F_{q^d}."""
+    base = P.field
+    disc = c * c - (P**m).scale(base.mul(base.scalar(4), mu))
+    if disc.is_zero():
+        return Verdict.SUPERSINGULAR_4
+    if int(disc.deg) % 2 == 0 and base.is_square_unit(disc.lc()):
+        return Verdict.NOT_ADMISSIBLE
+    if not (c % P).is_zero():
+        return Verdict.ORDINARY
+    _, omega = squarefree_split(disc)
+    if not P.divides(omega):
+        half = (base.order ** int(P.deg) - 1) // 2
+        if pow_mod(omega % P, half, P).is_one():
+            return Verdict.NOT_ADMISSIBLE
+    if c.is_zero() and m % 2 == 1:
+        return Verdict.SUPERSINGULAR_2
+    return Verdict.SUPERSINGULAR_3
 
 
 def count_monic_irreducibles(q, degree):

@@ -25,8 +25,10 @@ from drinfeld2 import (
     realize,
     weil_admissible,
 )
-from drinfeld2 import census, cli, ff, frobenius
+from drinfeld2 import census, cli, ff, frobenius, polyring
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
+from drinfeld2.polyring import pow_mod
+from oracles import weil_verdict
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -286,8 +288,8 @@ def test_full_report_walks_grid_once(monkeypatch, capsys):
     )
 
 
-def test_full_report_raises_P_to_the_m_at_most_twice(monkeypatch):
-    # one raise for the verdicts and one for the chi groups, not one per
+def test_full_report_raises_P_to_the_m_once(monkeypatch):
+    # one raise for the verdicts and the chi groups together, not one per
     # candidate
     P, m = T3 + Poly.one(F3), 3
     raises = Counter()
@@ -300,7 +302,97 @@ def test_full_report_raises_P_to_the_m_at_most_twice(monkeypatch):
     monkeypatch.setattr(Poly, "__pow__", counted)
     report = full_report(P, m)
     assert report.total > 0
-    assert 1 <= raises[(P.coeffs, m)] <= 2
+    assert raises[(P.coeffs, m)] == 1
+
+
+def test_full_report_does_per_c_work_once_per_c(monkeypatch):
+    # c^2 and c mod P once per c, not per (c, mu), and no squarefree split:
+    # the supersingular candidates are read off v_P(disc)
+    P, m = T3 + Poly.one(F3), 4
+    classify = importlib.import_module("drinfeld2.classify")
+    cs = {}  # id -> c, so a temporary that reuses a freed id is not counted
+    walk = census.candidate_pairs
+
+    def recorded(*args):
+        for c, mu in walk(*args):
+            cs[id(c)] = c
+            yield c, mu
+
+    squares, residues, splits = Counter(), Counter(), Counter()
+    mul, mod, split = Poly.__mul__, Poly.__mod__, polyring.squarefree_split
+
+    def counted_mul(self, other):
+        if self is other and cs.get(id(self)) is self:
+            squares[id(self)] += 1
+        return mul(self, other)
+
+    def counted_mod(self, other):
+        if other == P and cs.get(id(self)) is self:
+            residues[id(self)] += 1
+        return mod(self, other)
+
+    def counted_split(f):
+        splits["calls"] += 1
+        return split(f)
+
+    monkeypatch.setattr(census, "candidate_pairs", recorded)
+    monkeypatch.setattr(Poly, "__mul__", counted_mul)
+    monkeypatch.setattr(Poly, "__mod__", counted_mod)
+    for module in (polyring, frobenius, classify, census):
+        if hasattr(module, "squarefree_split"):
+            monkeypatch.setattr(module, "squarefree_split", counted_split)
+    report = full_report(P, m)
+    assert report.ss3_count > 0 and splits["calls"] == 0
+    assert len(cs) == 3 ** 3
+    assert {squares[key] for key in cs} == {1}
+    assert max(residues[key] for key in cs) == 1
+    # the counters see the calls they pin
+    classify.endomorphism_order(CharPoly(T3, 1, P, m))
+    assert splits["calls"] == 1
+
+
+def test_verdicts_match_squarefree_split_oracle():
+    # the pass's admissible map and weil_admissible against the squarefree
+    # split oracle on every candidate of 62 families, with every branch of
+    # the P-adic test reached: disc = P^k u, P coprime to u
+    branches, valuations, families = Counter(), Counter(), 0
+    for base in (F3, F5, field_make(7, 1), field_make(3, 2)):
+        q = base.order
+        for d in (1, 2, 3):
+            for P in itertools.islice(monic_irreducibles(base, d), 2):
+                for m in range(1, 7):
+                    if q ** (m * d // 2 + 1) * (q - 1) > 800:
+                        continue
+                    oracle = {}
+                    Pm = P**m
+                    for c, mu in candidate_pairs(P, m):
+                        verdict = weil_verdict(c, mu, P, m)
+                        assert weil_admissible(c, mu, P, m) is verdict
+                        if verdict.is_admissible():
+                            oracle[(c.coeffs, mu)] = verdict
+                        disc = c * c - Pm.scale(base.mul(base.scalar(4), mu))
+                        if disc.is_zero():
+                            branches["disc = 0"] += 1
+                            continue
+                        if not P.divides(c) or (
+                            disc.deg % 2 == 0 and base.is_square_unit(disc.lc())
+                        ):
+                            continue
+                        k = 0
+                        while P.divides(disc):
+                            disc, k = disc // P, k + 1
+                        valuations[k] += 1
+                        if k % 2:
+                            branches["k odd"] += 1
+                        elif pow_mod(disc % P, (q**d - 1) // 2, P).is_one():
+                            branches["k even, u square"] += 1
+                        else:
+                            branches["k even, u non-square"] += 1
+                    assert census._census_pass(P, m)[2] == oracle, (q, P, m)
+                    families += 1
+    assert families == 62
+    assert len(branches) == 4, branches
+    assert set(range(1, 7)) <= set(valuations), valuations
 
 
 def test_realize_bound_refusal(monkeypatch):
