@@ -4,9 +4,13 @@ Enumerates admissible characteristic polynomials, evaluates the closed-form
 counts, optionally sweeps the modules over L = F_{q^(md)} to measure which
 classes are realized, and counts distinct Euler-Poincare divisors.  The
 sweep computes one charpoly per Frobenius orbit of j, scaled by F_q^*, plus
-gcd(q^2 - 1, |L| - 1) for g = 0.
-P and m are checked once per family, and one pass over the (c, mu) grid
-feeds the verdict tallies, the chi groups and the admissible set.  The pass
+gcd(q^2 - 1, |L| - 1) for g = 0.  It picks those representatives on
+discrete logs to the least generator of L^*: there a coset of the k-th
+powers is a residue class mod k and the Frobenius is a product, so the sweep
+keeps no set of field elements.
+P and m are checked once per family at the public entry points, and the
+sweep bound before any census work.  One pass over the (c, mu) grid feeds
+the verdict tallies, the chi groups and the admissible set.  The pass
 raises P^m once, forms -4 mu P^m and mu P^m once per mu, and c^2, 1 - c and
 the verdict by trace once per c; each candidate adds c^2 - 4 mu P^m, and
 each admissible one 1 - c + mu P^m.
@@ -118,10 +122,9 @@ def candidate_pairs(P, m):
 
 def admissible_pairs(P, m):
     """(c, mu, verdict, chi) for every admissible candidate, chi the monic
-    generator of (1 - c + mu P^m); checks P and m first.  `candidate_pairs`
-    yields one c object for all of its mu in turn, so the per-c parts are
-    formed when that object changes."""
-    _check_family(P, m)
+    generator of (1 - c + mu P^m).  P and m must already be checked.
+    `candidate_pairs` yields one c object for all of its mu in turn, so the
+    per-c parts are formed when that object changes."""
     base = P.field
     Pm = P**m
     minus_4 = base.scalar(-4)
@@ -243,6 +246,7 @@ def chi_census(P, m):
     chi_Phi is the ideal (1 - c + mu P^m); ideals of A are compared by monic
     generator (generators differ by F_q^* units).
     """
+    _check_family(P, m)
     groups = _census_pass(P, m)[1]
     return len(groups), groups
 
@@ -262,22 +266,11 @@ def realize_bound():
         ) from None
 
 
-def _coset_representatives(ext, k):
-    """One unit from each coset of the k-th powers in L^*, for k dividing
-    |L| - 1; x is keyed by x^((|L| - 1)/k), whose kernel is (L^*)^k."""
-    e = (ext.order - 1) // k
-    reps = {}
-    for x in ext.units():
-        reps.setdefault(ext.pow(x, e), x)
-        if len(reps) == k:
-            break
-    return list(reps.values())
-
-
 def _sweep(P, m):
     """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}: one
     charpoly per Frobenius orbit of j, scaled by F_q^*, plus
-    gcd(q^2 - 1, |L| - 1) for g = 0.  P and m must already be checked."""
+    gcd(q^2 - 1, |L| - 1) for g = 0, with delta = gen^k chosen by its log
+    k.  P and m must already be checked; the bound is checked first."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
@@ -290,33 +283,32 @@ def _sweep(P, m):
         )
     ext = ext_make(base, n)
     gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+    # A unit is gen^k for one k in Z/N, N = |L| - 1: for e | N the e-th
+    # powers are the k divisible by e, and x -> x^(q^d) is k -> k q^d.
+    gen, N = ext._least_generator(), order - 1
     # A constant twist by u in L^* is an isomorphism over L, so it keeps the
     # charpoly; it fixes gamma and maps (g, delta) to
     # (g u^(1-q), delta u^(1-q^2)).  For g = 0 only the coset of delta modulo
-    # (L^*)^(q^2-1) matters: gcd(q^2 - 1, |L| - 1) representatives.
+    # (L^*)^(q^2-1) matters, and gen^i for i < gcd(q^2 - 1, N) is one
+    # delta from each.
     realized = set()
-    for delta in _coset_representatives(ext, math.gcd(q * q - 1, order - 1)):
-        c, mu = frobenius._charpoly(ext, gamma, 0, delta)
+    for i in range(math.gcd(q * q - 1, N)):
+        c, mu = frobenius._charpoly(ext, gamma, 0, ext.pow(gen, i))
         realized.add((c.coeffs, mu))
     # For g != 0 put j = g^(q+1)/delta.  The modules with a given j are
     # (v, v^(q+1)/j) for v in L^*, twists of (1, 1/j), and the charpoly of
     # the one at v is (zeta^-1 c, zeta^-2 mu) with zeta = N_{L/F_q}(v).  The
     # norm is onto F_q^*, so the one charpoly at g = 1 gives all q - 1 keys
     # of j.  The Frobenius x -> x^(q^d) fixes gamma and g = 1 and keeps the
-    # charpoly, so one delta per orbit of it on L^* is enough.
+    # charpoly, so one delta = gen^k per orbit is enough: the k that is
+    # least in {k q^(di) mod N}.
     scalings = [(u, base.mul(u, u)) for u in base.units()]  # u = zeta^-1
-    frob = q ** int(P.deg)
-    seen = set()
-    for delta in ext.units():
-        if delta in seen:
-            continue
-        x = delta
-        while x not in seen:
-            seen.add(x)
-            x = ext.pow(x, frob)
-        c, mu = frobenius._charpoly(ext, gamma, ext.one, delta)
-        for u, u2 in scalings:
-            realized.add((c.scale(u).coeffs, base.mul(u2, mu)))
+    frobs = [pow(q ** int(P.deg), i, N) for i in range(1, m)]
+    for k in range(N):
+        if all(k <= k * f % N for f in frobs):
+            c, mu = frobenius._charpoly(ext, gamma, ext.one, ext.pow(gen, k))
+            for u, u2 in scalings:
+                realized.add((c.scale(u).coeffs, base.mul(u2, mu)))
     return realized
 
 
@@ -330,7 +322,9 @@ def realize(P, m):
     """Collect the distinct Frobenius characteristic polynomials of the
     modules (gamma a fixed root of P, g in L, delta in L^*) over
     L = F_{q^(md)}: one charpoly per Frobenius orbit of j = g^(q+1)/delta,
-    scaled by F_q^*, plus gcd(q^2 - 1, |L| - 1) for g = 0.
+    scaled by F_q^*, plus gcd(q^2 - 1, |L| - 1) for g = 0, each delta
+    chosen by its log to the least generator of L^*.  The sweep bound is
+    checked before the census pass.
 
     Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
     missing_ordinary) where keys are (c coefficients, mu).
@@ -344,6 +338,8 @@ def realize(P, m):
 
 
 def full_report(P, m, do_realize=False):
+    _check_family(P, m)
+    realized = _sweep(P, m) if do_realize else None
     report, groups, admissible = _census_pass(P, m)
     q, d = report.q, report.d
 
@@ -366,7 +362,7 @@ def full_report(P, m, do_realize=False):
 
     if do_realize:
         realized, admissible, ordinary, missing = _against_admissible(
-            _sweep(P, m), admissible
+            realized, admissible
         )
         report.realized_distinct = len(realized)
         extraneous = realized - admissible

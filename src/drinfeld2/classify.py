@@ -34,13 +34,6 @@ class Verdict(enum.Enum):
     def is_admissible(self):
         return self is not Verdict.NOT_ADMISSIBLE
 
-    def is_supersingular(self):
-        return self in (
-            Verdict.SUPERSINGULAR_2,
-            Verdict.SUPERSINGULAR_3,
-            Verdict.SUPERSINGULAR_4,
-        )
-
 
 class EndRingKind(enum.Enum):
     MAXIMAL_ORDER = "MAXIMAL_ORDER"

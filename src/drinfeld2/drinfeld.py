@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ff import field_make, ext_make
+from .ff import _prime_factors, ext_make, field_make
 from .ore import OrePoly, height
 from .polyring import Poly
 
@@ -101,7 +101,12 @@ class DrinfeldModule:
         if isinstance(data, str):
             data = json.loads(data)
         q = data["q"]
-        p, s = _split_prime_power(q)
+        primes = _prime_factors(q)
+        if len(primes) != 1:
+            raise ValueError("q = %r is not a prime power" % (q,))
+        p, s = primes[0], 1
+        while p**s < q:
+            s += 1
         base = field_make(p, s)
         ext = ext_make(base, data["n"])
         return cls(
@@ -121,15 +126,3 @@ class DrinfeldModule:
             ext.to_str(self.delta),
         )
 
-
-def _split_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            while q % p == 0:
-                q //= p
-                s += 1
-            if q != 1:
-                raise ValueError("q is not a prime power")
-            return p, s
-    raise ValueError("bad q")

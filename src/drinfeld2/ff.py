@@ -159,12 +159,6 @@ class FiniteField:
     def units(self):
         return range(1, self.order)
 
-    def is_square_unit(self, u):
-        """Whether the nonzero element u is a square in the unit group."""
-        if u == 0:
-            raise ZeroDivisionError("0 is not a unit")
-        return self.pow(u, (self.order - 1) // 2) == self.one
-
     def pth_root(self, a):
         """The unique p-th root of a (the field is perfect)."""
         return self.pow(a, self.char ** (self.pdeg - 1))

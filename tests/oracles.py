@@ -34,6 +34,25 @@ def twist_tau(dm):
     return DrinfeldModule(dm.ext, f(dm.gamma, 1), f(dm.g, 1), f(dm.delta, 1))
 
 
+def is_square_unit(field, u):
+    """Whether the unit u is a square in field^*, by Euler's criterion."""
+    if u == 0:
+        raise ZeroDivisionError("0 is not a unit")
+    return field.pow(u, (field.order - 1) // 2) == field.one
+
+
+def coset_representatives(ext, k):
+    """One unit from each coset of the k-th powers in L^*, for k dividing
+    |L| - 1; x is keyed by x^((|L| - 1)/k), whose kernel is (L^*)^k."""
+    e = (ext.order - 1) // k
+    reps = {}
+    for x in ext.units():
+        reps.setdefault(ext.pow(x, e), x)
+        if len(reps) == k:
+            break
+    return list(reps.values())
+
+
 def weil_verdict(c, mu, P, m):
     """The verdict of X^2 - cX + mu P^m through the squarefree split
     disc = g^2 omega: a supersingular candidate (P | c) needs P | omega or
@@ -42,7 +61,7 @@ def weil_verdict(c, mu, P, m):
     disc = c * c - (P**m).scale(base.mul(base.scalar(4), mu))
     if disc.is_zero():
         return Verdict.SUPERSINGULAR_4
-    if int(disc.deg) % 2 == 0 and base.is_square_unit(disc.lc()):
+    if int(disc.deg) % 2 == 0 and is_square_unit(base, disc.lc()):
         return Verdict.NOT_ADMISSIBLE
     if not (c % P).is_zero():
         return Verdict.ORDINARY

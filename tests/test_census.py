@@ -28,7 +28,7 @@ from drinfeld2 import (
 from drinfeld2 import census, cli, ff, frobenius, polyring
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 from drinfeld2.polyring import pow_mod
-from oracles import weil_verdict
+from oracles import coset_representatives, is_square_unit, weil_verdict
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -187,9 +187,9 @@ def twist_orbit_sweep(P, m):
     points = itertools.chain(
         itertools.product(
             (0,),
-            census._coset_representatives(ext, math.gcd(q * q - 1, ext.order - 1)),
+            coset_representatives(ext, math.gcd(q * q - 1, ext.order - 1)),
         ),
-        itertools.product(census._coset_representatives(ext, q - 1), ext.units()),
+        itertools.product(coset_representatives(ext, q - 1), ext.units()),
     )
     realized = set()
     for g, delta in points:
@@ -206,6 +206,12 @@ def test_sweep_matches_twist_orbit_oracle(monkeypatch):
         base = field_make(3, 2) if q == 9 else field_make(q, 1)
         P = least_irreducible_poly(base, d)
         assert census._sweep(P, m) == twist_orbit_sweep(P, m), (q, d, m)
+    # a table-free L, where the sweep's powers of the generator are
+    # square-and-multiply
+    P = least_irreducible_poly(F3, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(ff, "_TABLE_LIMIT", 0)
+        assert census._sweep(P, 2) == twist_orbit_sweep(P, 2)
 
 
 def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
@@ -221,10 +227,16 @@ def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
         return charpoly_(*args)
 
     monkeypatch.setattr(frobenius, "_charpoly", counted)
-    realized, admissible, _, missing = realize(T5, 4)
+    tabled = realize(T5, 4)
+    realized, admissible, _, missing = tabled
     assert calls["charpoly"] == 188
     assert realized == admissible and len(realized) == 286
     assert missing == []
+    # the same orbits and keys without field tables
+    calls.clear()
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    assert realize(T5, 4) == tabled
+    assert calls["charpoly"] == 188
 
 
 def test_coset_representatives(monkeypatch):
@@ -243,7 +255,7 @@ def test_coset_representatives(monkeypatch):
     for ext in fields:
         q = ext.base.order
         for k in (q - 1, math.gcd(q * q - 1, ext.order - 1)):
-            reps = census._coset_representatives(ext, k)
+            reps = coset_representatives(ext, k)
             assert len(reps) == k, (ext, k)
             powers = {ext.pow(u, k) for u in ext.units()}
             for x, y in itertools.combinations(reps, 2):
@@ -270,6 +282,9 @@ def test_full_report_walks_grid_once(monkeypatch, capsys):
     )
     report = full_report(T3, 2, do_realize=True)
     assert (report.realized_distinct, report.realized_ordinary_coverage) == (15, 1.0)
+    assert counts == {"walks": 1, "checks": 1}
+    counts.clear()
+    realize(T3, 2)
     assert counts == {"walks": 1, "checks": 1}
     counts.clear()
     code = cli.main(["realize", "--p", "3", "--P", "T", "--m", "2", "--strict"])
@@ -375,7 +390,7 @@ def test_verdicts_match_squarefree_split_oracle():
                             branches["disc = 0"] += 1
                             continue
                         if not P.divides(c) or (
-                            disc.deg % 2 == 0 and base.is_square_unit(disc.lc())
+                            disc.deg % 2 == 0 and is_square_unit(base, disc.lc())
                         ):
                             continue
                         k = 0
@@ -401,6 +416,31 @@ def test_realize_bound_refusal(monkeypatch):
     monkeypatch.setenv(REALIZE_BOUND_ENV, "100")
     with pytest.raises(RealizationBoundError):
         realize(T5, 4)
+
+
+def test_realize_bound_checked_before_census_pass(monkeypatch, capsys):
+    # past the bound nothing walks the (c, mu) grid: |L| = 3^18 here would
+    # mean 3^10 c's times 2 mu's before the refusal
+    walks = Counter()
+    walk = census.candidate_pairs
+
+    def counted(*args):
+        walks["walks"] += 1
+        return walk(*args)
+
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    monkeypatch.setattr(census, "candidate_pairs", counted)
+    with pytest.raises(RealizationBoundError):
+        full_report(T3, 18, do_realize=True)
+    with pytest.raises(RealizationBoundError):
+        realize(T3, 18)
+    code = cli.main(["realize", "--p", "3", "--d", "1", "--m", "18"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: |L| = 387420489 exceeds the sweep bound 625 (set "
+        "DRINFELD2_REALIZE_MAX to raise it)\n"
+    )
+    assert walks == {}
 
 
 def test_realize_bound_env_override(monkeypatch):

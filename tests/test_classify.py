@@ -90,8 +90,6 @@ def test_admissibility_matches_realization_over_f9():
 
 def test_verdict_helpers():
     assert Verdict.ORDINARY.is_admissible()
-    assert not Verdict.ORDINARY.is_supersingular()
-    assert Verdict.SUPERSINGULAR_4.is_supersingular()
     assert not Verdict.NOT_ADMISSIBLE.is_admissible()
 
 

@@ -141,6 +141,10 @@ def test_json_roundtrip():
         assert back.ext == dm.ext, ext
         assert back.to_json() == dm.to_json(), ext
         assert (back.gamma, back.g, back.delta) == (dm.gamma, dm.g, dm.delta)
+    data = DrinfeldModule(EXT9, 0, 1, 1).to_json()
+    for q in (6, 1):
+        with pytest.raises(ValueError, match="not a prime power"):
+            DrinfeldModule.from_json(dict(data, q=q))
 
 
 def test_all_modules_count():

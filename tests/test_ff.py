@@ -18,6 +18,7 @@ from drinfeld2 import (
 )
 from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
+from oracles import is_square_unit
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -354,10 +355,14 @@ def test_embed_is_identity_on_base_codes():
 
 
 def test_square_unit_count():
+    # the Euler-criterion oracle against the squares themselves
     for p, s in [(3, 1), (5, 1), (3, 2)]:
         F = field_make(p, s)
-        squares = [u for u in F.units() if F.is_square_unit(u)]
+        squares = [u for u in F.units() if is_square_unit(F, u)]
         assert len(squares) == (F.order - 1) // 2
+        assert set(squares) == {F.mul(u, u) for u in F.units()}
+    with pytest.raises(ZeroDivisionError):
+        is_square_unit(F, 0)
 
 
 def test_pth_root_inverts_p_power():
