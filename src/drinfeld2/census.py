@@ -4,10 +4,11 @@ Enumerates admissible characteristic polynomials, evaluates the closed-form
 counts, optionally sweeps the modules over L = F_{q^(md)} to measure which
 classes are realized, and counts distinct Euler-Poincare divisors.  The
 sweep computes one charpoly per Frobenius orbit of j, scaled by F_q^*, plus
-gcd(q^2 - 1, |L| - 1) for g = 0.  It picks those representatives on
-discrete logs to the least generator of L^*: there a coset of the k-th
-powers is a residue class mod k and the Frobenius is a product, so the sweep
-keeps no set of field elements.
+gcd(q^2 - 1, |L| - 1) for g = 0.  It scales a charpoly's coefficient
+tuple by each unit of F_q for its q - 1 keys, with no Poly built.  It picks
+those representatives on discrete logs to the least generator of L^*: there
+a coset of the k-th powers is a residue class mod k and the Frobenius is a
+product, so the sweep keeps no set of field elements.
 P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One pass over the (c, mu) grid feeds
 the verdict tallies, the chi groups and the admissible set.  The pass
@@ -308,7 +309,8 @@ def _sweep(P, m):
         if all(k <= k * f % N for f in frobs):
             c, mu = frobenius._charpoly(ext, gamma, ext.one, ext.pow(gen, k))
             for u, u2 in scalings:
-                realized.add((c.scale(u).coeffs, base.mul(u2, mu)))
+                key = tuple(base.mul(u, e) for e in c.coeffs)
+                realized.add((key, base.mul(u2, mu)))
     return realized
 
 

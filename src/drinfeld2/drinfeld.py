@@ -22,16 +22,19 @@ def minimal_polynomial(ext, x):
     """Monic minimal polynomial of x in L over the base field F_q.
 
     The product of (X - y) over the distinct Frobenius conjugates
-    y = x, x^q, x^(q^2), ... of x; its coefficients lie in F_q, whose codes
-    are the same in L.
+    y = x, x^q, x^(q^2), ... of x, on a coefficient list low degree first:
+    each factor is a shift plus a scaled add.  The coefficients lie in F_q,
+    whose codes are the same in L.
     """
-    f = Poly.one(ext)
+    f = [ext.one]
     y = x
     while True:
-        f = f * Poly(ext, (ext.neg(y), ext.one))
+        minus_y = ext.neg(y)
+        # (X - y) f: the coefficient at X^k is f[k-1] - y f[k]
+        f = [ext.add(lo, ext.mul(minus_y, hi)) for lo, hi in zip([0] + f, f + [0])]
         y = ext.frob_iter(y, 1)
         if y == x:
-            return Poly(ext.base, f.coeffs)
+            return Poly(ext.base, f)
 
 
 class DrinfeldModule:

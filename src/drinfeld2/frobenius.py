@@ -9,10 +9,20 @@ A = [[0, (T - gamma)/delta], [1, -g/delta]], and the Frobenius t^n by
 M = A A^(1) ... A^(n-1), where A^(i) raises every coefficient of A to the
 q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
 (Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
+
+The product is formed on the two rows of M, kept as coefficient lists in T
+of length n + 1.  A^(i) is [[0, a0 + a1 T], [1, b]], with a1 the q^i-th
+power of 1/delta, and right multiplication by it maps a row (x, y) to
+(y, b y + a0 x + a1 T x): one pass of field products and sums over the
+i + 1 coefficients that can be nonzero after i steps.  delta is inverted
+once, and each step raises the previous step's a1, gamma and g to the q-th
+power, which in a field without tables is a short square-and-multiply where
+a q^i-th power would be a long one.  The only Poly is built from the trace.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ore import OrePoly
@@ -30,14 +40,24 @@ class CharPoly:
     def field(self):
         return self.P.field
 
+    # P^m and the discriminant are formed once per charpoly.  A
+    # cached_property is not a field, so equality and hashing do not see it.
+    @functools.cached_property
+    def _Pm(self):
+        return self.P**self.m
+
+    @functools.cached_property
+    def _disc(self):
+        F = self.field
+        return self.c * self.c - self._Pm.scale(F.mul(F.scalar(4), self.mu))
+
     def discriminant(self):
         """c^2 - 4 mu P^m in A."""
-        F = self.field
-        return self.c * self.c - (self.P**self.m).scale(F.mul(F.scalar(4), self.mu))
+        return self._disc
 
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
-        return Poly.one(self.field) - self.c + (self.P**self.m).scale(self.mu)
+        return Poly.one(self.field) - self.c + self._Pm.scale(self.mu)
 
     def __str__(self):
         return "X^2 - (%s)X + (%s)*(%s)^%d" % (
@@ -60,18 +80,31 @@ def _charpoly(ext, gamma, g, delta):
     """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
     L = ext; c is a polynomial over the base field F_q."""
     base = ext.base
-    f = ext.frob_iter
+    f, add, mul, neg = ext.frob_iter, ext.add, ext.mul, ext.neg
+    n = ext.degree
     # M = A A^(1) ... A^(n-1) with A = [[0, (T - gamma)/delta], [1, -g/delta]];
-    # right multiplication by [[0, a], [1, b]] maps a row (x, y) to
-    # (y, x a + y b).
-    M = [[Poly.one(ext), Poly.zero(ext)], [Poly.zero(ext), Poly.one(ext)]]
-    for i in range(ext.degree):
-        inv = ext.inv(f(delta, i))
-        a = Poly(ext, (ext.neg(ext.mul(f(gamma, i), inv)), inv))
-        b = Poly.constant(ext, ext.neg(ext.mul(f(g, i), inv)))
-        M = [[y, x * a + y * b] for x, y in M]
+    # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
+    # (y, b y + a0 x + a1 T x).  Entries are coefficient lists in T of length
+    # n + 1, and after i steps they have degree <= i.
+    one, zero = [ext.one] + [0] * n, [0] * (n + 1)  # read, never written
+    M = [[one, zero], [zero, one]]
+    a1, gamma_i, g_i = ext.inv(delta), gamma, g
+    for i in range(n):
+        if i:  # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
+            a1, gamma_i, g_i = f(a1, 1), f(gamma_i, 1), f(g_i, 1)
+        a0 = neg(mul(gamma_i, a1))
+        b = neg(mul(g_i, a1))
+        for row in M:
+            x, y = row
+            z = [mul(b, e) for e in y]
+            for k in range(i + 1):
+                e = x[k]
+                if e:
+                    z[k] = add(z[k], mul(a0, e))
+                    z[k + 1] = add(z[k + 1], mul(a1, e))
+            row[0], row[1] = y, z
     # The trace has coefficients in F_q, whose codes are the same in L.
-    c = Poly(base, (M[0][0] + M[1][1]).coeffs)
+    c = Poly(base, [add(u, v) for u, v in zip(M[0][0], M[1][1])])
     norm = ext.pow(delta, (ext.order - 1) // (base.order - 1))
     mu = base.inv(norm)
     if ext.degree % 2:

@@ -4,7 +4,7 @@ They enumerate or transform modules by the definitions, so the library code
 under test can be checked against them; nothing in drinfeld2 calls them.
 """
 
-from drinfeld2 import DrinfeldModule, Verdict, squarefree_split
+from drinfeld2 import DrinfeldModule, Poly, Verdict, squarefree_split
 from drinfeld2.polyring import pow_mod
 
 
@@ -32,6 +32,38 @@ def twist_tau(dm):
     """Conjugate dm by t: all coefficients to the q-th power."""
     f = dm.ext.frob_iter
     return DrinfeldModule(dm.ext, f(dm.gamma, 1), f(dm.g, 1), f(dm.delta, 1))
+
+
+def matrix_charpoly(ext, gamma, g, delta):
+    """(c, mu) as frobenius._charpoly computes it, from the motive product
+    M = A A^(1) ... A^(n-1) formed with Poly entries: each step maps a row
+    (x, y) to (y, x a + y b) by generic polynomial products, inverting every
+    conjugate of delta."""
+    base = ext.base
+    f = ext.frob_iter
+    M = [[Poly.one(ext), Poly.zero(ext)], [Poly.zero(ext), Poly.one(ext)]]
+    for i in range(ext.degree):
+        inv = ext.inv(f(delta, i))
+        a = Poly(ext, (ext.neg(ext.mul(f(gamma, i), inv)), inv))
+        b = Poly.constant(ext, ext.neg(ext.mul(f(g, i), inv)))
+        M = [[y, x * a + y * b] for x, y in M]
+    c = Poly(base, (M[0][0] + M[1][1]).coeffs)
+    mu = base.inv(ext.pow(delta, (ext.order - 1) // (base.order - 1)))
+    if ext.degree % 2:
+        mu = base.neg(mu)
+    return c, mu
+
+
+def product_minimal_polynomial(ext, x):
+    """The minimal polynomial of x over F_q as the Poly product of X - y over
+    the distinct Frobenius conjugates y of x."""
+    f = Poly.one(ext)
+    y = x
+    while True:
+        f = f * Poly(ext, (ext.neg(y), ext.one))
+        y = ext.frob_iter(y, 1)
+        if y == x:
+            return Poly(ext.base, f.coeffs)
 
 
 def is_square_unit(field, u):

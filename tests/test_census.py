@@ -239,6 +239,31 @@ def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
     assert calls["charpoly"] == 188
 
 
+def test_sweep_makes_no_polynomial_products(monkeypatch):
+    # the charpoly rows and the F_q^*-scaled keys are coefficient lists:
+    # no Poly product and no Poly scaling in the sweep over F_125
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(Poly, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("__mul__", "scale"):
+        monkeypatch.setattr(Poly, name, counted(name))
+    P = least_irreducible_poly(F5, 3)
+    assert len(census._sweep(P, 1)) == 100
+    assert calls == {}
+    # the counters see the calls they pin
+    T5.scale(2) * T5
+    assert calls == {"__mul__": 1, "scale": 1}
+
+
 def test_coset_representatives(monkeypatch):
     # k = gcd(q^2 - 1, |L| - 1) gives the sweep's g = 0 twist classes;
     # k = q - 1 checks the function alone

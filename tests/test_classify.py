@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -47,6 +48,24 @@ def test_supersingular_evaluates_phi_P_once(monkeypatch):
     monkeypatch.setattr(DrinfeldModule, "phi", counted)
     classify(DrinfeldModule(EXT9, EXT9.from_coords((1, 1)), 4, 7))
     assert len(calls) == 1
+
+
+def test_classify_raises_P_to_the_m_once(monkeypatch):
+    # the discriminant and P_Phi(1) share one P^m, and the report's disc is
+    # the one the conductor split read
+    raises = Counter()
+    power = Poly.__pow__
+
+    def counted(self, e):
+        raises[(self.coeffs, e)] += 1
+        return power(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    dm = DrinfeldModule(EXT9, 1, 4, 7)
+    report = classify(dm)
+    assert dm.m == 2
+    assert raises[(dm.P.coeffs, dm.m)] == 1
+    assert report.disc is report.charpoly.discriminant()
 
 
 def test_supersingular_examples():

@@ -13,7 +13,12 @@ from drinfeld2 import (
     linalg,
     minimal_polynomial,
 )
-from oracles import all_modules, twist_constant, twist_tau
+from oracles import (
+    all_modules,
+    product_minimal_polynomial,
+    twist_constant,
+    twist_tau,
+)
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -43,6 +48,12 @@ def test_minimal_polynomial_matches_linear_solve_oracle():
     for ext in (ext_make(F3, 4), ext_make(field_make(3, 2), 2)):
         for x in ext.elements():
             assert minimal_polynomial(ext, x) == oracle_minimal_polynomial(ext, x)
+
+
+def test_minimal_polynomial_matches_poly_product_oracle():
+    for ext in (ext_make(field_make(3, 2), 2), ext_make(F3, 5)):
+        for x in ext.elements():
+            assert minimal_polynomial(ext, x) == product_minimal_polynomial(ext, x)
 
 
 def rand_poly(field, max_deg, rng):

@@ -13,10 +13,12 @@ from drinfeld2 import (
     field_make,
     least_irreducible_poly,
     linalg,
+    monic_irreducibles,
     verify,
 )
+from drinfeld2 import ff
 from drinfeld2.frobenius import _charpoly
-from oracles import all_modules
+from oracles import all_modules, matrix_charpoly
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -187,13 +189,15 @@ LAW_FIELDS = (
 )
 
 
+def first_root(ext, P):
+    return next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+
+
 def law_fields():
     for (p, s), n, d in LAW_FIELDS:
         base = field_make(p, s)
         ext = ext_make(base, n)
-        P = least_irreducible_poly(base, d)
-        gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
-        yield ext, d, gamma
+        yield ext, d, first_root(ext, least_irreducible_poly(base, d))
 
 
 def test_charpoly_twist_law():
@@ -229,3 +233,62 @@ def test_charpoly_frobenius_law():
                 ext, gamma, ext.frob_iter(g, d), ext.frob_iter(delta, d)
             )
             assert conjugate == _charpoly(ext, gamma, g, delta), (ext, g, delta)
+
+
+def test_charpoly_matches_matrix_oracle_on_sweep_shapes():
+    # every (g, delta) of the benchmark's realize shapes (q, d, m) with
+    # |L| <= 81, F_9 towers included; gamma a root of the first P of degree
+    # d with no zero coefficient, so a0 = -(gamma/delta)^(q^i) is never 0
+    shapes = (
+        (3, 1, 2), (3, 1, 3), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1),
+        (9, 1, 1), (3, 1, 4), (9, 2, 1),
+    )
+    for q, d, m in shapes:
+        base = field_make(3, 2) if q == 9 else field_make(q, 1)
+        ext = ext_make(base, m * d)
+        P = next(P for P in monic_irreducibles(base, d) if all(P.coeffs))
+        gamma = first_root(ext, P)
+        for g in ext.elements():
+            for delta in ext.units():
+                expected = matrix_charpoly(ext, gamma, g, delta)
+                assert _charpoly(ext, gamma, g, delta) == expected, (q, d, m, g, delta)
+
+
+def test_charpoly_matches_matrix_oracle_without_tables(monkeypatch):
+    # a table-free charpoly costs about a millisecond, so F_81/F_9 takes
+    # every delta at g in {0, 1} and every g at delta = 1, and F_27 every
+    # (g, delta); gamma runs over a root of the least P of each degree
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    F27 = ext_make(F3, 3)
+    L81 = ext_make(field_make(3, 2), 2)
+    assert F27._zech is None and L81._zech is None and L81.base._zech is None
+    cases = []
+    for ext in (F27, L81):
+        gammas = [
+            first_root(ext, least_irreducible_poly(ext.base, d))
+            for d in (1, ext.degree)
+        ]
+        if ext is F27:
+            pairs = list(itertools.product(ext.elements(), ext.units()))
+        else:
+            pairs = [(g, 1) for g in ext.elements()]
+            pairs += [(g, delta) for g in (0, 1) for delta in ext.units()]
+        cases += [(ext, gamma, g, delta) for gamma in gammas for g, delta in pairs]
+    assert len(cases) == 2 * 27 * 26 + 2 * (81 + 2 * 80)
+    for case in cases:
+        assert _charpoly(*case) == matrix_charpoly(*case), case
+
+
+def test_charpoly_matches_matrix_oracle_on_seeded_modules():
+    # 200 seeded modules each over F_{3^9}, F_{5^6} and F_{9^3}
+    rng = random.Random(15)
+    for (p, s), n in (((3, 1), 9), ((5, 1), 6), ((3, 2), 3)):
+        ext = ext_make(field_make(p, s), n)
+        for _ in range(200):
+            case = (
+                ext,
+                rng.randrange(ext.order),
+                rng.randrange(ext.order),
+                rng.randrange(1, ext.order),
+            )
+            assert _charpoly(*case) == matrix_charpoly(*case), case
