@@ -7,13 +7,18 @@ isogeny-class family (census, chi, realize) take the prime P (as a polynomial
 over F_q, either 'T^2+1' or the coefficient list '1,0,1') or --d to select
 the least monic irreducible of that degree, together with --m.
 
-Exit codes: 0 success, 1 domain error (bad mathematical input), 2 usage
-error, 3 discrepancies found under --strict.
+Each subcommand's handler computes its result and does no I/O: it returns
+the JSON payload, the plain-text lines, the CSV text (None for the flattened
+payload) and the discrepancies found.  main is the one place that writes the
+output, to stdout or --out, and picks the exit code: 0 success, 1 domain
+error (bad mathematical input), 2 usage error, 3 discrepancies found under
+--strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,7 +100,8 @@ def build_parser():
     for name, run, helptext in (
         ("census", _cmd_census, "enumerate admissible isogeny classes for (q, P, m)"),
         ("chi", _cmd_chi, "count distinct Euler-Poincare divisors for (q, P, m)"),
-        ("realize", _cmd_realize, "brute-force which classes occur over F_{q^(md)}"),
+        ("realize", functools.partial(_cmd_census, do_realize=True),
+         "brute-force which classes occur over F_{q^(md)}"),
     ):
         sub = subs.add_parser(name, help=helptext)
         sub.set_defaults(run=run)
@@ -124,7 +130,7 @@ def _resolve_P(args):
     return least_irreducible_poly(base, args.d)
 
 
-def _emit(args, payload, plain_lines, csv_text=None):
+def _emit(args, payload, plain_lines, csv_text):
     if args.output == "json":
         text = json.dumps(payload, indent=2)
     elif args.output == "csv":
@@ -155,9 +161,7 @@ def _cmd_charpoly(args):
     dm = _build_module(args)
     cp = frobenius.charpoly(dm)
     payload = {"module": dm.to_json(), "charpoly": cp.to_json()}
-    lines = ["module: %r" % dm, "charpoly: %s" % cp]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, ["module: %r" % dm, "charpoly: %s" % cp], None, []
 
 
 def _cmd_classify(args):
@@ -173,8 +177,7 @@ def _cmd_classify(args):
         "end ring kind: %s" % report.end_ring_kind.value,
         "chi: %s" % report.chi,
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, None, []
 
 
 def _cmd_endring(args):
@@ -199,11 +202,12 @@ def _cmd_endring(args):
         "admissible conductors: %s" % ", ".join(str(f) for f in conductors),
         "flagged (divisible by P): %s" % ", ".join(str(f) for f in flagged),
     ]
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, None, []
 
 
-def _report_lines(report):
+def _cmd_census(args, do_realize=False):
+    P = _resolve_P(args)
+    report = census_mod.full_report(P, args.m, do_realize=do_realize)
     lines = [
         "q=%d d=%d m=%d case=%s" % (report.q, report.d, report.m, report.case),
         "ordinary: %d" % report.ordinary_count,
@@ -218,27 +222,9 @@ def _report_lines(report):
     if report.realized_distinct is not None:
         lines.append("realized distinct: %d" % report.realized_distinct)
         lines.append("ordinary coverage: %s" % report.realized_ordinary_coverage)
-    for note in report.discrepancies:
-        lines.append("discrepancy: %s" % note)
-    return lines
-
-
-def _census_like(args, do_realize):
-    P = _resolve_P(args)
-    report = census_mod.full_report(P, args.m, do_realize=do_realize)
+    lines += ["discrepancy: %s" % note for note in report.discrepancies]
     csv_text = census_mod.CSV_HEADER + "\n" + census_mod.csv_row(report)
-    _emit(args, report.to_json(), _report_lines(report), csv_text=csv_text)
-    if args.strict and report.discrepancies:
-        return EXIT_STRICT
-    return EXIT_OK
-
-
-def _cmd_census(args):
-    return _census_like(args, do_realize=False)
-
-
-def _cmd_realize(args):
-    return _census_like(args, do_realize=True)
+    return report.to_json(), lines, csv_text, report.discrepancies
 
 
 def _cmd_chi(args):
@@ -262,20 +248,19 @@ def _cmd_chi(args):
         "chi distinct: %d" % count,
         "chi formula: %s" % closed_int,
     ] + ["discrepancy: %s" % note for note in discrepancies]
-    _emit(args, payload, lines)
-    if args.strict and discrepancies:
-        return EXIT_STRICT
-    return EXIT_OK
+    return payload, lines, None, discrepancies
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        payload, plain_lines, csv_text, discrepancies = args.run(args)
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
+    _emit(args, payload, plain_lines, csv_text)
+    return EXIT_STRICT if args.strict and discrepancies else EXIT_OK
 
 
 if __name__ == "__main__":

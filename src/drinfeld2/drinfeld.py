@@ -120,12 +120,7 @@ class DrinfeldModule:
         )
 
     def __repr__(self):
-        ext = self.ext
-        return "DrinfeldModule(q=%d, n=%d, gamma=%s, g=%s, delta=%s)" % (
-            ext.base.order,
-            ext.degree,
-            ext.to_str(self.gamma),
-            ext.to_str(self.g),
-            ext.to_str(self.delta),
+        return (
+            "DrinfeldModule(q={q}, n={n}, gamma={gamma_T}, g={g}, delta={delta})"
+            .format(**self.to_json())
         )
-

@@ -26,13 +26,15 @@ log per unit.
 Fields above the limit use direct polynomial arithmetic modulo the defining
 polynomial, and add and neg work digit by digit, mod p, on the base-p code:
 addition is coefficientwise at every level of a tower.  That digit loop is
-also the oracle for the Zech sums in the tests.  The coordinate codec
-(coords/from_coords, one digit per base-field element) serves only the
-table-free product and the halves of the table walk.  The Frobenius
-x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
-square-and-multiply in a table-free one.  _square_and_multiply is the
-package's one square-and-multiply loop: field powers, powers modulo a
-polynomial and polyring's Poly powers all pass it their product.
+also the oracle for the Zech sums in the tests.  One digit codec,
+_to_digits/_from_digits, expands a code in either radix: the text form in
+base p with pdeg digits, and coords/from_coords in base B with one digit per
+base-field element, for the table-free product and the halves of the table
+walk.  The Frobenius x -> x^(q^i) is just a power, one exp/log lookup in a
+tabled field and square-and-multiply in a table-free one.
+_square_and_multiply is the package's one square-and-multiply loop: field
+powers, powers modulo a polynomial and polyring's Poly powers all pass it
+their product.
 
 This module also holds the polynomial kernel: the one implementation of
 products, division, gcd, the Rabin irreducibility test and the enumeration
@@ -80,6 +82,22 @@ def _square_and_multiply(mul, one, a, e):
         if e:
             a = mul(a, a)
     return result
+
+
+def _to_digits(a, radix, count):
+    """The count base-radix digits of a, low first."""
+    out = []
+    for _ in range(count):
+        out.append(a % radix)
+        a //= radix
+    return tuple(out)
+
+
+def _from_digits(digits, radix):
+    a = 0
+    for d in reversed(digits):
+        a = a * radix + d
+    return a
 
 
 class FiniteField:
@@ -165,22 +183,8 @@ class FiniteField:
 
     # --- text form: comma-separated base-p digits, low degree first ---
 
-    def pdigits(self, a):
-        """The pdeg base-p digits of the code of a, low first."""
-        out = []
-        for _ in range(self.pdeg):
-            a, d = divmod(a, self.char)
-            out.append(d)
-        return tuple(out)
-
-    def from_pdigits(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.char + d
-        return a
-
     def to_str(self, a):
-        return ",".join(str(d) for d in self.pdigits(a))
+        return ",".join(map(str, _to_digits(a, self.char, self.pdeg)))
 
     def from_str(self, text):
         parts = [t.strip() for t in str(text).split(",")]
@@ -196,7 +200,7 @@ class FiniteField:
         digits += [0] * (self.pdeg - len(digits))
         if any(d < 0 or d >= self.char for d in digits):
             raise FieldError("digit out of range in %r (base %d)" % (text, self.char))
-        return self.from_pdigits(digits)
+        return _from_digits(digits, self.char)
 
 
 class PrimeField(FiniteField):
@@ -374,19 +378,10 @@ class ExtensionField(FiniteField):
 
     def coords(self, a):
         """Coefficient vector over the base field, low degree first."""
-        B = self.base.order
-        out = []
-        for _ in range(self.degree):
-            out.append(a % B)
-            a //= B
-        return tuple(out)
+        return _to_digits(a, self.base.order, self.degree)
 
     def from_coords(self, coords):
-        B = self.base.order
-        a = 0
-        for c in reversed(coords):
-            a = a * B + c
-        return a
+        return _from_digits(coords, self.base.order)
 
     # --- arithmetic ---
 

@@ -60,12 +60,7 @@ class CharPoly:
         return Poly.one(self.field) - self.c + self._Pm.scale(self.mu)
 
     def __str__(self):
-        return "X^2 - (%s)X + (%s)*(%s)^%d" % (
-            self.c,
-            self.field.to_str(self.mu),
-            self.P,
-            self.m,
-        )
+        return "X^2 - ({c})X + ({mu})*({P})^{m}".format(**self.to_json())
 
     def to_json(self):
         return {

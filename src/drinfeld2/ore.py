@@ -4,7 +4,8 @@ L is an ExtensionField over F_q; t stands for the q-power Frobenius.  Only
 right division is provided (that is the side with a division algorithm in
 L{t}).  Coefficients are field codes, low t-degree first, no
 trailing zeros.  OrePoly shares its dense base (construction, equality,
-addition, scaling and monic normalization) with polyring.Poly.
+addition, scaling, monic normalization and the text of its terms) with
+polyring.Poly.
 """
 
 from __future__ import annotations
@@ -68,20 +69,7 @@ class OrePoly(_Dense):
         return OrePoly(F, q), OrePoly(F, r)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        F = self.field
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            cs = F.to_str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                head = "t" if i == 1 else "t^%d" % i
-                terms.append(head if c == F.one else "%s*%s" % (cs, head))
-        return " + ".join(terms)
+        return " + ".join(self._terms("t")) or "0"
 
     def __repr__(self):
         return "OrePoly(%s)" % self

@@ -7,7 +7,7 @@ low degree first, with no trailing zeros.  Products, division, gcd and the
 irreducibility test are thin wrappers over the polynomial kernel in ff, and
 Poly powers run on ff's one square-and-multiply loop.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
-addition, scaling and monic normalization).
+addition, scaling, monic normalization and the text of their terms).
 """
 
 from __future__ import annotations
@@ -123,6 +123,25 @@ class _Dense:
             return self
         return self.scale(self.field.inv(self.lc()))
 
+    # --- text form ---
+
+    def _terms(self, var):
+        """The text of each nonzero term, low degree first: a constant's
+        digits, then var, var^i or c*var^i."""
+        F = self.field
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                term = F.to_str(c)
+            else:
+                term = var if i == 1 else "%s^%d" % (var, i)
+                if c != F.one:
+                    term = "%s*%s" % (F.to_str(c), term)
+            terms.append(term)
+        return terms
+
 
 class Poly(_Dense):
     __slots__ = ()
@@ -196,21 +215,7 @@ class Poly(_Dense):
         return "Poly(%s)" % self.to_human()
 
     def to_human(self):
-        if self.is_zero():
-            return "0"
-        F = self.field
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            cs = F.to_str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                head = "T" if i == 1 else "T^%d" % i
-                terms.append(head if c == F.one else "%s*%s" % (cs, head))
-        return "+".join(terms)
+        return "+".join(reversed(self._terms("T"))) or "0"
 
     def to_machine(self):
         sep = ";" if self.field.pdeg > 1 else ","
@@ -379,7 +384,8 @@ def squarefree_split(f):
     g = Poly.one(F)
     w = Poly.one(F)
     for mult, fac in squarefree_decomposition(f).items():
-        g = g * fac ** (mult // 2)
+        if mult > 1:
+            g = g * fac ** (mult // 2)
         if mult % 2:
             w = w * fac
     return g, w.scale(lead)

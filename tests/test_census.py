@@ -214,6 +214,59 @@ def test_sweep_matches_twist_orbit_oracle(monkeypatch):
         assert census._sweep(P, 2) == twist_orbit_sweep(P, 2)
 
 
+def sweep_weights(ext, gamma, d):
+    """{(c coefficients, mu): modules} from the sweep's representatives over
+    L = ext, gamma of degree d, each weighted by the modules it stands for: a
+    g = 0 coset representative by the size (|L| - 1)/gcd(q^2 - 1, |L| - 1)
+    of its coset, and a g = 1 representative whose delta has an orbit of
+    length l under x -> x^(q^d) by l (|L| - 1)/(q - 1) at each of its q - 1
+    scaled keys."""
+    base = ext.base
+    q = base.order
+    gen, N = ext._least_generator(), ext.order - 1
+    weights = Counter()
+    cosets = math.gcd(q * q - 1, N)
+    for i in range(cosets):
+        c, mu = frobenius._charpoly(ext, gamma, 0, ext.pow(gen, i))
+        weights[(c.coeffs, mu)] += N // cosets
+    seen = set()
+    for k in range(N):
+        if k in seen:
+            continue
+        orbit = {k * q ** (d * i) % N for i in range(ext.degree // d)}
+        seen |= orbit
+        c, mu = frobenius._charpoly(ext, gamma, ext.one, ext.pow(gen, k))
+        for u in base.units():
+            key = (c.scale(u).coeffs, base.mul(base.mul(u, u), mu))
+            weights[key] += len(orbit) * N // (q - 1)
+    return weights
+
+
+def test_sweep_weights_count_every_module(monkeypatch):
+    # on the benchmark's realize shapes (q, d, m), all with |L| <= 125, the
+    # weighted representatives give the sweep's keys and, key by key, the
+    # counts of one charpoly per module (gamma the sweep's root of P)
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    shapes = (
+        (3, 1, 2), (3, 1, 3), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1),
+        (9, 1, 1), (3, 1, 4), (5, 3, 1), (9, 2, 1),
+    )
+    for q, d, m in shapes:
+        base = field_make(3, 2) if q == 9 else field_make(q, 1)
+        P = next(P for P in monic_irreducibles(base, d) if all(P.coeffs))
+        ext = ext_make(base, m * d)
+        gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+        weights = sweep_weights(ext, gamma, d)
+        assert set(weights) == census._sweep(P, m), (q, d, m)
+        assert sum(weights.values()) == ext.order * (ext.order - 1), (q, d, m)
+        per_module = Counter()
+        for g in ext.elements():
+            for delta in ext.units():
+                c, mu = frobenius._charpoly(ext, gamma, g, delta)
+                per_module[(c.coeffs, mu)] += 1
+        assert weights == per_module, (q, d, m)
+
+
 def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
     # over F_625: 164 orbits of x -> x^5 on L^* (Burnside:
     # (624 + 4 + 24 + 4)/4) at g = 1, plus gcd(24, 624) = 24 cosets at

@@ -68,6 +68,21 @@ def test_classify_raises_P_to_the_m_once(monkeypatch):
     assert report.disc is report.charpoly.discriminant()
 
 
+def test_classify_raises_nothing_to_the_power_0(monkeypatch):
+    # the squarefree split of the discriminant skips its factors of
+    # multiplicity 1; P^m = T^2 is the one power left here
+    exponents = []
+    power = Poly.__pow__
+
+    def counted(self, e):
+        exponents.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    classify(DrinfeldModule(EXT9, 1, 4, 7))
+    assert exponents == [2]
+
+
 def test_supersingular_examples():
     assert supersingular(DrinfeldModule(EXT1, 0, 0, 1))[0] is True
     assert supersingular(DrinfeldModule(EXT1, 0, 1, 1))[0] is False

@@ -31,6 +31,34 @@ def test_output_bytes_pinned(capsys, pin):
     assert (code, out) == (pin["exit"], pin["stdout"])
 
 
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_out_file_holds_pinned_output(tmp_path, capsys, pin):
+    # --out writes exactly the bytes stdout would get, and prints nothing
+    target = tmp_path / "out"
+    code, out, err = run(capsys, pin["argv"].split() + ["--out", str(target)])
+    assert (code, out, err) == (pin["exit"], "", "")
+    assert target.read_text() == pin["stdout"]
+
+
+# The pinned JSON payload of each subcommand; the family ones list their
+# discrepancies, the module ones have none to list.
+JSON_PINS = {
+    pin["argv"].split()[0]: json.loads(pin["stdout"])
+    for pin in PINS
+    if pin["argv"].endswith("json")
+}
+
+
+@pytest.mark.parametrize("pin", PINS, ids=_pin_id)
+def test_strict_exit_code_pinned(capsys, pin):
+    # --strict leaves the output as it is and exits 3 exactly when a
+    # discrepancy is reported
+    command = pin["argv"].split()[0]
+    expected = 3 if JSON_PINS[command].get("discrepancies") else 0
+    code, out, _ = run(capsys, pin["argv"].split() + ["--strict"])
+    assert (code, out) == (expected, pin["stdout"])
+
+
 def test_charpoly_json(capsys):
     code, out, _ = run(capsys, ["charpoly"] + MODULE_ARGS)
     assert code == 0

@@ -153,6 +153,23 @@ def test_squarefree_split_exact():
             assert all(m == 1 for m in squarefree_decomposition(w))
 
 
+def test_squarefree_split_raises_no_factor_to_the_power_0(monkeypatch):
+    # a factor of multiplicity 1 goes into omega only: of (T+1)(T^2+1)T^3
+    # the split raises T alone, to the power 3 // 2 = 1
+    T, one = Poly.x(F3), Poly.one(F3)
+    f = (T + one) * (T * T + one) * T * T * T
+    exponents = []
+    power = Poly.__pow__
+
+    def counted(self, e):
+        exponents.append(e)
+        return power(self, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    assert squarefree_split(f) == (T, (T + one) * (T * T + one) * T)
+    assert exponents == [1]
+
+
 def test_parse_human_and_machine_agree():
     for text_h, text_m in [("T^2+2*T+1", "1,2,1"), ("T", "0,1"), ("2", "2")]:
         assert poly_from_human(F3, text_h) == poly_from_machine(F3, text_m)
