@@ -11,10 +11,13 @@ a coset of the k-th powers is a residue class mod k and the Frobenius is a
 product, so the sweep keeps no set of field elements.
 P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One pass over the (c, mu) grid feeds
-the verdict tallies, the chi groups and the admissible set.  The pass
-raises P^m once, forms -4 mu P^m and mu P^m once per mu, and c^2, 1 - c and
-the verdict by trace once per c; each candidate adds c^2 - 4 mu P^m, and
-each admissible one 1 - c + mu P^m.
+the verdict tallies, the chi groups and the admissible set.  It runs on
+coefficient lists and builds no Poly per candidate: it raises P^m once;
+forms -4 mu P^m, mu^-1 and whether -4 mu is a square mod P once per mu; and
+c^2, 1 - c and v = v_P(c) once per c.  An ordinary candidate reads the
+degree and leading coefficient of c^2 - 4 mu P^m off its top entries, a
+supersingular one takes its verdict from v (see `classify`), and an
+admissible one keys its chi group by the monic P^m + mu^-1 (1 - c).
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 from . import frobenius
 from .classify import (
-    Verdict, _check_family, _trace_verdict, _unit_squares, _weil_verdict,
+    Verdict, _c_parts, _check_family, _mu_parts, _unit_squares, _weil_verdict,
 )
 from .ff import ext_make
 from .polyring import Poly
@@ -122,25 +125,32 @@ def candidate_pairs(P, m):
 
 
 def admissible_pairs(P, m):
-    """(c, mu, verdict, chi) for every admissible candidate, chi the monic
-    generator of (1 - c + mu P^m).  P and m must already be checked.
+    """(c, mu, verdict, chi) for every admissible candidate, chi the
+    coefficient tuple of the monic generator P^m + mu^-1 (1 - c) of
+    (1 - c + mu P^m).  P and m must already be checked.
     `candidate_pairs` yields one c object for all of its mu in turn, so the
     per-c parts are formed when that object changes."""
     base = P.field
-    Pm = P**m
-    minus_4 = base.scalar(-4)
-    per_mu = {mu: (Pm.scale(base.mul(minus_4, mu)), Pm.scale(mu)) for mu in base.units()}
+    Pm = (P**m).coeffs
+    # deg(1 - c) <= floor(md/2) < md, so chi agrees with P^m above index
+    # floor(md/2) and is monic
+    half = (len(Pm) - 1) // 2 + 1
+    Pm_head, Pm_tail = Pm[:half], Pm[half:]
+    per_mu = {mu: (*_mu_parts(mu, Pm, P), base.inv(mu)) for mu in base.units()}
     squares = _unit_squares(base)
-    one = Poly.one(base)
+    add, mul = base.add, base.mul
     last = None
     for c, mu in candidate_pairs(P, m):
         if c is not last:
             last = c
-            cc, trace_verdict, one_minus_c = c * c, _trace_verdict(c, P, m), one - c
-        minus_4mu_Pm, mu_Pm = per_mu[mu]
-        verdict = _weil_verdict(cc, trace_verdict, minus_4mu_Pm, P, squares)
+            cc, v = _c_parts(c.coeffs, P)
+            one_minus_c = [base.neg(x) for x in c.coeffs] + [0] * (half - len(c.coeffs))
+            one_minus_c[0] = add(base.one, one_minus_c[0])
+        minus_4mu_Pm, minus_4mu_square, mu_inv = per_mu[mu]
+        verdict = _weil_verdict(cc, v, minus_4mu_Pm, minus_4mu_square, P, m, squares)
         if verdict.is_admissible():
-            yield c, mu, verdict, (one_minus_c + mu_Pm).monic()
+            chi = [add(p, mul(mu_inv, x)) for p, x in zip(Pm_head, one_minus_c)]
+            yield c, mu, verdict, tuple(chi) + Pm_tail
 
 
 def _census_pass(P, m):
@@ -148,7 +158,7 @@ def _census_pass(P, m):
     tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict})."""
     groups, admissible = {}, {}
     for c, mu, verdict, chi in admissible_pairs(P, m):
-        groups.setdefault(chi.coeffs, []).append((c.coeffs, mu))
+        groups.setdefault(chi, []).append((c.coeffs, mu))
         admissible[(c.coeffs, mu)] = verdict
     tally = Counter(admissible.values())
     report = CensusReport(

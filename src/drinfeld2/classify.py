@@ -5,7 +5,12 @@ candidate characteristic polynomial X^2 - cX + mu P^m as an isogeny-class
 invariant, and the endomorphism-order ledger read off the discriminant split
 disc = g^2 * omega.  A supersingular candidate (P | c) needs one place of
 K(sqrt(disc)) above P: with disc = P^k u and P coprime to u, k odd or u a
-non-square modulo P.  That is read off v_P(disc) with no squarefree split.
+non-square modulo P.  That is read off v = v_P(c) with no squarefree split:
+for 2v < m, k = 2v and u is a square mod P; for c = 0, k = m and u = -4 mu;
+only for 2v = m is disc divided by P.  The verdict runs on coefficient
+lists, from parts formed once per c (c^2 and v) and once per mu (-4 mu P^m
+and whether -4 mu is a square mod P), so the census pass builds no Poly per
+candidate.
 """
 
 from __future__ import annotations
@@ -15,13 +20,9 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import frobenius
+from .ff import _list_divmod, _list_mul, _list_powmod
 from .ore import kernel_size_exp
-from .polyring import (
-    Poly,
-    PolyDomainError,
-    is_irreducible,
-    pow_mod,
-)
+from .polyring import Poly, PolyDomainError, is_irreducible
 
 
 class Verdict(enum.Enum):
@@ -69,14 +70,6 @@ def supersingular(dm, cp=None):
     return by_height, witness
 
 
-def _is_square_in_residue_field(z, P):
-    """Whether the nonzero residue z mod P is a square in A/P = F_{q^d}."""
-    q = P.field.order
-    d = len(P.coeffs) - 1
-    e = (q**d - 1) // 2
-    return pow_mod(z, e, P).is_one()
-
-
 def _check_family(P, m):
     """Raise PolyDomainError unless P is monic irreducible of degree >= 1 and m >= 1."""
     if P.is_constant() or P.lc() != P.field.one or not is_irreducible(P):
@@ -93,17 +86,17 @@ def weil_admissible(c, mu, P, m):
     supersingular ones (P | c) additionally need a single place of K(F)
     above P, or F itself in A (the perfect-square case).  With
     disc = P^k u and P coprime to u, there is one place above P exactly
-    when k is odd or u is a non-square modulo P.
+    when k is odd or u is a non-square modulo P.  The verdict is the census
+    pass's `_weil_verdict` on coefficient lists, which reads k and u off
+    v = v_P(c) unless 2v = m.
     """
     _check_family(P, m)
     if mu == 0:
         raise PolyDomainError("mu must be a unit")
     if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
-    base = P.field
-    minus_4mu_Pm = (P**m).scale(base.mul(base.scalar(-4), mu))
-    return _weil_verdict(c * c, _trace_verdict(c, P, m), minus_4mu_Pm, P,
-                         _unit_squares(base))
+    return _weil_verdict(*_c_parts(c.coeffs, P), *_mu_parts(mu, (P**m).coeffs, P),
+                         P, m, _unit_squares(P.field))
 
 
 def _unit_squares(base):
@@ -111,37 +104,74 @@ def _unit_squares(base):
     return {base.mul(u, u) for u in base.units()}
 
 
-def _trace_verdict(c, P, m):
-    """The verdict of an admissible candidate with trace c: ORDINARY when P
-    does not divide c, else SUPERSINGULAR_2 or SUPERSINGULAR_3."""
-    if not (c % P).is_zero():
-        return Verdict.ORDINARY
-    if c.is_zero() and m % 2 == 1:
-        return Verdict.SUPERSINGULAR_2
-    return Verdict.SUPERSINGULAR_3
+def _is_square_mod_P(u, P):
+    """Whether the coefficient list u, P coprime to u, is a square in
+    A/P = F_{q^d}, by Euler's criterion."""
+    F = P.field
+    e = (F.order ** (len(P.coeffs) - 1) - 1) // 2
+    return _list_powmod(F, u, e, P.coeffs) == [F.one]
 
 
-def _weil_verdict(cc, trace_verdict, minus_4mu_Pm, P, squares):
-    """`weil_admissible` on checked inputs, from its per-c parts (cc = c^2
-    and `_trace_verdict`), its per-mu part -4 mu P^m and the squares of F_q^*."""
-    disc = cc + minus_4mu_Pm
-    if disc.is_zero():
+def _c_parts(c, P):
+    """The per-c parts of a verdict, from the coefficients of c: c^2 as a
+    list, and v = v_P(c), 0 when P does not divide c and None for c = 0."""
+    F = P.field
+    cc = _list_mul(F, c, c)
+    if not c:
+        return cc, None
+    v, (rest, r) = 0, _list_divmod(F, c, P.coeffs)
+    while not r:
+        v, (rest, r) = v + 1, _list_divmod(F, rest, P.coeffs)
+    return cc, v
+
+
+def _mu_parts(mu, Pm, P):
+    """The per-mu parts of a verdict, from the coefficients of P^m: -4 mu P^m
+    as a list, and whether -4 mu is a square modulo P."""
+    F = P.field
+    minus_4mu = F.mul(F.scalar(-4), mu)
+    return [F.mul(minus_4mu, x) for x in Pm], _is_square_mod_P([minus_4mu], P)
+
+
+def _weil_verdict(cc, v, minus_4mu_Pm, minus_4mu_square, P, m, squares):
+    """`weil_admissible` on checked inputs, from its per-c parts (`_c_parts`),
+    its per-mu parts (`_mu_parts`) and the squares of F_q^*."""
+    # P^v | c != 0 gives vd <= deg c <= md/2, so 2v <= m.  For 2v < m,
+    # disc = P^(2v) u with u = (c/P^v)^2 mod P a nonzero square.
+    if v and 2 * v < m:
+        return Verdict.NOT_ADMISSIBLE
+    F = P.field
+    # deg c^2 <= md = deg P^m, so the degree and leading coefficient of
+    # disc = c^2 - 4 mu P^m are its first nonzero entry from the top: for
+    # md odd, the top one, -4 mu
+    i, lead = len(minus_4mu_Pm), 0
+    while not lead and i:
+        i -= 1
+        lead = F.add(cc[i], minus_4mu_Pm[i]) if i < len(cc) else minus_4mu_Pm[i]
+    if not lead:
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
     # K(sqrt(disc)) is imaginary exactly when the infinite place does not
     # split: deg disc odd, or lc(disc) a non-square
-    if disc.deg % 2 == 0 and disc.lc() in squares:
+    if i % 2 == 0 and lead in squares:
         return Verdict.NOT_ADMISSIBLE
-    if trace_verdict is Verdict.ORDINARY:
-        return trace_verdict
+    if v == 0:
+        return Verdict.ORDINARY
     # supersingular candidate: require one place of K(sqrt(disc)) above P,
     # read off disc = P^k u: k odd, or u a non-square mod P
-    k, (rest, u) = 0, divmod(disc, P)
-    while u.is_zero():
-        k, (rest, u) = k + 1, divmod(rest, P)
-    if k % 2 == 0 and _is_square_in_residue_field(u, P):
+    if v is None:
+        # c = 0: disc = P^m (-4 mu)
+        if m % 2 == 0 and minus_4mu_square:
+            return Verdict.NOT_ADMISSIBLE
+        return Verdict.SUPERSINGULAR_2 if m % 2 else Verdict.SUPERSINGULAR_3
+    # 2v = m: divide disc by P until a remainder is left
+    disc = [F.add(x, y) for x, y in zip(cc, minus_4mu_Pm)] + minus_4mu_Pm[len(cc):]
+    k, (rest, u) = 0, _list_divmod(F, disc, P.coeffs)
+    while not u:
+        k, (rest, u) = k + 1, _list_divmod(F, rest, P.coeffs)
+    if k % 2 == 0 and _is_square_mod_P(u, P):
         return Verdict.NOT_ADMISSIBLE
-    return trace_verdict
+    return Verdict.SUPERSINGULAR_3
 
 
 def _monic_divisors(g):
@@ -179,6 +209,17 @@ def endomorphism_order(cp):
     return kind, g, omega, conductors, flagged
 
 
+def _end_order_json(g, omega, conductors, flagged):
+    """The text of the End-order fields of `endomorphism_order`, as the
+    classification report and the endring command print them."""
+    return {
+        "conductor_g": None if g is None else g.to_human(),
+        "omega": None if omega is None else omega.to_human(),
+        "admissible_conductors": [f.to_human() for f in conductors],
+        "non_coprime_conductors": [f.to_human() for f in flagged],
+    }
+
+
 @dataclass
 class ClassificationReport:
     charpoly: frobenius.CharPoly
@@ -193,16 +234,18 @@ class ClassificationReport:
     non_coprime_conductors: list = dc_field(default_factory=list)
 
     def to_json(self):
+        end = _end_order_json(self.conductor_g, self.omega,
+                              self.admissible_conductors, self.non_coprime_conductors)
         return {
             "charpoly": self.charpoly.to_json(),
             "is_supersingular": self.is_supersingular,
             "height": self.height,
             "disc": self.disc.to_human(),
-            "conductor_g": None if self.conductor_g is None else self.conductor_g.to_human(),
-            "omega": None if self.omega is None else self.omega.to_human(),
+            "conductor_g": end["conductor_g"],
+            "omega": end["omega"],
             "end_ring_kind": self.end_ring_kind.value,
-            "admissible_conductors": [f.to_human() for f in self.admissible_conductors],
-            "non_coprime_conductors": [f.to_human() for f in self.non_coprime_conductors],
+            "admissible_conductors": end["admissible_conductors"],
+            "non_coprime_conductors": end["non_coprime_conductors"],
             "chi": self.chi.to_human(),
         }
 

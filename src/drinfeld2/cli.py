@@ -24,7 +24,7 @@ import sys
 
 from . import census as census_mod
 from . import frobenius
-from .classify import classify as classify_module, endomorphism_order
+from .classify import _end_order_json, classify as classify_module, endomorphism_order
 from .drinfeld import DrinfeldModule, RankError
 from .ff import FieldError, IncompatibleFieldError, ext_make, field_make
 from .ore import OreDomainError
@@ -188,10 +188,7 @@ def _cmd_endring(args):
         "module": dm.to_json(),
         "charpoly": cp.to_json(),
         "end_ring_kind": kind.value,
-        "conductor_g": None if g is None else g.to_human(),
-        "omega": None if omega is None else omega.to_human(),
-        "admissible_conductors": [f.to_human() for f in conductors],
-        "non_coprime_conductors": [f.to_human() for f in flagged],
+        **_end_order_json(g, omega, conductors, flagged),
     }
     lines = [
         "module: %r" % dm,

@@ -17,7 +17,6 @@ from .ff import (
     _list_gcd,
     _list_irreducible,
     _list_mul,
-    _list_powmod,
     _monic_irreducibles,
     _square_and_multiply,
     check_same_field,
@@ -304,13 +303,6 @@ def gcd(a, b):
     """Monic greatest common divisor."""
     check_same_field(a.field, b.field)
     return Poly(a.field, _list_gcd(a.field, a.coeffs, b.coeffs))
-
-
-def pow_mod(base, e, mod):
-    check_same_field(base.field, mod.field)
-    if mod.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    return Poly(mod.field, _list_powmod(mod.field, base.coeffs, e, mod.coeffs))
 
 
 def is_irreducible(f):

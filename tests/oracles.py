@@ -4,8 +4,15 @@ They enumerate or transform modules by the definitions, so the library code
 under test can be checked against them; nothing in drinfeld2 calls them.
 """
 
+import itertools
+
 from drinfeld2 import DrinfeldModule, Poly, Verdict, squarefree_split
-from drinfeld2.polyring import pow_mod
+from drinfeld2.ff import _list_powmod
+
+
+def pow_mod(base, e, mod):
+    """base^e modulo mod, by the square-and-multiply of the list kernel."""
+    return Poly(mod.field, _list_powmod(mod.field, base.coeffs, e, mod.coeffs))
 
 
 def all_modules(ext):
@@ -105,6 +112,45 @@ def weil_verdict(c, mu, P, m):
     if c.is_zero() and m % 2 == 1:
         return Verdict.SUPERSINGULAR_2
     return Verdict.SUPERSINGULAR_3
+
+
+def poly_census_pass(P, m):
+    """(chi groups, {(c coeffs, mu): verdict}) of the (c, mu) grid, as
+    census._census_pass builds them, from Poly arithmetic: each candidate
+    forms disc = c^2 - 4 mu P^m and, when admissible, (1 - c + mu P^m).monic()
+    as Polys, and a supersingular one divides disc by P until a remainder is
+    left, for every mu."""
+    base = P.field
+    d = int(P.deg)
+    Pm = P**m
+    squares = {base.mul(u, u) for u in base.units()}
+    one = Poly.one(base)
+    groups, admissible = {}, {}
+    for coeffs in itertools.product(range(base.order), repeat=m * d // 2 + 1):
+        c = Poly(base, coeffs)
+        for mu in base.units():
+            disc = c * c + Pm.scale(base.mul(base.scalar(-4), mu))
+            if disc.is_zero():
+                verdict = Verdict.SUPERSINGULAR_4
+            elif disc.deg % 2 == 0 and disc.lc() in squares:
+                verdict = Verdict.NOT_ADMISSIBLE
+            elif not (c % P).is_zero():
+                verdict = Verdict.ORDINARY
+            else:
+                k, (rest, u) = 0, divmod(disc, P)
+                while u.is_zero():
+                    k, (rest, u) = k + 1, divmod(rest, P)
+                if k % 2 == 0 and pow_mod(u, (base.order**d - 1) // 2, P).is_one():
+                    verdict = Verdict.NOT_ADMISSIBLE
+                elif c.is_zero() and m % 2 == 1:
+                    verdict = Verdict.SUPERSINGULAR_2
+                else:
+                    verdict = Verdict.SUPERSINGULAR_3
+            if verdict.is_admissible():
+                chi = (one - c + Pm.scale(mu)).monic()
+                groups.setdefault(chi.coeffs, []).append((c.coeffs, mu))
+                admissible[(c.coeffs, mu)] = verdict
+    return groups, admissible
 
 
 def count_monic_irreducibles(q, degree):

@@ -27,13 +27,26 @@ from drinfeld2 import (
 )
 from drinfeld2 import census, cli, ff, frobenius, polyring
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
-from drinfeld2.polyring import pow_mod
-from oracles import coset_representatives, is_square_unit, weil_verdict
+from oracles import (
+    coset_representatives, is_square_unit, poly_census_pass, pow_mod, weil_verdict,
+)
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
 T3 = Poly.x(F3)
 T5 = Poly.x(F5)
+# the benchmark's realize_sweep shapes (q, d, m), all with |L| <= 125
+REALIZE_SHAPES = (
+    (3, 1, 2), (3, 1, 3), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1),
+    (9, 1, 1), (3, 1, 4), (5, 3, 1), (9, 2, 1),
+)
+
+
+def dense_pool(base, d):
+    """The first three monic irreducibles of degree d with no zero
+    coefficient, the P that the benchmark's family workloads draw."""
+    dense = (P for P in monic_irreducibles(base, d) if all(P.coeffs))
+    return list(itertools.islice(dense, 3))
 
 
 def test_case_1_counts_q3():
@@ -247,13 +260,9 @@ def test_sweep_weights_count_every_module(monkeypatch):
     # weighted representatives give the sweep's keys and, key by key, the
     # counts of one charpoly per module (gamma the sweep's root of P)
     monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
-    shapes = (
-        (3, 1, 2), (3, 1, 3), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1),
-        (9, 1, 1), (3, 1, 4), (5, 3, 1), (9, 2, 1),
-    )
-    for q, d, m in shapes:
+    for q, d, m in REALIZE_SHAPES:
         base = field_make(3, 2) if q == 9 else field_make(q, 1)
-        P = next(P for P in monic_irreducibles(base, d) if all(P.coeffs))
+        P = dense_pool(base, d)[0]
         ext = ext_make(base, m * d)
         gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
         weights = sweep_weights(ext, gamma, d)
@@ -399,38 +408,46 @@ def test_full_report_raises_P_to_the_m_once(monkeypatch):
 
 
 def test_full_report_does_per_c_work_once_per_c(monkeypatch):
-    # c^2 and c mod P once per c, not per (c, mu), and no squarefree split:
-    # the supersingular candidates are read off v_P(disc)
+    # c^2 and the chain of divisions of c by P once per c, not per (c, mu),
+    # and no squarefree split: the supersingular candidates are read off
+    # v_P(c).  The pass's list products go through the names its modules
+    # import from ff, and every one of them is the square of a c.
     P, m = T3 + Poly.one(F3), 4
     classify = importlib.import_module("drinfeld2.classify")
-    cs = {}  # id -> c, so a temporary that reuses a freed id is not counted
+    cs = {}  # id -> c coefficients, kept alive so no other list reuses an id
     walk = census.candidate_pairs
 
     def recorded(*args):
         for c, mu in walk(*args):
-            cs[id(c)] = c
+            cs[id(c.coeffs)] = c.coeffs
             yield c, mu
 
-    squares, residues, splits = Counter(), Counter(), Counter()
-    mul, mod, split = Poly.__mul__, Poly.__mod__, polyring.squarefree_split
+    products, squares, chains, splits = Counter(), Counter(), Counter(), Counter()
+    mul, divmod_, split = ff._list_mul, ff._list_divmod, polyring.squarefree_split
 
-    def counted_mul(self, other):
-        if self is other and cs.get(id(self)) is self:
-            squares[id(self)] += 1
-        return mul(self, other)
+    def counted_mul(field, a, b):
+        products["calls"] += 1
+        if a is b and cs.get(id(a)) is a:
+            squares[id(a)] += 1
+        return mul(field, a, b)
 
-    def counted_mod(self, other):
-        if other == P and cs.get(id(self)) is self:
-            residues[id(self)] += 1
-        return mod(self, other)
+    def counted_divmod(field, a, b):
+        if cs.get(id(a)) is a:
+            chains[id(a)] += 1
+        return divmod_(field, a, b)
 
     def counted_split(f):
         splits["calls"] += 1
         return split(f)
 
     monkeypatch.setattr(census, "candidate_pairs", recorded)
-    monkeypatch.setattr(Poly, "__mul__", counted_mul)
-    monkeypatch.setattr(Poly, "__mod__", counted_mod)
+    patched = set()
+    for module in (classify, census):
+        for name, fn in (("_list_mul", counted_mul), ("_list_divmod", counted_divmod)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+                patched.add(name)
+    assert patched == {"_list_mul", "_list_divmod"}
     for module in (polyring, frobenius, classify, census):
         if hasattr(module, "squarefree_split"):
             monkeypatch.setattr(module, "squarefree_split", counted_split)
@@ -438,10 +455,67 @@ def test_full_report_does_per_c_work_once_per_c(monkeypatch):
     assert report.ss3_count > 0 and splits["calls"] == 0
     assert len(cs) == 3 ** 3
     assert {squares[key] for key in cs} == {1}
-    assert max(residues[key] for key in cs) == 1
+    assert products["calls"] == len(cs)
+    assert max(chains[key] for key in cs) == 1
     # the counters see the calls they pin
     classify.endomorphism_order(CharPoly(T3, 1, P, m))
     assert splits["calls"] == 1
+
+
+def test_census_pass_builds_no_poly_per_candidate(monkeypatch):
+    # one Poly per c, from the walk, and a few for P^m: none per (c, mu)
+    P, m = Poly(F5, (1, 1)), 6
+    built = Counter()
+    init = Poly.__init__
+
+    def counted(self, *args):
+        built["polys"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    report = census._census_pass(P, m)[0]
+    assert report.total > 0
+    cs = 5 ** 4
+    assert cs <= built["polys"] <= cs + 2 * m.bit_length() + 1, built
+
+
+def test_census_pass_matches_poly_pass_oracle():
+    # every census_grid shape (grid of at most 3000 candidates), which
+    # includes every realize_sweep shape, each with all the P of its pool:
+    # the chi groups and the admissible map agree with the Poly pass, dict
+    # and list order included, and each way of reading a supersingular
+    # verdict off v = v_P(c) is reached
+    grid_shapes = [
+        (q, d, m)
+        for q in (3, 5, 7, 9)
+        for d in (1, 2, 3, 4)
+        for m in range(1, 13)
+        if q ** (m * d // 2 + 1) * (q - 1) <= 3000
+    ]
+    assert len(grid_shapes) == 48 and set(REALIZE_SHAPES) <= set(grid_shapes)
+    branches, families = Counter(), 0
+    for q, d, m in grid_shapes:
+        base = field_make(3, 2) if q == 9 else field_make(q, 1)
+        for P in dense_pool(base, d):
+            groups, admissible = census._census_pass(P, m)[1:]
+            oracle_groups, oracle_admissible = poly_census_pass(P, m)
+            assert list(groups.items()) == list(oracle_groups.items()), (q, P, m)
+            assert list(admissible.items()) == list(oracle_admissible.items()), (q, P, m)
+            families += 1
+            for coeffs in itertools.product(range(q), repeat=m * d // 2 + 1):
+                c = Poly(base, coeffs)
+                if c.is_zero():
+                    branches["c = 0, m %s" % ("odd" if m % 2 else "even")] += 1
+                    continue
+                v = 0
+                while P.divides(c):
+                    c, v = c // P, v + 1
+                if v:
+                    branches["2v < m" if 2 * v < m else "2v = m" if 2 * v == m
+                             else "2v > m, c != 0"] += 1
+    assert families == 128
+    # P^v | c != 0 gives vd <= deg c <= md/2, so only c = 0 has 2v > m
+    assert set(branches) == {"2v < m", "2v = m", "c = 0, m odd", "c = 0, m even"}, branches
 
 
 def test_verdicts_match_squarefree_split_oracle():

@@ -19,8 +19,7 @@ from drinfeld2 import (
     squarefree_decomposition,
     squarefree_split,
 )
-from drinfeld2.polyring import pow_mod
-from oracles import count_monic_irreducibles
+from oracles import count_monic_irreducibles, pow_mod
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
