@@ -13,11 +13,11 @@ P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One pass over the (c, mu) grid feeds
 the verdict tallies, the chi groups and the admissible set.  It runs on
 coefficient lists and builds no Poly per candidate: it raises P^m once;
-forms -4 mu P^m, mu^-1 and whether -4 mu is a square mod P once per mu; and
-c^2, 1 - c and v = v_P(c) once per c.  An ordinary candidate reads the
-degree and leading coefficient of c^2 - 4 mu P^m off its top entries, a
-supersingular one takes its verdict from v (see `classify`), and an
-admissible one keys its chi group by the monic P^m + mu^-1 (1 - c).
+forms -4 mu P^m and mu^-1 once per mu; and c^2, 1 - c and the verdict at P
+once per c, which for P | c is read off constants (see `classify`).  A
+candidate reads the degree and leading coefficient of c^2 - 4 mu P^m off
+its top entries, and an admissible one keys its chi group by the monic
+P^m + mu^-1 (1 - c).
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -136,18 +136,18 @@ def admissible_pairs(P, m):
     # floor(md/2) and is monic
     half = (len(Pm) - 1) // 2 + 1
     Pm_head, Pm_tail = Pm[:half], Pm[half:]
-    per_mu = {mu: (*_mu_parts(mu, Pm, P), base.inv(mu)) for mu in base.units()}
+    per_mu = {mu: (_mu_parts(mu, Pm, base), base.inv(mu)) for mu in base.units()}
     squares = _unit_squares(base)
     add, mul = base.add, base.mul
     last = None
     for c, mu in candidate_pairs(P, m):
         if c is not last:
             last = c
-            cc, v = _c_parts(c.coeffs, P)
+            cc, at_P = _c_parts(c.coeffs, Pm, P, m)
             one_minus_c = [base.neg(x) for x in c.coeffs] + [0] * (half - len(c.coeffs))
             one_minus_c[0] = add(base.one, one_minus_c[0])
-        minus_4mu_Pm, minus_4mu_square, mu_inv = per_mu[mu]
-        verdict = _weil_verdict(cc, v, minus_4mu_Pm, minus_4mu_square, P, m, squares)
+        minus_4mu_Pm, mu_inv = per_mu[mu]
+        verdict = _weil_verdict(cc, at_P, minus_4mu_Pm, base, squares)
         if verdict.is_admissible():
             chi = [add(p, mul(mu_inv, x)) for p, x in zip(Pm_head, one_minus_c)]
             yield c, mu, verdict, tuple(chi) + Pm_tail

@@ -4,12 +4,10 @@ Ordinary vs supersingular (three equivalent criteria), admissibility of a
 candidate characteristic polynomial X^2 - cX + mu P^m as an isogeny-class
 invariant, and the endomorphism-order ledger read off the discriminant split
 disc = g^2 * omega.  A supersingular candidate (P | c) needs one place of
-K(sqrt(disc)) above P: with disc = P^k u and P coprime to u, k odd or u a
-non-square modulo P.  That is read off v = v_P(c) with no squarefree split:
-for 2v < m, k = 2v and u is a square mod P; for c = 0, k = m and u = -4 mu;
-only for 2v = m is disc divided by P.  The verdict runs on coefficient
-lists, from parts formed once per c (c^2 and v) and once per mu (-4 mu P^m
-and whether -4 mu is a square mod P), so the census pass builds no Poly per
+K(sqrt(disc)) above P; its verdict is read off constants, with no P-adic
+valuation and no squarefree split (see `_c_parts`).  The verdict runs on
+coefficient lists, from parts formed once per c (c^2 and the verdict at P)
+and once per mu (-4 mu P^m), so the census pass builds no Poly per
 candidate.
 """
 
@@ -20,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import frobenius
-from .ff import _list_divmod, _list_mul, _list_powmod
+from .ff import _list_divmod, _list_mul, check_same_field
 from .ore import kernel_size_exp
 from .polyring import Poly, PolyDomainError, is_irreducible
 
@@ -84,19 +82,21 @@ def weil_admissible(c, mu, P, m):
     Admissible candidates are exactly the rank-2 isogeny-class invariants:
     ordinary ones need P coprime to c and an imaginary quadratic K(F);
     supersingular ones (P | c) additionally need a single place of K(F)
-    above P, or F itself in A (the perfect-square case).  With
-    disc = P^k u and P coprime to u, there is one place above P exactly
-    when k is odd or u is a non-square modulo P.  The verdict is the census
-    pass's `_weil_verdict` on coefficient lists, which reads k and u off
-    v = v_P(c) unless 2v = m.
+    above P, or F itself in A (the perfect-square case).  The Hasse-Weil
+    bound on deg c leaves c = lambda P^(m/2), lambda in F_q, as the only
+    supersingular c that can pass, with disc = (lambda^2 - 4 mu) P^m, so
+    that place is read off m and d.  The verdict is the census pass's
+    `_weil_verdict` on coefficient lists.
     """
     _check_family(P, m)
-    if mu == 0:
+    check_same_field(c.field, P.field)
+    if mu not in P.field.units():
         raise PolyDomainError("mu must be a unit")
     if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
-    return _weil_verdict(*_c_parts(c.coeffs, P), *_mu_parts(mu, (P**m).coeffs, P),
-                         P, m, _unit_squares(P.field))
+    Pm = (P**m).coeffs
+    return _weil_verdict(*_c_parts(c.coeffs, Pm, P, m), _mu_parts(mu, Pm, P.field),
+                         P.field, _unit_squares(P.field))
 
 
 def _unit_squares(base):
@@ -104,43 +104,42 @@ def _unit_squares(base):
     return {base.mul(u, u) for u in base.units()}
 
 
-def _is_square_mod_P(u, P):
-    """Whether the coefficient list u, P coprime to u, is a square in
-    A/P = F_{q^d}, by Euler's criterion."""
-    F = P.field
-    e = (F.order ** (len(P.coeffs) - 1) - 1) // 2
-    return _list_powmod(F, u, e, P.coeffs) == [F.one]
-
-
-def _c_parts(c, P):
-    """The per-c parts of a verdict, from the coefficients of c: c^2 as a
-    list, and v = v_P(c), 0 when P does not divide c and None for c = 0."""
+def _c_parts(c, Pm, P, m):
+    """The per-c parts of a verdict, from the coefficients of c and of P^m:
+    c^2 as a list, and the verdict at P, which holds once disc != 0 and the
+    infinite place does not split."""
     F = P.field
     cc = _list_mul(F, c, c)
-    if not c:
-        return cc, None
-    v, (rest, r) = 0, _list_divmod(F, c, P.coeffs)
-    while not r:
-        v, (rest, r) = v + 1, _list_divmod(F, rest, P.coeffs)
-    return cc, v
+    if _list_divmod(F, c, P.coeffs)[1]:
+        return cc, Verdict.ORDINARY
+    # P | c.  With v = v_P(c) and c != 0, vd <= deg c <= md/2.  For 2v < m,
+    # disc = P^(2v) u with u = (c/P^v)^2 mod P a nonzero square: disc != 0
+    # and P splits, whatever mu is.  Otherwise P^m | c^2, which deg c^2 <= md
+    # makes c^2 = lambda^2 P^m: c = lambda P^(m/2), lambda in F_q, only
+    # c = 0 for m odd.  Then disc = (lambda^2 - 4 mu) P^m = P^m u, u in F_q^*
+    # once disc != 0.  For m odd one place above P ramifies.  For m even
+    # there is one exactly when u is a non-square in A/P = F_(q^d); the
+    # infinite place has already made u a non-square in F_q (deg disc = md
+    # is even), and that stays one in F_(q^d) exactly when d is odd.
+    if _list_divmod(F, cc, Pm)[1]:
+        return cc, Verdict.NOT_ADMISSIBLE
+    if m % 2:
+        return cc, Verdict.SUPERSINGULAR_2
+    if (len(P.coeffs) - 1) % 2:
+        return cc, Verdict.SUPERSINGULAR_3
+    return cc, Verdict.NOT_ADMISSIBLE
 
 
-def _mu_parts(mu, Pm, P):
-    """The per-mu parts of a verdict, from the coefficients of P^m: -4 mu P^m
-    as a list, and whether -4 mu is a square modulo P."""
-    F = P.field
+def _mu_parts(mu, Pm, F):
+    """The per-mu part of a verdict, from the coefficients of P^m:
+    -4 mu P^m as a list."""
     minus_4mu = F.mul(F.scalar(-4), mu)
-    return [F.mul(minus_4mu, x) for x in Pm], _is_square_mod_P([minus_4mu], P)
+    return [F.mul(minus_4mu, x) for x in Pm]
 
 
-def _weil_verdict(cc, v, minus_4mu_Pm, minus_4mu_square, P, m, squares):
+def _weil_verdict(cc, at_P, minus_4mu_Pm, F, squares):
     """`weil_admissible` on checked inputs, from its per-c parts (`_c_parts`),
-    its per-mu parts (`_mu_parts`) and the squares of F_q^*."""
-    # P^v | c != 0 gives vd <= deg c <= md/2, so 2v <= m.  For 2v < m,
-    # disc = P^(2v) u with u = (c/P^v)^2 mod P a nonzero square.
-    if v and 2 * v < m:
-        return Verdict.NOT_ADMISSIBLE
-    F = P.field
+    its per-mu part (`_mu_parts`) and the squares of F_q^*."""
     # deg c^2 <= md = deg P^m, so the degree and leading coefficient of
     # disc = c^2 - 4 mu P^m are its first nonzero entry from the top: for
     # md odd, the top one, -4 mu
@@ -155,23 +154,7 @@ def _weil_verdict(cc, v, minus_4mu_Pm, minus_4mu_square, P, m, squares):
     # split: deg disc odd, or lc(disc) a non-square
     if i % 2 == 0 and lead in squares:
         return Verdict.NOT_ADMISSIBLE
-    if v == 0:
-        return Verdict.ORDINARY
-    # supersingular candidate: require one place of K(sqrt(disc)) above P,
-    # read off disc = P^k u: k odd, or u a non-square mod P
-    if v is None:
-        # c = 0: disc = P^m (-4 mu)
-        if m % 2 == 0 and minus_4mu_square:
-            return Verdict.NOT_ADMISSIBLE
-        return Verdict.SUPERSINGULAR_2 if m % 2 else Verdict.SUPERSINGULAR_3
-    # 2v = m: divide disc by P until a remainder is left
-    disc = [F.add(x, y) for x, y in zip(cc, minus_4mu_Pm)] + minus_4mu_Pm[len(cc):]
-    k, (rest, u) = 0, _list_divmod(F, disc, P.coeffs)
-    while not u:
-        k, (rest, u) = k + 1, _list_divmod(F, rest, P.coeffs)
-    if k % 2 == 0 and _is_square_mod_P(u, P):
-        return Verdict.NOT_ADMISSIBLE
-    return Verdict.SUPERSINGULAR_3
+    return at_P
 
 
 def _monic_divisors(g):

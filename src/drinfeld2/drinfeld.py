@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .ff import _prime_factors, ext_make, field_make
+from .ff import FieldError, _prime_factors, ext_make, field_make
 from .ore import OrePoly, height
 from .polyring import Poly
 
@@ -41,6 +41,9 @@ class DrinfeldModule:
     __slots__ = ("ext", "gamma", "g", "delta", "P", "d", "m", "_phi_T")
 
     def __init__(self, ext, gamma, g, delta):
+        for name, x in (("gamma", gamma), ("g", g), ("delta", delta)):
+            if x not in range(ext.order):
+                raise FieldError("%s = %r is not an element code of L" % (name, x))
         if delta == 0:
             raise RankError("delta must be nonzero (rank 2)")
         self.ext = ext

@@ -408,9 +408,9 @@ def test_full_report_raises_P_to_the_m_once(monkeypatch):
 
 
 def test_full_report_does_per_c_work_once_per_c(monkeypatch):
-    # c^2 and the chain of divisions of c by P once per c, not per (c, mu),
+    # c^2 and at most one division of c by P per c, not per (c, mu),
     # and no squarefree split: the supersingular candidates are read off
-    # v_P(c).  The pass's list products go through the names its modules
+    # constants.  The pass's list products go through the names its modules
     # import from ff, and every one of them is the square of a c.
     P, m = T3 + Poly.one(F3), 4
     classify = importlib.import_module("drinfeld2.classify")
@@ -479,12 +479,40 @@ def test_census_pass_builds_no_poly_per_candidate(monkeypatch):
     assert cs <= built["polys"] <= cs + 2 * m.bit_length() + 1, built
 
 
+def test_census_pass_runs_no_euler_criterion(monkeypatch):
+    # a supersingular verdict is read off constants, so the pass raises
+    # nothing to a power modulo P: no Euler criterion in A/P, per mu or per c
+    classify = importlib.import_module("drinfeld2.classify")
+    calls = Counter()
+    powmod = ff._list_powmod
+
+    def counted(*args):
+        calls["powmod"] += 1
+        return powmod(*args)
+
+    for module in (ff, classify):
+        if hasattr(module, "_list_powmod"):
+            monkeypatch.setattr(module, "_list_powmod", counted)
+    families = (
+        (T3, 4), (T3 + Poly.one(F3), 3), (Poly(F3, (1, 0, 1)), 2),
+        (Poly(F5, (2, 0, 1)), 2), (T5, 3),
+    )
+    for P, m in families:
+        report = census._census_pass(P, m)[0]
+        assert report.ss2_count + report.ss3_count + report.ss4_count > 0
+    assert calls["powmod"] == 0
+    # the counter sees the calls it pins
+    ff._list_powmod(F3, [2], 2, T3.coeffs)
+    assert calls["powmod"] == 1
+
+
 def test_census_pass_matches_poly_pass_oracle():
     # every census_grid shape (grid of at most 3000 candidates), which
     # includes every realize_sweep shape, each with all the P of its pool:
     # the chi groups and the admissible map agree with the Poly pass, dict
-    # and list order included, and each way of reading a supersingular
-    # verdict off v = v_P(c) is reached
+    # and list order included, and each shape of a c divisible by P is
+    # reached: with v = v_P(c), 2v < m (never admissible), 2v = m
+    # (c = lambda P^(m/2), lambda != 0), and c = 0 for m odd and m even
     grid_shapes = [
         (q, d, m)
         for q in (3, 5, 7, 9)
@@ -521,8 +549,11 @@ def test_census_pass_matches_poly_pass_oracle():
 def test_verdicts_match_squarefree_split_oracle():
     # the pass's admissible map and weil_admissible against the squarefree
     # split oracle on every candidate of 62 families, with every branch of
-    # the P-adic test reached: disc = P^k u, P coprime to u
-    branches, valuations, families = Counter(), Counter(), 0
+    # the P-adic test reached: disc = P^k u, P coprime to u.  The oracle's
+    # verdicts also obey the closed form: an admissible supersingular
+    # candidate has c in {0} u F_q^* P^(m/2), any other c divisible by P is
+    # never admissible, and m, d both even leave no SUPERSINGULAR_3
+    branches, valuations, families, shapes = Counter(), Counter(), 0, Counter()
     for base in (F3, F5, field_make(7, 1), field_make(3, 2)):
         q = base.order
         for d in (1, 2, 3):
@@ -532,11 +563,20 @@ def test_verdicts_match_squarefree_split_oracle():
                         continue
                     oracle = {}
                     Pm = P**m
+                    half = P ** (m // 2)
                     for c, mu in candidate_pairs(P, m):
                         verdict = weil_verdict(c, mu, P, m)
                         assert weil_admissible(c, mu, P, m) is verdict
                         if verdict.is_admissible():
                             oracle[(c.coeffs, mu)] = verdict
+                        on_line = c.is_zero() or (m % 2 == 0 and c == half.scale(c.lc()))
+                        if P.divides(c) and verdict.is_admissible():
+                            assert on_line, (c, mu, P, m)
+                            shapes["c = 0" if c.is_zero() else "c = lambda P^(m/2)"] += 1
+                        if m % 2 == 0 and d % 2 == 0:
+                            assert verdict is not Verdict.SUPERSINGULAR_3, (c, mu, P, m)
+                            if on_line:
+                                shapes["m, d even, " + verdict.value] += 1
                         disc = c * c - Pm.scale(base.mul(base.scalar(4), mu))
                         if disc.is_zero():
                             branches["disc = 0"] += 1
@@ -560,6 +600,10 @@ def test_verdicts_match_squarefree_split_oracle():
     assert families == 62
     assert len(branches) == 4, branches
     assert set(range(1, 7)) <= set(valuations), valuations
+    assert set(shapes) == {
+        "c = 0", "c = lambda P^(m/2)",
+        "m, d even, NOT_ADMISSIBLE", "m, d even, SUPERSINGULAR_4",
+    }, shapes
 
 
 def test_realize_bound_refusal(monkeypatch):

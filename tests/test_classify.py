@@ -8,6 +8,7 @@ import pytest
 from drinfeld2 import (
     DrinfeldModule,
     EndRingKind,
+    IncompatibleFieldError,
     OrePoly,
     Poly,
     PolyDomainError,
@@ -97,6 +98,11 @@ def test_weil_admissible_preconditions():
         weil_admissible(Poly.zero(F3), 1, T, 0)  # m < 1
     with pytest.raises(PolyDomainError):
         weil_admissible(Poly(F3, (0, 1)), 1, T, 1)  # deg c over the bound
+    with pytest.raises(IncompatibleFieldError):
+        weil_admissible(Poly(field_make(5, 1), (4,)), 1, T, 2)  # c over F_5
+    for mu in (3, 7, -1):
+        with pytest.raises(PolyDomainError):
+            weil_admissible(Poly(F3, (1,)), mu, T, 2)  # mu not in F_3^*
 
 
 def test_admissibility_table_for_q3_P_T_m1():

@@ -5,6 +5,7 @@ import pytest
 
 from drinfeld2 import (
     DrinfeldModule,
+    FieldError,
     OrePoly,
     Poly,
     RankError,
@@ -82,6 +83,14 @@ def test_derived_invariants():
 def test_rank_two_requires_nonzero_delta():
     with pytest.raises(RankError):
         DrinfeldModule(EXT1, 0, 1, 0)
+
+
+def test_coefficient_codes_must_lie_in_L():
+    # a code outside range(|L|) would print and then fail deep in charpoly
+    for gamma, g, delta in ((0, 1, 100), (9, 1, 1), (0, -1, 1), (0, 1, 9)):
+        with pytest.raises(FieldError):
+            DrinfeldModule(EXT9, gamma, g, delta)
+    assert DrinfeldModule(EXT9, 8, 8, 8).delta == 8
 
 
 def test_phi_T_squared_oracle():
