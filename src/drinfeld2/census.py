@@ -37,14 +37,14 @@ from . import frobenius
 from .classify import (
     Verdict, _c_parts, _check_family, _mu_parts, _unit_squares, _weil_verdict,
 )
-from .ff import ext_make
+from .ff import DomainError, ext_make
 from .polyring import Poly
 
 REALIZE_BOUND_ENV = "DRINFELD2_REALIZE_MAX"
 DEFAULT_REALIZE_BOUND = 5**4
 
 
-class RealizationBoundError(ValueError):
+class RealizationBoundError(DomainError):
     """The exhaustive sweep over L was refused as too large."""
 
 
@@ -229,21 +229,19 @@ def chi_formula(q, d, m):
     return head - tail + (q if case == 2 else 1)
 
 
-def _rational_to_report(value, label, discrepancies):
+def _closed_form(value, label, count, noun, discrepancies):
+    """The closed form `value` as reported: its integer, or None when there
+    is none or it is not an integer.  A non-integer, or an integer that
+    differs from the enumerative `count`, is noted in discrepancies."""
     if value is None:
         return None
-    if value.denominator == 1:
-        return int(value)
-    discrepancies.append("%s is not an integer: %s" % (label, value))
-    return None
-
-
-def _chi_formula_report(q, d, m, count, discrepancies):
-    """chi_formula(q, d, m) as reported, noting where it differs from count."""
-    closed = _rational_to_report(chi_formula(q, d, m), "chi_formula", discrepancies)
-    if closed is not None and closed != count:
+    if value.denominator != 1:
+        discrepancies.append("%s is not an integer: %s" % (label, value))
+        return None
+    closed = int(value)
+    if closed != count:
         discrepancies.append(
-            "chi_formula %d != enumerative chi count %d" % (closed, count)
+            "%s %d != enumerative %s %d" % (label, closed, noun, count)
         )
     return closed
 
@@ -353,23 +351,15 @@ def full_report(P, m, do_realize=False):
     _check_family(P, m)
     realized = _sweep(P, m) if do_realize else None
     report, groups, admissible = _census_pass(P, m)
-    q, d = report.q, report.d
-
-    total_formula = formula_total(q, d, m)
-    report.formula_total = _rational_to_report(
-        total_formula, "formula_total", report.discrepancies
+    q, d, notes = report.q, report.d, report.discrepancies
+    report.formula_total = _closed_form(
+        formula_total(q, d, m), "formula_total", report.total, "total", notes
     )
-    if report.formula_total is not None and report.formula_total != report.total:
-        report.discrepancies.append(
-            "formula_total %d != enumerative total %d"
-            % (report.formula_total, report.total)
-        )
-    if total_formula is None:
-        report.discrepancies.append("no closed form for m odd, d even")
-
+    if report.case is None:
+        notes.append("no closed form for m odd, d even")
     report.chi_distinct_enumerative = len(groups)
-    report.chi_formula = _chi_formula_report(
-        q, d, m, len(groups), report.discrepancies
+    report.chi_formula = _closed_form(
+        chi_formula(q, d, m), "chi_formula", len(groups), "chi count", notes
     )
 
     if do_realize:

@@ -25,25 +25,14 @@ import sys
 from . import census as census_mod
 from . import frobenius
 from .classify import _end_order_json, classify as classify_module, endomorphism_order
-from .drinfeld import DrinfeldModule, RankError
-from .ff import FieldError, IncompatibleFieldError, ext_make, field_make
-from .ore import OreDomainError
+from .drinfeld import DrinfeldModule
+from .ff import DomainError, ext_make, field_make
 from .polyring import PolyDomainError, least_irreducible_poly, poly_from_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_STRICT = 3
-
-# The library's own error classes; anything else is a bug and propagates.
-DOMAIN_ERRORS = (
-    FieldError,
-    IncompatibleFieldError,
-    PolyDomainError,
-    OreDomainError,
-    RankError,
-    census_mod.RealizationBoundError,
-)
 
 
 def _add_module_args(sub):
@@ -228,8 +217,9 @@ def _cmd_chi(args):
     P = _resolve_P(args)
     count, groups = census_mod.chi_census(P, args.m)
     discrepancies = []
-    closed_int = census_mod._chi_formula_report(
-        P.field.order, int(P.deg), args.m, count, discrepancies
+    closed_int = census_mod._closed_form(
+        census_mod.chi_formula(P.field.order, int(P.deg), args.m),
+        "chi_formula", count, "chi count", discrepancies,
     )
     payload = {
         "q": P.field.order,
@@ -253,7 +243,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, plain_lines, csv_text, discrepancies = args.run(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:  # anything else is a bug and propagates
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
     _emit(args, payload, plain_lines, csv_text)

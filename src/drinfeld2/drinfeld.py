@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 
-from .ff import FieldError, _prime_factors, ext_make, field_make
+from .ff import DomainError, FieldError, _prime_factors, ext_make, field_make
 from .ore import OrePoly, height
 from .polyring import Poly
 
 
-class RankError(ValueError):
+class RankError(DomainError):
     """delta = 0 would drop the rank below 2."""
 
 
@@ -109,7 +109,7 @@ class DrinfeldModule:
         q = data["q"]
         primes = _prime_factors(q)
         if len(primes) != 1:
-            raise ValueError("q = %r is not a prime power" % (q,))
+            raise FieldError("q = %r is not a prime power" % (q,))
         p, s = primes[0], 1
         while p**s < q:
             s += 1

@@ -49,11 +49,16 @@ import itertools
 _TABLE_LIMIT = 1 << 16
 
 
-class FieldError(ValueError):
+class DomainError(ValueError):
+    """Bad input or a refused request, never a bug: the base of the
+    library's own error classes, which the CLI reports with exit status 1."""
+
+
+class FieldError(DomainError):
     """A field could not be constructed as requested."""
 
 
-class IncompatibleFieldError(ValueError):
+class IncompatibleFieldError(DomainError):
     """Operands belong to different fields."""
 
 

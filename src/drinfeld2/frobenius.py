@@ -14,8 +14,9 @@ The product is formed on the two rows of M, kept as coefficient lists in T
 of length n + 1.  A^(i) is [[0, a0 + a1 T], [1, b]], with a1 the q^i-th
 power of 1/delta, and right multiplication by it maps a row (x, y) to
 (y, b y + a0 x + a1 T x): one pass of field products and sums over the
-i + 1 coefficients that can be nonzero after i steps.  delta is inverted
-once, and each step raises the previous step's a1, gamma and g to the q-th
+i + 1 coefficients that can be nonzero after i steps.  a0 = -gamma/delta,
+a1 = 1/delta and b = -g/delta are formed once, and since the Frobenius is a
+ring map each later step raises the previous step's a0, a1 and b to the q-th
 power, which in a field without tables is a short square-and-multiply where
 a q^i-th power would be a long one.  The only Poly is built from the trace.
 """
@@ -75,7 +76,7 @@ def _charpoly(ext, gamma, g, delta):
     """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
     L = ext; c is a polynomial over the base field F_q."""
     base = ext.base
-    f, add, mul, neg = ext.frob_iter, ext.add, ext.mul, ext.neg
+    f, add, mul = ext.frob_iter, ext.add, ext.mul
     n = ext.degree
     # M = A A^(1) ... A^(n-1) with A = [[0, (T - gamma)/delta], [1, -g/delta]];
     # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
@@ -83,12 +84,11 @@ def _charpoly(ext, gamma, g, delta):
     # n + 1, and after i steps they have degree <= i.
     one, zero = [ext.one] + [0] * n, [0] * (n + 1)  # read, never written
     M = [[one, zero], [zero, one]]
-    a1, gamma_i, g_i = ext.inv(delta), gamma, g
+    a1 = ext.inv(delta)
+    a0, b = ext.neg(mul(gamma, a1)), ext.neg(mul(g, a1))
     for i in range(n):
         if i:  # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
-            a1, gamma_i, g_i = f(a1, 1), f(gamma_i, 1), f(g_i, 1)
-        a0 = neg(mul(gamma_i, a1))
-        b = neg(mul(g_i, a1))
+            a0, a1, b = f(a0, 1), f(a1, 1), f(b, 1)
         for row in M:
             x, y = row
             z = [mul(b, e) for e in y]

@@ -10,11 +10,11 @@ polyring.Poly.
 
 from __future__ import annotations
 
-from .ff import check_same_field
+from .ff import DomainError, check_same_field
 from .polyring import _Dense
 
 
-class OreDomainError(ValueError):
+class OreDomainError(DomainError):
     """An operation was applied outside its domain."""
 
 

@@ -13,6 +13,7 @@ addition, scaling, monic normalization and the text of their terms).
 from __future__ import annotations
 
 from .ff import (
+    DomainError,
     _list_divmod,
     _list_gcd,
     _list_irreducible,
@@ -26,7 +27,7 @@ from .ff import (
 NEG_INF = float("-inf")
 
 
-class PolyDomainError(ValueError):
+class PolyDomainError(DomainError):
     """An operation was applied outside its domain."""
 
 
@@ -215,12 +216,6 @@ class Poly(_Dense):
 
     def to_human(self):
         return "+".join(reversed(self._terms("T"))) or "0"
-
-    def to_machine(self):
-        sep = ";" if self.field.pdeg > 1 else ","
-        if self.is_zero():
-            return "0"
-        return sep.join(self.field.to_str(c) for c in self.coeffs)
 
 
 # --- parsing ----------------------------------------------------------------

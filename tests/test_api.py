@@ -1,6 +1,10 @@
+import importlib
+import inspect
+import pkgutil
 import types
 
 import drinfeld2
+from drinfeld2 import ff
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -25,3 +29,31 @@ def test_all_matches_the_public_namespace():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(drinfeld2.__all__) == bound
+
+
+def test_domain_errors_share_one_base():
+    # the CLI reports a DomainError with exit status 1 and lets any other
+    # exception propagate, so every ValueError the library defines derives
+    # from it, and the errors that signal a bug do not
+    defined = {}
+    for info in pkgutil.iter_modules(drinfeld2.__path__):
+        module = importlib.import_module("drinfeld2." + info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                defined[name] = obj
+    value_errors = {
+        name for name, cls in defined.items() if issubclass(cls, ValueError)
+    }
+    assert value_errors == {
+        "DomainError", "FieldError", "IncompatibleFieldError", "OreDomainError",
+        "PolyDomainError", "RankError", "RealizationBoundError",
+    }
+    for name in value_errors:
+        assert issubclass(defined[name], ff.DomainError), name
+    bugs = ("ConsistencyError", "LinearSolveError", "InconsistentSystem",
+            "UnderdeterminedSystem")
+    for name in bugs:
+        assert not issubclass(defined[name], ff.DomainError), name
+    # the base stays out of the public API
+    assert "DomainError" not in drinfeld2.__all__
+

@@ -276,54 +276,36 @@ def test_sweep_weights_count_every_module(monkeypatch):
         assert weights == per_module, (q, d, m)
 
 
-def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch):
+def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch, record_calls):
     # over F_625: 164 orbits of x -> x^5 on L^* (Burnside:
     # (624 + 4 + 24 + 4)/4) at g = 1, plus gcd(24, 624) = 24 cosets at
     # g = 0; one module per constant-twist orbit would be 2520
     monkeypatch.setenv(census.REALIZE_BOUND_ENV, "625")
-    calls = Counter()
-    charpoly_ = frobenius._charpoly
-
-    def counted(*args):
-        calls["charpoly"] += 1
-        return charpoly_(*args)
-
-    monkeypatch.setattr(frobenius, "_charpoly", counted)
+    charpolys = record_calls(frobenius, "_charpoly")
     tabled = realize(T5, 4)
     realized, admissible, _, missing = tabled
-    assert calls["charpoly"] == 188
+    assert len(charpolys) == 188
     assert realized == admissible and len(realized) == 286
     assert missing == []
     # the same orbits and keys without field tables
-    calls.clear()
+    charpolys.clear()
     monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
     assert realize(T5, 4) == tabled
-    assert calls["charpoly"] == 188
+    assert len(charpolys) == 188
 
 
-def test_sweep_makes_no_polynomial_products(monkeypatch):
+def test_sweep_makes_no_polynomial_products(monkeypatch, record_calls):
     # the charpoly rows and the F_q^*-scaled keys are coefficient lists:
     # no Poly product and no Poly scaling in the sweep over F_125
     monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
-    calls = Counter()
-
-    def counted(name):
-        method = getattr(Poly, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return wrapper
-
-    for name in ("__mul__", "scale"):
-        monkeypatch.setattr(Poly, name, counted(name))
+    products = record_calls(Poly, "__mul__")
+    scalings = record_calls(Poly, "scale")
     P = least_irreducible_poly(F5, 3)
     assert len(census._sweep(P, 1)) == 100
-    assert calls == {}
-    # the counters see the calls they pin
+    assert (products, scalings) == ([], [])
+    # the recorders see the calls they pin
     T5.scale(2) * T5
-    assert calls == {"__mul__": 1, "scale": 1}
+    assert (len(products), len(scalings)) == (1, 1)
 
 
 def test_coset_representatives(monkeypatch):
@@ -349,33 +331,20 @@ def test_coset_representatives(monkeypatch):
                 assert ext.mul(x, ext.inv(y)) not in powers, (ext, k, x, y)
 
 
-def test_full_report_walks_grid_once(monkeypatch, capsys):
-    # the package re-exports the function `classify` under the module's name
-    classify = importlib.import_module("drinfeld2.classify")
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        census, "candidate_pairs", counted("walks", census.candidate_pairs)
-    )
-    monkeypatch.setattr(
-        classify, "is_irreducible", counted("checks", classify.is_irreducible)
-    )
+def test_full_report_walks_grid_once(capsys, record_calls):
+    walks = record_calls(census, "candidate_pairs")
+    checks = record_calls(polyring, "is_irreducible")
     report = full_report(T3, 2, do_realize=True)
     assert (report.realized_distinct, report.realized_ordinary_coverage) == (15, 1.0)
-    assert counts == {"walks": 1, "checks": 1}
-    counts.clear()
+    assert (len(walks), len(checks)) == (1, 1)
+    walks.clear()
+    checks.clear()
     realize(T3, 2)
-    assert counts == {"walks": 1, "checks": 1}
-    counts.clear()
+    assert (len(walks), len(checks)) == (1, 1)
+    walks.clear()
+    checks.clear()
     code = cli.main(["realize", "--p", "3", "--P", "T", "--m", "2", "--strict"])
-    assert counts == {"walks": 1, "checks": 1}
+    assert (len(walks), len(checks)) == (1, 1)
     assert code == 3
     # the stdout of this command in the golden CLI corpus
     assert capsys.readouterr().out == (
@@ -390,109 +359,66 @@ def test_full_report_walks_grid_once(monkeypatch, capsys):
     )
 
 
-def test_full_report_raises_P_to_the_m_once(monkeypatch):
+def test_full_report_raises_P_to_the_m_once(record_calls):
     # one raise for the verdicts and the chi groups together, not one per
     # candidate
     P, m = T3 + Poly.one(F3), 3
-    raises = Counter()
-    power = Poly.__pow__
-
-    def counted(self, e):
-        raises[(self.coeffs, e)] += 1
-        return power(self, e)
-
-    monkeypatch.setattr(Poly, "__pow__", counted)
+    raises = record_calls(Poly, "__pow__")
     report = full_report(P, m)
     assert report.total > 0
-    assert raises[(P.coeffs, m)] == 1
+    assert [(f.coeffs, e) for f, e in raises].count((P.coeffs, m)) == 1
 
 
-def test_full_report_does_per_c_work_once_per_c(monkeypatch):
+def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
     # c^2 and at most one division of c by P per c, not per (c, mu),
     # and no squarefree split: the supersingular candidates are read off
-    # constants.  The pass's list products go through the names its modules
-    # import from ff, and every one of them is the square of a c.
+    # constants.  From the first c the walk yields, after P^m and the
+    # irreducibility check, every list product is the square of a c.
     P, m = T3 + Poly.one(F3), 4
+    # the package re-exports the function `classify` under the module's name
     classify = importlib.import_module("drinfeld2.classify")
+    products = record_calls(ff, "_list_mul")
+    divisions = record_calls(ff, "_list_divmod")
+    splits = record_calls(polyring, "squarefree_split")
     cs = {}  # id -> c coefficients, kept alive so no other list reuses an id
+    start = []  # the number of products made before the walk
     walk = census.candidate_pairs
 
     def recorded(*args):
+        start.append(len(products))
         for c, mu in walk(*args):
             cs[id(c.coeffs)] = c.coeffs
             yield c, mu
 
-    products, squares, chains, splits = Counter(), Counter(), Counter(), Counter()
-    mul, divmod_, split = ff._list_mul, ff._list_divmod, polyring.squarefree_split
-
-    def counted_mul(field, a, b):
-        products["calls"] += 1
-        if a is b and cs.get(id(a)) is a:
-            squares[id(a)] += 1
-        return mul(field, a, b)
-
-    def counted_divmod(field, a, b):
-        if cs.get(id(a)) is a:
-            chains[id(a)] += 1
-        return divmod_(field, a, b)
-
-    def counted_split(f):
-        splits["calls"] += 1
-        return split(f)
-
     monkeypatch.setattr(census, "candidate_pairs", recorded)
-    patched = set()
-    for module in (classify, census):
-        for name, fn in (("_list_mul", counted_mul), ("_list_divmod", counted_divmod)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, fn)
-                patched.add(name)
-    assert patched == {"_list_mul", "_list_divmod"}
-    for module in (polyring, frobenius, classify, census):
-        if hasattr(module, "squarefree_split"):
-            monkeypatch.setattr(module, "squarefree_split", counted_split)
     report = full_report(P, m)
-    assert report.ss3_count > 0 and splits["calls"] == 0
+    in_pass = products[start[0]:]
+    squares = Counter(id(a) for _, a, b in in_pass if a is b and cs.get(id(a)) is a)
+    chains = Counter(id(a) for _, a, _ in divisions if cs.get(id(a)) is a)
+    assert report.ss3_count > 0 and splits == []
     assert len(cs) == 3 ** 3
     assert {squares[key] for key in cs} == {1}
-    assert products["calls"] == len(cs)
+    assert len(in_pass) == len(cs)
     assert max(chains[key] for key in cs) == 1
-    # the counters see the calls they pin
+    # the recorders see the calls they pin
     classify.endomorphism_order(CharPoly(T3, 1, P, m))
-    assert splits["calls"] == 1
+    assert len(splits) == 1
 
 
-def test_census_pass_builds_no_poly_per_candidate(monkeypatch):
+def test_census_pass_builds_no_poly_per_candidate(record_calls):
     # one Poly per c, from the walk, and a few for P^m: none per (c, mu)
     P, m = Poly(F5, (1, 1)), 6
-    built = Counter()
-    init = Poly.__init__
-
-    def counted(self, *args):
-        built["polys"] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(Poly, "__init__", counted)
+    built = record_calls(Poly, "__init__")
     report = census._census_pass(P, m)[0]
     assert report.total > 0
     cs = 5 ** 4
-    assert cs <= built["polys"] <= cs + 2 * m.bit_length() + 1, built
+    assert cs <= len(built) <= cs + 2 * m.bit_length() + 1, len(built)
 
 
-def test_census_pass_runs_no_euler_criterion(monkeypatch):
+def test_census_pass_runs_no_euler_criterion(record_calls):
     # a supersingular verdict is read off constants, so the pass raises
     # nothing to a power modulo P: no Euler criterion in A/P, per mu or per c
-    classify = importlib.import_module("drinfeld2.classify")
-    calls = Counter()
-    powmod = ff._list_powmod
-
-    def counted(*args):
-        calls["powmod"] += 1
-        return powmod(*args)
-
-    for module in (ff, classify):
-        if hasattr(module, "_list_powmod"):
-            monkeypatch.setattr(module, "_list_powmod", counted)
+    powmods = record_calls(ff, "_list_powmod")
     families = (
         (T3, 4), (T3 + Poly.one(F3), 3), (Poly(F3, (1, 0, 1)), 2),
         (Poly(F5, (2, 0, 1)), 2), (T5, 3),
@@ -500,10 +426,10 @@ def test_census_pass_runs_no_euler_criterion(monkeypatch):
     for P, m in families:
         report = census._census_pass(P, m)[0]
         assert report.ss2_count + report.ss3_count + report.ss4_count > 0
-    assert calls["powmod"] == 0
-    # the counter sees the calls it pins
+    assert powmods == []
+    # the recorder sees the calls it pins
     ff._list_powmod(F3, [2], 2, T3.coeffs)
-    assert calls["powmod"] == 1
+    assert len(powmods) == 1
 
 
 def test_census_pass_matches_poly_pass_oracle():
@@ -614,18 +540,11 @@ def test_realize_bound_refusal(monkeypatch):
         realize(T5, 4)
 
 
-def test_realize_bound_checked_before_census_pass(monkeypatch, capsys):
+def test_realize_bound_checked_before_census_pass(monkeypatch, capsys, record_calls):
     # past the bound nothing walks the (c, mu) grid: |L| = 3^18 here would
     # mean 3^10 c's times 2 mu's before the refusal
-    walks = Counter()
-    walk = census.candidate_pairs
-
-    def counted(*args):
-        walks["walks"] += 1
-        return walk(*args)
-
     monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
-    monkeypatch.setattr(census, "candidate_pairs", counted)
+    walks = record_calls(census, "candidate_pairs")
     with pytest.raises(RealizationBoundError):
         full_report(T3, 18, do_realize=True)
     with pytest.raises(RealizationBoundError):
@@ -636,7 +555,7 @@ def test_realize_bound_checked_before_census_pass(monkeypatch, capsys):
         "error: |L| = 387420489 exceeds the sweep bound 625 (set "
         "DRINFELD2_REALIZE_MAX to raise it)\n"
     )
-    assert walks == {}
+    assert walks == []
 
 
 def test_realize_bound_env_override(monkeypatch):

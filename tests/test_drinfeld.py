@@ -163,7 +163,7 @@ def test_json_roundtrip():
         assert (back.gamma, back.g, back.delta) == (dm.gamma, dm.g, dm.delta)
     data = DrinfeldModule(EXT9, 0, 1, 1).to_json()
     for q in (6, 1):
-        with pytest.raises(ValueError, match="not a prime power"):
+        with pytest.raises(FieldError, match="not a prime power"):
             DrinfeldModule.from_json(dict(data, q=q))
 
 

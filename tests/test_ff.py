@@ -223,17 +223,10 @@ def test_tables_match_per_unit_walk():
     assert field_make(5, 4)._exp[1] == 30
 
 
-def test_table_build_makes_split_products_only(monkeypatch):
+def test_table_build_makes_split_products_only(monkeypatch, record_calls):
     # one table build is the generator search plus p^floor(pdeg/2) low-half
     # and p^ceil(pdeg/2) high-half products: no product per unit
-    calls = []
-    mul_poly = ff.ExtensionField._mul_poly
-
-    def counted(self, a, b):
-        calls.append(self)
-        return mul_poly(self, a, b)
-
-    monkeypatch.setattr(ff.ExtensionField, "_mul_poly", counted)
+    calls = record_calls(ff.ExtensionField, "_mul_poly")
     F9 = field_make(3, 2)
     for base, degree in [(PrimeField(3), 2), (PrimeField(3), 7), (PrimeField(5), 4),
                          (PrimeField(3), 10), (F9, 1), (F9, 2), (F9, 3)]:

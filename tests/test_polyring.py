@@ -152,21 +152,14 @@ def test_squarefree_split_exact():
             assert all(m == 1 for m in squarefree_decomposition(w))
 
 
-def test_squarefree_split_raises_no_factor_to_the_power_0(monkeypatch):
+def test_squarefree_split_raises_no_factor_to_the_power_0(record_calls):
     # a factor of multiplicity 1 goes into omega only: of (T+1)(T^2+1)T^3
     # the split raises T alone, to the power 3 // 2 = 1
     T, one = Poly.x(F3), Poly.one(F3)
     f = (T + one) * (T * T + one) * T * T * T
-    exponents = []
-    power = Poly.__pow__
-
-    def counted(self, e):
-        exponents.append(e)
-        return power(self, e)
-
-    monkeypatch.setattr(Poly, "__pow__", counted)
+    raises = record_calls(Poly, "__pow__")
     assert squarefree_split(f) == (T, (T + one) * (T * T + one) * T)
-    assert exponents == [1]
+    assert [e for _, e in raises] == [1]
 
 
 def test_parse_human_and_machine_agree():
@@ -181,10 +174,10 @@ def test_parse_signs_and_spaces():
 
 
 def test_machine_form_uses_semicolons_over_nonprime_fields():
+    # over F_9 a coefficient is a comma-separated list of base-3 digits, so
+    # semicolons separate the coefficients
     f = Poly(F9, (F9.from_str("2,1"), F9.one))
-    text = f.to_machine()
-    assert ";" in text
-    assert poly_from_machine(F9, text) == f
+    assert poly_from_machine(F9, "2,1;1") == f
 
 
 def test_machine_roundtrip_prime_field():
@@ -193,7 +186,8 @@ def test_machine_roundtrip_prime_field():
         f = rand_poly(F3, rng.randrange(5), rng)
         if f.is_zero():
             continue
-        assert poly_from_machine(F3, f.to_machine()) == f
+        # over a prime field the machine text is the residues, low first
+        assert poly_from_machine(F3, ",".join(map(str, f.coeffs))) == f
         assert poly_from_str(F3, f.to_human()) == f
 
 
