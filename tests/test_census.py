@@ -372,8 +372,8 @@ def test_full_report_raises_P_to_the_m_once(record_calls):
 def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
     # c^2 and at most one division of c by P per c, not per (c, mu),
     # and no squarefree split: the supersingular candidates are read off
-    # constants.  From the first c the walk yields, after P^m and the
-    # irreducibility check, every list product is the square of a c.
+    # constants.  Beyond the products of the family check and P^m, every
+    # list product is the square of a c.
     P, m = T3 + Poly.one(F3), 4
     # the package re-exports the function `classify` under the module's name
     classify = importlib.import_module("drinfeld2.classify")
@@ -381,24 +381,25 @@ def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
     divisions = record_calls(ff, "_list_divmod")
     splits = record_calls(polyring, "squarefree_split")
     cs = {}  # id -> c coefficients, kept alive so no other list reuses an id
-    start = []  # the number of products made before the walk
     walk = census.candidate_pairs
 
     def recorded(*args):
-        start.append(len(products))
         for c, mu in walk(*args):
             cs[id(c.coeffs)] = c.coeffs
             yield c, mu
 
     monkeypatch.setattr(census, "candidate_pairs", recorded)
+    census._check_family(P, m)
+    P**m
+    fixed = len(products)  # the products of the family check and P^m
+    products.clear()
     report = full_report(P, m)
-    in_pass = products[start[0]:]
-    squares = Counter(id(a) for _, a, b in in_pass if a is b and cs.get(id(a)) is a)
+    squares = Counter(id(a) for _, a, b in products if a is b and cs.get(id(a)) is a)
     chains = Counter(id(a) for _, a, _ in divisions if cs.get(id(a)) is a)
     assert report.ss3_count > 0 and splits == []
     assert len(cs) == 3 ** 3
     assert {squares[key] for key in cs} == {1}
-    assert len(in_pass) == len(cs)
+    assert len(products) == fixed + len(cs)
     assert max(chains[key] for key in cs) == 1
     # the recorders see the calls they pin
     classify.endomorphism_order(CharPoly(T3, 1, P, m))
