@@ -120,7 +120,7 @@ def verify(dm, cp):
     expr = (
         OrePoly.tau_power(ext, 2 * n)
         - dm.phi(cp.c) * OrePoly.tau_power(ext, n)
-        + dm.phi(cp.P ** cp.m).lscale(cp.mu)
+        + dm.phi(cp._Pm).lscale(cp.mu)
     )
     return expr.is_zero()
 

@@ -112,8 +112,6 @@ class _Dense:
     def scale(self, c):
         """Multiply every coefficient by the constant c (from the left)."""
         F = self.field
-        if c == 0:
-            return type(self).zero(F)
         return type(self)(F, [F.mul(c, x) for x in self.coeffs])
 
     def monic(self):
@@ -327,37 +325,31 @@ def squarefree_decomposition(f):
         raise PolyDomainError("squarefree decomposition of 0")
     f = f.monic()
     p = f.field.char
-    result = {}
-
-    def accumulate(mult, g):
-        if g.is_one():
-            return
-        if mult in result:
-            result[mult] = result[mult] * g
-        else:
-            result[mult] = g
-
     if f.is_constant():
-        return result
+        return {}
     df = f.deriv()
     if df.is_zero():
-        for mult, g in squarefree_decomposition(_pth_root_poly(f)).items():
-            accumulate(mult * p, g)
-        return result
+        root = squarefree_decomposition(_pth_root_poly(f))
+        return {mult * p: g for mult, g in root.items()}
+    result = {}
     c = gcd(f, df)
     w = f // c
     i = 1
+    # step i yields the factors of multiplicity exactly i, which is prime to
+    # p whenever there are any
     while not w.is_one():
         y = gcd(w, c)
-        accumulate(i, w // y)
+        g = w // y
+        if not g.is_one():
+            result[i] = g
         w = y
         c = c // y
         i += 1
     # the residue holds exactly the factors with p-divisible multiplicity,
-    # at full multiplicity, so recurse without rescaling
+    # at full multiplicity, so recurse without rescaling; its keys are
+    # multiples of p and repeat none of the loop's
     if not c.is_constant():
-        for mult, g in squarefree_decomposition(c).items():
-            accumulate(mult, g)
+        result.update(squarefree_decomposition(c))
     return result
 
 

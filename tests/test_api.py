@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -57,3 +58,26 @@ def test_domain_errors_share_one_base():
     # the base stays out of the public API
     assert "DomainError" not in drinfeld2.__all__
 
+
+def _sibling_imports(name):
+    """The drinfeld2 modules that drinfeld2.<name> imports from."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("drinfeld2." + name)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module)
+    return found
+
+
+def test_admissibility_lives_in_census():
+    # the Weil verdict is a property of the census grid: census does not
+    # reach into classify for it, and classify, which keeps the per-module
+    # invariants, needs no field-level kernel
+    assert "classify" not in _sibling_imports("census")
+    assert "ff" not in _sibling_imports("classify")
+    assert {"frobenius", "ore", "polyring"} <= _sibling_imports("classify")
+    assert drinfeld2.Verdict.__module__ == "drinfeld2.census"
+    assert drinfeld2.weil_admissible.__module__ == "drinfeld2.census"

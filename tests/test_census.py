@@ -596,6 +596,45 @@ def test_full_report_with_realization():
     assert not any("realized" in note for note in report.discrepancies)
 
 
+def test_full_report_non_integer_formula_total():
+    # case 1 at (q, d, m) = (3, 3, 1): (q - 1)(q^2 - q^-1 + 1) = 58/3, so
+    # the report records the rational and gives no formula_total
+    P = least_irreducible_poly(F3, 3)
+    report = full_report(P, 1)
+    assert report.case == 1 and report.total == 18
+    assert report.formula_total is None
+    assert report.discrepancies[0] == "formula_total is not an integer: 58/3"
+
+
+def test_full_report_records_sweep_mismatches(monkeypatch, capsys):
+    # a sweep that misses one ordinary class and realizes one candidate
+    # outside the admissible set gets both noted, and coverage below 1
+    P, m = T3, 2
+    admissible = census._census_pass(P, m)[2]
+    ordinary = sorted(k for k, v in admissible.items() if v is Verdict.ORDINARY)
+    outside = next(
+        (c.coeffs, mu) for c, mu in candidate_pairs(P, m)
+        if (c.coeffs, mu) not in admissible
+    )
+    sweep = census._sweep
+    assert sweep(P, m) == set(admissible)  # the real sweep realizes them all
+    monkeypatch.setattr(
+        census, "_sweep", lambda P, m: sweep(P, m) - {ordinary[0]} | {outside}
+    )
+    report = full_report(P, m, do_realize=True)
+    assert report.realized_distinct == len(admissible)
+    assert report.realized_ordinary_coverage == (len(ordinary) - 1) / len(ordinary)
+    assert report.discrepancies[-2:] == [
+        "realized classes outside the admissible set: %s" % [outside],
+        "unrealized ordinary classes (c coeffs, mu): %s" % [ordinary[0]],
+    ]
+    code = cli.main(["realize", "--p", "3", "--P", "T", "--m", "2",
+                     "--output", "plain", "--strict"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[-2:] == ["discrepancy: %s" % note for note in report.discrepancies[-2:]]
+
+
 def test_csv_row_shape():
     report = full_report(T3, 1)
     header_cols = CSV_HEADER.split(",")

@@ -173,15 +173,20 @@ def test_domain_error_exit_code(capsys):
     cases = [
         (["charpoly", "--p", "3", "--n", "1", "--gamma-T", "0",
           "--g", "1", "--delta", "0"], "delta"),
-        (["census", "--p", "3", "--P", "T^x", "--m", "1"], "T^x"),
+        (["census", "--p", "3", "--P", "T^x", "--m", "1"], "bad term 'T^x'"),
         (["census", "--p", "3", "--P", "T^2", "--m", "1"], "monic irreducible"),
         (["chi", "--p", "3", "--P", "2*T", "--m", "1"], "monic irreducible"),
         (["realize", "--p", "3", "--P", "T", "--m", "0"], "m must be >= 1"),
+        (["census", "--p", "3", "--d", "0", "--m", "1"], "--d must be >= 1"),
+        (["census", "--p", "3", "--s", "0", "--d", "1", "--m", "1"], "s must be >= 1"),
+        (["census", "--p", "3", "--P", "", "--m", "1"], "bad field element ''"),
+        (["census", "--p", "3", "--P", "T+", "--m", "1"], "dangling sign in 'T+'"),
     ]
     for argv, needle in cases:
-        code, _, err = run(capsys, argv)
+        code, out, err = run(capsys, argv)
         assert code == 1
         assert needle in err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_internal_errors_propagate(monkeypatch):
@@ -209,6 +214,16 @@ def test_strict_discrepancy_exit_code(capsys):
     argv = ["census", "--p", "3", "--P", "T", "--m", "1", "--strict"]
     code, _, _ = run(capsys, argv)
     assert code == 3
+
+
+def test_strict_non_integer_formula_total(capsys):
+    # (q, d, m) = (3, 3, 1): the case-1 closed form is 58/3
+    argv = ["census", "--p", "3", "--d", "3", "--m", "1", "--output", "plain"]
+    code, out, _ = run(capsys, argv + ["--strict"])
+    assert code == 3
+    lines = out.splitlines()
+    assert "formula total: None" in lines
+    assert "discrepancy: formula_total is not an integer: 58/3" in lines
 
 
 def test_without_strict_discrepancy_still_succeeds(capsys):

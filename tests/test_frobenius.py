@@ -147,6 +147,19 @@ def test_quaternionic_square_case():
     assert verify(dm, cp)
 
 
+def test_verify_reads_P_to_the_m_off_the_charpoly(record_calls):
+    # the charpoly forms P^m once, for verify as for the discriminant and
+    # P_Phi(1), in either order
+    dm = DrinfeldModule(EXT9, 0, 1, 1)  # P = T, m = 2
+    raises = record_calls(Poly, "__pow__")
+    cp = charpoly(dm)
+    assert verify(dm, cp)
+    cp.discriminant()
+    cp.at_one()
+    assert verify(dm, cp)
+    assert [(f.coeffs, e) for f, e in raises] == [(dm.P.coeffs, dm.m)]
+
+
 def test_degree_bound_holds_everywhere():
     for ext in (EXT1, EXT9):
         for dm in all_modules(ext):
