@@ -5,7 +5,7 @@ isogeny-class invariants (Gekeler, Trans. AMS 2008): an ordinary one
 (P coprime to c) needs an imaginary quadratic K(sqrt(disc)), and a
 supersingular one (P | c) also needs one place of K(sqrt(disc)) above P,
 which is read off constants with no P-adic valuation and no squarefree
-split (see `_c_parts`).  Enumerates the admissible candidates, evaluates
+split (see `_at_P`).  Enumerates the admissible candidates, evaluates
 the closed-form counts, optionally sweeps the modules over L = F_{q^(md)}
 to measure which classes are realized, and counts distinct Euler-Poincare
 divisors.  The sweep computes one charpoly per Frobenius orbit of j,
@@ -18,11 +18,15 @@ elements.
 P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One pass over the (c, mu) grid feeds
 the verdict tallies, the chi groups and the admissible set.  It runs on
-coefficient lists and builds no Poly per candidate: it raises P^m once;
-forms -4 mu P^m and mu^-1 once per mu; and c^2, 1 - c and the verdict at P
-once per c.  A candidate reads the degree and leading coefficient of
-c^2 - 4 mu P^m off its top entries, and an admissible one keys its chi
-group by the monic P^m + mu^-1 (1 - c).
+coefficient lists, builds no Poly per candidate, and spends no polynomial
+product or division on any c.  Once per family it raises P^m, forms
+S = floor(sqrt(P^m)) and R = P^m - S^2 for md even (`_sqrt_parts`), the
+verdict at P of every multiple of P of degree <= md/2, and per mu a table
+of the low entries of chi.  A candidate reads the degree and leading
+coefficient of c^2 - 4 mu P^m off the top entries of c, P^m, S and R
+(`_disc_top`) and its verdict at P by one lookup, and an admissible one
+keys its chi group by the monic P^m + mu^-1 (1 - c), one table lookup per
+coefficient of 1 - c, which is formed once per c.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -38,9 +42,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import getitem
 
 from . import frobenius
-from .ff import DomainError, _list_divmod, _list_mul, check_same_field, ext_make
+from .ff import (
+    DomainError, _list_divmod, _list_mul, _list_trim, check_same_field, ext_make,
+)
 from .polyring import Poly, PolyDomainError, is_irreducible
 
 REALIZE_BOUND_ENV = "DRINFELD2_REALIZE_MAX"
@@ -147,18 +154,24 @@ def weil_admissible(c, mu, P, m):
     above P, or F itself in A (the perfect-square case).  The Hasse-Weil
     bound on deg c leaves c = lambda P^(m/2), lambda in F_q, as the only
     supersingular c that can pass, with disc = (lambda^2 - 4 mu) P^m, so
-    that place is read off m and d.  The verdict is the census pass's
-    `_weil_verdict` on coefficient lists.
+    that place is read off m and d.  The verdict is `_weil_verdict` on the
+    top of the discriminant (`_disc_top`) and the verdict at P (`_at_P`),
+    the helpers the census pass runs on every candidate; with one c, P | c
+    is decided by one division.
     """
     _check_family(P, m)
     check_same_field(c.field, P.field)
-    if mu not in P.field.units():
+    F = P.field
+    if mu not in F.units():
         raise PolyDomainError("mu must be a unit")
     if not c.is_zero() and c.deg > m * (len(P.coeffs) - 1) // 2:
         raise PolyDomainError("deg c exceeds the Hasse-Weil bound")
     Pm = (P**m).coeffs
-    return _weil_verdict(*_c_parts(c.coeffs, Pm, P, m), _mu_parts(mu, Pm, P.field),
-                         P.field, _unit_squares(P.field))
+    S, R = _sqrt_parts(F, Pm)
+    at_P = Verdict.ORDINARY
+    if not _list_divmod(F, c.coeffs, P.coeffs)[1]:
+        at_P = _at_P(F, c.coeffs, S, m, len(P.coeffs) - 1)
+    return _weil_verdict(_disc_top(F, c.coeffs, mu, Pm, S, R), at_P, _unit_squares(F))
 
 
 def _unit_squares(base):
@@ -166,55 +179,91 @@ def _unit_squares(base):
     return {base.mul(u, u) for u in base.units()}
 
 
-def _c_parts(c, Pm, P, m):
-    """The per-c parts of a verdict, from the coefficients of c and of P^m:
-    c^2 as a list, and the verdict at P, which holds once disc != 0 and the
-    infinite place does not split."""
-    F = P.field
-    cc = _list_mul(F, c, c)
-    if _list_divmod(F, c, P.coeffs)[1]:
-        return cc, Verdict.ORDINARY
-    # P | c.  With v = v_P(c) and c != 0, vd <= deg c <= md/2.  For 2v < m,
+def _sqrt_parts(F, Pm):
+    """(S, R) from the coefficients of P^m: for md = 2k even, S is the
+    polynomial part of sqrt(P^m) in F_q((1/T)), the monic of degree k with
+    deg(P^m - S^2) < k, and R = P^m - S^2 (trimmed, [] when m is even and
+    S = P^(m/2)); (None, None) for md odd."""
+    n = len(Pm) - 1
+    if n % 2:
+        return None, None
+    k = n // 2
+    half = F.inv(F.scalar(2))
+    S = [0] * k + [F.one]
+    # entry 2k - t of S^2 is 2 s_(k-t) plus the s_i s_j with i + j = 2k - t
+    # and k - t < i, j < k, all known: matching it with P^m fixes s_(k-t),
+    # top down
+    for t in range(1, k + 1):
+        acc = Pm[n - t]
+        for i in range(k - t + 1, k):
+            acc = F.sub(acc, F.mul(S[i], S[n - t - i]))
+        S[k - t] = F.mul(half, acc)
+    R = _list_trim([F.sub(p, s) for p, s in zip(Pm, _list_mul(F, S, S))])
+    return S, R
+
+
+def _at_P(F, c, S, m, d):
+    """The verdict at P of the coefficients c of a multiple of P, which holds
+    once disc != 0 and the infinite place does not split; S as in
+    `_sqrt_parts`."""
+    # With v = v_P(c) and c != 0, vd <= deg c <= md/2.  For 2v < m,
     # disc = P^(2v) u with u = (c/P^v)^2 mod P a nonzero square: disc != 0
-    # and P splits, whatever mu is.  Otherwise P^m | c^2, which deg c^2 <= md
-    # makes c^2 = lambda^2 P^m: c = lambda P^(m/2), lambda in F_q, only
-    # c = 0 for m odd.  Then disc = (lambda^2 - 4 mu) P^m = P^m u, u in F_q^*
-    # once disc != 0.  For m odd one place above P ramifies.  For m even
-    # there is one exactly when u is a non-square in A/P = F_(q^d); the
-    # infinite place has already made u a non-square in F_q (deg disc = md
-    # is even), and that stays one in F_(q^d) exactly when d is odd.
-    if _list_divmod(F, cc, Pm)[1]:
-        return cc, Verdict.NOT_ADMISSIBLE
+    # and P splits, whatever mu is.  Otherwise 2v = m and c = lambda P^(m/2)
+    # = lambda S with lambda = lc c.  For these c and for c = 0,
+    # disc = (lambda^2 - 4 mu) P^m = P^m u, u in F_q^* once disc != 0.  For
+    # m odd (c = 0 only) one place above P ramifies.  For m even there is
+    # one exactly when u is a non-square in A/P = F_(q^d); the infinite
+    # place has already made u a non-square in F_q (deg disc = md is even),
+    # and that stays one in F_(q^d) exactly when d is odd.
+    if c and (m % 2 or c != tuple(F.mul(c[-1], s) for s in S)):
+        return Verdict.NOT_ADMISSIBLE
     if m % 2:
-        return cc, Verdict.SUPERSINGULAR_2
-    if (len(P.coeffs) - 1) % 2:
-        return cc, Verdict.SUPERSINGULAR_3
-    return cc, Verdict.NOT_ADMISSIBLE
+        return Verdict.SUPERSINGULAR_2
+    if d % 2:
+        return Verdict.SUPERSINGULAR_3
+    return Verdict.NOT_ADMISSIBLE
 
 
-def _mu_parts(mu, Pm, F):
-    """The per-mu part of a verdict, from the coefficients of P^m:
-    -4 mu P^m as a list."""
-    minus_4mu = F.mul(F.scalar(-4), mu)
-    return [F.mul(minus_4mu, x) for x in Pm]
+def _disc_top(F, c, mu, Pm, S, R):
+    """(degree, leading coefficient) of disc = c^2 - 4 mu P^m, or None for
+    disc = 0, from the coefficients of c (trimmed) and of P^m and from
+    `_sqrt_parts`, with no product of polynomials.
 
-
-def _weil_verdict(cc, at_P, minus_4mu_Pm, F, squares):
-    """`weil_admissible` on checked inputs, from its per-c parts (`_c_parts`),
-    its per-mu part (`_mu_parts`) and the squares of F_q^*."""
-    # deg c^2 <= md = deg P^m, so the degree and leading coefficient of
-    # disc = c^2 - 4 mu P^m are its first nonzero entry from the top: for
-    # md odd, the top one, -4 mu
-    i, lead = len(minus_4mu_Pm), 0
-    while not lead and i:
+    Put md = deg P^m and k = floor(md/2) >= deg c.  For 2 deg c < md the top
+    is that of -4 mu P^m.  For deg c = k = md/2 with a = lc c, the entry at
+    md is a^2 - 4 mu.  When that is 0, mu = a^2/4 and, with r = c - aS,
+    disc = c^2 - a^2 (S^2 + R) = r (2aS + r) - a^2 R.  There deg r < k, and
+    deg R < k <= k + deg r, so the top is that of r (2aS + r) when r != 0,
+    that of -a^2 R when r = 0, and disc = 0 when R = 0 too.
+    """
+    n = len(Pm) - 1
+    if 2 * len(c) <= n + 1:  # 2 deg c < md, c = 0 included
+        return n, F.mul(F.scalar(-4), mu)
+    a = c[-1]
+    a2 = F.mul(a, a)
+    lead = F.sub(a2, F.mul(F.scalar(4), mu))
+    if lead:
+        return n, lead
+    i = n // 2 - 1
+    while i >= 0 and c[i] == F.mul(a, S[i]):
         i -= 1
-        lead = F.add(cc[i], minus_4mu_Pm[i]) if i < len(cc) else minus_4mu_Pm[i]
-    if not lead:
+    if i >= 0:
+        return n // 2 + i, F.mul(F.add(a, a), F.sub(c[i], F.mul(a, S[i])))
+    if R:
+        return len(R) - 1, F.neg(F.mul(a2, R[-1]))
+    return None
+
+
+def _weil_verdict(top, at_P, squares):
+    """`weil_admissible` on checked inputs, from the top of disc
+    (`_disc_top`), the verdict at P and the squares of F_q^*."""
+    if top is None:
         # F = nu P^(m/2) in A: quaternionic square case
         return Verdict.SUPERSINGULAR_4
     # K(sqrt(disc)) is imaginary exactly when the infinite place does not
     # split: deg disc odd, or lc(disc) a non-square
-    if i % 2 == 0 and lead in squares:
+    deg, lead = top
+    if deg % 2 == 0 and lead in squares:
         return Verdict.NOT_ADMISSIBLE
     return at_P
 
@@ -234,29 +283,44 @@ def admissible_pairs(P, m):
     """(c, mu, verdict, chi) for every admissible candidate, chi the
     coefficient tuple of the monic generator P^m + mu^-1 (1 - c) of
     (1 - c + mu P^m).  P and m must already be checked.
-    `candidate_pairs` yields one c object for all of its mu in turn, so the
-    per-c parts are formed when that object changes."""
-    base = P.field
+
+    No c costs a polynomial product or a division.  Once per family: P^m,
+    S and R (`_sqrt_parts`), the verdict at P of each multiple P h with
+    deg h <= k - d, so that P | c is one lookup, and per mu a table of each
+    low entry of chi by the coefficient of 1 - c there.  Each candidate
+    reads its verdict off the top of disc (`_disc_top`).  `candidate_pairs`
+    yields one c object for all of its mu in turn, so the verdict at P and
+    1 - c are formed when that object changes."""
+    F = P.field
+    d = len(P.coeffs) - 1
     Pm = (P**m).coeffs
-    # deg(1 - c) <= floor(md/2) < md, so chi agrees with P^m above index
-    # floor(md/2) and is monic
-    half = (len(Pm) - 1) // 2 + 1
-    Pm_head, Pm_tail = Pm[:half], Pm[half:]
-    per_mu = {mu: (_mu_parts(mu, Pm, base), base.inv(mu)) for mu in base.units()}
-    squares = _unit_squares(base)
-    add, mul = base.add, base.mul
+    k = (len(Pm) - 1) // 2
+    S, R = _sqrt_parts(F, Pm)
+    squares = _unit_squares(F)
+    # P | c, deg c <= k, exactly when c = P h with deg h <= k - d
+    multiples = {}
+    for h in itertools.product(range(F.order), repeat=max(k - d + 1, 0)):
+        c = tuple(_list_trim(_list_mul(F, h, P.coeffs)))
+        multiples[c] = _at_P(F, c, S, m, d)
+    # deg(1 - c) <= k < md, so chi agrees with P^m above index k and is
+    # monic; below, entry i is chi_rows[mu][i][x] for x the entry i of 1 - c
+    chi_rows = [None] * F.order
+    for mu in F.units():
+        mu_inv = F.inv(mu)
+        chi_rows[mu] = [
+            [F.add(p, F.mul(mu_inv, x)) for x in F.elements()] for p in Pm[:k + 1]
+        ]
+    Pm_tail = Pm[k + 1:]
     last = None
     for c, mu in candidate_pairs(P, m):
         if c is not last:
             last = c
-            cc, at_P = _c_parts(c.coeffs, Pm, P, m)
-            one_minus_c = [base.neg(x) for x in c.coeffs] + [0] * (half - len(c.coeffs))
-            one_minus_c[0] = add(base.one, one_minus_c[0])
-        minus_4mu_Pm, mu_inv = per_mu[mu]
-        verdict = _weil_verdict(cc, at_P, minus_4mu_Pm, base, squares)
+            at_P = multiples.get(c.coeffs, Verdict.ORDINARY)
+            one_minus_c = [F.neg(x) for x in c.coeffs] + [0] * (k + 1 - len(c.coeffs))
+            one_minus_c[0] = F.add(F.one, one_minus_c[0])
+        verdict = _weil_verdict(_disc_top(F, c.coeffs, mu, Pm, S, R), at_P, squares)
         if verdict.is_admissible():
-            chi = [add(p, mul(mu_inv, x)) for p, x in zip(Pm_head, one_minus_c)]
-            yield c, mu, verdict, tuple(chi) + Pm_tail
+            yield c, mu, verdict, tuple(map(getitem, chi_rows[mu], one_minus_c)) + Pm_tail
 
 
 def _census_pass(P, m):

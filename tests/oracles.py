@@ -153,6 +153,57 @@ def poly_census_pass(P, m):
     return groups, admissible
 
 
+def proved_counts(q, d, m):
+    """The census counts that the top of the discriminant proves, by the
+    parities of m and d: a dict over "total", "ss2", "ss3" and "ss4" of
+    those that are known, with k = floor(md/2).
+
+    The candidates are the (c, mu) with deg c <= k and mu in F_q^*, and
+    disc = c^2 - 4 mu P^m.  A candidate is SUPERSINGULAR_4 when disc = 0.
+    Otherwise it needs the infinite place not to split (deg disc odd, or
+    lc(disc) a non-square) and a verdict at P: ORDINARY when P does not
+    divide c; for P | c only c = 0 and, for m even, c = lambda P^(m/2) with
+    lambda in F_q^* pass, as SUPERSINGULAR_2 for m odd, SUPERSINGULAR_3
+    for m even and d odd, and never for m and d even.  The multiples of P
+    with deg <= k are the P h with deg h <= k - d: q^max(k + 1 - d, 0) of
+    them.  q is odd, so 4 is a nonzero square.
+
+    md odd: 2 deg c <= 2k < md for every c, so disc has the odd degree md
+    and leading coefficient -4 mu.  It is never 0 and the infinite place
+    never splits.  Each of the q^(k+1) - q^max(k+1-d, 0) c prime to P is
+    ORDINARY for all q - 1 values of mu, and of the multiples of P only
+    c = 0 passes (m is odd), as SUPERSINGULAR_2 for every mu.  So
+    total = (q-1)(q^(k+1) - q^max(k+1-d, 0) + 1), SS2 = q - 1 and
+    SS3 = SS4 = 0.
+
+    m even, d odd: put S = P^(m/2).  For c = 0, disc = -4 mu P^m has even
+    degree and passes exactly when -mu is a non-square: (q-1)/2 values of
+    mu, each SUPERSINGULAR_3.  For c = lambda S, disc = (lambda^2 - 4 mu) P^m.
+    It is 0 exactly at mu = lambda^2/4, one SUPERSINGULAR_4 per lambda.
+    For the other mu, lambda^2 - 4 mu runs over F_q minus {0, lambda^2},
+    which holds all (q-1)/2 non-squares, so (q-1)/2 values of mu per lambda
+    pass as SUPERSINGULAR_3.  So SS3 = (q-1)/2 + (q-1)(q-1)/2 = q(q-1)/2,
+    SS4 = q - 1 and SS2 = 0.
+
+    m and d even: no c divisible by P passes at P, so SS2 = SS3 = 0, and
+    disc = 0 exactly for c = lambda S, mu = lambda^2/4: SS4 = q - 1.
+
+    m odd, d even: disc = 0 would make c^2 = 4 mu P^m, whose P-adic
+    valuation m is odd, so SS4 = 0.  SS3 = 0 since m is odd.  Only c = 0
+    passes at P, with disc = -4 mu P^m of even degree md, exactly when -mu
+    is a non-square: SS2 = (q-1)/2.
+    """
+    k = m * d // 2
+    if m * d % 2:
+        total = (q - 1) * (q ** (k + 1) - q ** max(k + 1 - d, 0) + 1)
+        return {"total": total, "ss2": q - 1, "ss3": 0, "ss4": 0}
+    if m % 2 == 0 and d % 2:
+        return {"ss2": 0, "ss3": q * (q - 1) // 2, "ss4": q - 1}
+    if m % 2 == 0:
+        return {"ss2": 0, "ss3": 0, "ss4": q - 1}
+    return {"ss2": (q - 1) // 2, "ss3": 0, "ss4": 0}
+
+
 def count_monic_irreducibles(q, degree):
     """Necklace count (1/d) sum_{e|d} mu(e) q^(d/e)."""
 

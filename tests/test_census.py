@@ -28,7 +28,8 @@ from drinfeld2 import (
 from drinfeld2 import census, cli, ff, frobenius, polyring
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 from oracles import (
-    coset_representatives, is_square_unit, poly_census_pass, pow_mod, weil_verdict,
+    coset_representatives, is_square_unit, poly_census_pass, pow_mod, proved_counts,
+    weil_verdict,
 )
 
 F3 = field_make(3, 1)
@@ -40,6 +41,24 @@ REALIZE_SHAPES = (
     (3, 1, 2), (3, 1, 3), (3, 3, 1), (5, 1, 2), (7, 1, 2), (7, 2, 1),
     (9, 1, 1), (3, 1, 4), (5, 3, 1), (9, 2, 1),
 )
+
+# the benchmark's census_grid shapes, every (q, d, m) with a grid of at most
+# 3000 candidates, and the (q, d, m) rows of the README's realization table
+GRID_SHAPES = [
+    (q, d, m)
+    for q in (3, 5, 7, 9)
+    for d in (1, 2, 3, 4)
+    for m in range(1, 13)
+    if q ** (m * d // 2 + 1) * (q - 1) <= 3000
+]
+README_SHAPES = (
+    (5, 1, 7), (3, 1, 9), (3, 1, 8), (5, 1, 5), (5, 1, 4), (7, 1, 3),
+    (3, 1, 6), (3, 2, 3), (3, 3, 2), (5, 2, 2), (9, 1, 3),
+)
+
+
+def grid_field(q):
+    return field_make(3, 2) if q == 9 else field_make(q, 1)
 
 
 def dense_pool(base, d):
@@ -370,11 +389,12 @@ def test_full_report_raises_P_to_the_m_once(record_calls):
 
 
 def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
-    # c^2 and at most one division of c by P per c, not per (c, mu),
-    # and no squarefree split: the supersingular candidates are read off
-    # constants.  Beyond the products of the family check and P^m, every
-    # list product is the square of a c.
+    # no c costs a list product or a division, and no squarefree split runs:
+    # the verdicts are read off the top of the discriminant and constants.
+    # Beyond the products of the family check and P^m, the run makes exactly
+    # S^2 and one P h per multiple of P in the grid, and nothing else.
     P, m = T3 + Poly.one(F3), 4
+    S = (P * P).coeffs  # md = 4: S = P^(m/2)
     # the package re-exports the function `classify` under the module's name
     classify = importlib.import_module("drinfeld2.classify")
     products = record_calls(ff, "_list_mul")
@@ -393,15 +413,25 @@ def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
     P**m
     fixed = len(products)  # the products of the family check and P^m
     products.clear()
+    divisions.clear()
     report = full_report(P, m)
-    squares = Counter(id(a) for _, a, b in products if a is b and cs.get(id(a)) is a)
-    chains = Counter(id(a) for _, a, _ in divisions if cs.get(id(a)) is a)
+
+    def takes_a_c(calls):
+        return [args for args in calls if any(cs.get(id(x)) is x for x in args)]
+
     assert report.ss3_count > 0 and splits == []
     assert len(cs) == 3 ** 3
-    assert {squares[key] for key in cs} == {1}
-    assert len(products) == fixed + len(cs)
-    assert max(chains[key] for key in cs) == 1
+    assert takes_a_c(products) == [] and takes_a_c(divisions) == []
+    # k = md/2 = 2, so the multiples P h have deg h <= k - d = 1
+    extra = [(tuple(a), tuple(b)) for _, a, b in products[fixed:]]
+    assert extra == [(S, S)] + [
+        (h, P.coeffs) for h in itertools.product(range(3), repeat=2)
+    ]
     # the recorders see the calls they pin
+    c = Poly(F3, (1, 2, 1))
+    cs[id(c.coeffs)] = c.coeffs
+    assert weil_admissible(c, 2, P, m) is Verdict.SUPERSINGULAR_3
+    assert len(takes_a_c(divisions)) == 1
     classify.endomorphism_order(CharPoly(T3, 1, P, m))
     assert len(splits) == 1
 
@@ -531,6 +561,73 @@ def test_verdicts_match_squarefree_split_oracle():
         "c = 0", "c = lambda P^(m/2)",
         "m, d even, NOT_ADMISSIBLE", "m, d even, SUPERSINGULAR_4",
     }, shapes
+
+
+def test_disc_top_matches_poly_discriminant():
+    # S and R of every census_grid family, and the top of disc read off
+    # c, P^m, S and R on every candidate against c^2 - 4 mu P^m formed with
+    # Poly: the degree itself, not only its parity, and the leading
+    # coefficient itself, not only its squareness, which is all the verdict
+    # oracles can see
+    branches, families = Counter(), 0
+    for q, d, m in GRID_SHAPES:
+        F = grid_field(q)
+        k = m * d // 2
+        for P in dense_pool(F, d):
+            Pm = P**m
+            S, R = census._sqrt_parts(F, Pm.coeffs)
+            if m * d % 2:
+                assert (S, R) == (None, None)
+            else:
+                root, rest = Poly(F, S), Poly(F, R)
+                assert (root.deg, root.lc()) == (k, F.one), (q, P, m)
+                assert Pm - root * root == rest, (q, P, m)
+                assert rest.is_zero() or rest.deg < k, (q, P, m)
+                # P^m is a square in A exactly when m is even
+                assert (root == P ** (m // 2)) == (m % 2 == 0) == rest.is_zero(), (q, P, m)
+            scaled = {mu: Pm.scale(F.mul(F.scalar(4), mu)) for mu in F.units()}
+            for coeffs in itertools.product(range(q), repeat=k + 1):
+                c = Poly(F, coeffs)
+                square = c * c
+                for mu in F.units():
+                    disc = square - scaled[mu]
+                    top = census._disc_top(F, c.coeffs, mu, Pm.coeffs, S, R)
+                    expected = None if disc.is_zero() else (disc.deg, disc.lc())
+                    assert top == expected, (q, P, m, c, mu)
+                    if c.is_zero() or 2 * c.deg < m * d:
+                        branches["2 deg c < md"] += 1
+                    elif F.mul(c.lc(), c.lc()) != F.mul(F.scalar(4), mu):
+                        branches["a^2 != 4 mu"] += 1
+                    elif c != root.scale(c.lc()):
+                        branches["r != 0"] += 1
+                    else:
+                        branches["r = 0, R != 0" if R else "disc = 0"] += 1
+            families += 1
+    assert families == 128
+    assert set(branches) == {
+        "2 deg c < md", "a^2 != 4 mu", "r != 0", "r = 0, R != 0", "disc = 0",
+    }, branches
+
+
+def test_proved_counts_match_census():
+    # the counts proved in oracles.proved_counts against the enumeration, on
+    # every census_grid shape with all the P of its pool and on the README
+    # rows with the least P of each degree, as the CLI picks it
+    families, odd = [], 0
+    for q, d, m in GRID_SHAPES:
+        families += [(q, d, m, P) for P in dense_pool(grid_field(q), d)]
+        odd += m * d % 2
+    for q, d, m in README_SHAPES:
+        families.append((q, d, m, least_irreducible_poly(grid_field(q), d)))
+    assert (len(families), odd) == (128 + 11, 20)
+    for q, d, m, P in families:
+        report = full_report(P, m)
+        counts = {
+            "total": report.total, "ss2": report.ss2_count,
+            "ss3": report.ss3_count, "ss4": report.ss4_count,
+        }
+        proved = proved_counts(q, d, m)
+        assert {key: counts[key] for key in proved} == proved, (q, P, m)
 
 
 def test_realize_bound_refusal(monkeypatch):
