@@ -16,17 +16,19 @@ least generator of L^*: there a coset of the k-th powers is a residue class
 mod k and the Frobenius is a product, so the sweep keeps no set of field
 elements.
 P and m are checked once per family at the public entry points, and the
-sweep bound before any census work.  One pass over the (c, mu) grid feeds
-the verdict tallies, the chi groups and the admissible set.  It runs on
-coefficient lists, builds no Poly per candidate, and spends no polynomial
-product or division on any c.  Once per family it raises P^m, forms
-S = floor(sqrt(P^m)) and R = P^m - S^2 for md even (`_sqrt_parts`), the
-verdict at P of every multiple of P of degree <= md/2, and per mu a table
-of the low entries of chi.  A candidate reads the degree and leading
-coefficient of c^2 - 4 mu P^m off the top entries of c, P^m, S and R
-(`_disc_top`) and its verdict at P by one lookup, and an admissible one
-keys its chi group by the monic P^m + mu^-1 (1 - c), one table lookup per
-coefficient of 1 - c, which is formed once per c.
+sweep bound before any census work.  One walk over the (c, mu) grid
+(`admissible_pairs`) yields each admissible candidate with its verdict.  It
+runs on coefficient lists, builds no Poly per candidate, and spends no
+polynomial product or division on any c.  Once per family the caller raises
+P^m, and the walk forms S = floor(sqrt(P^m)) and R = P^m - S^2 for md even
+(`_sqrt_parts`) and the verdict at P of every multiple of P of degree
+<= md/2.  A candidate reads the degree and leading coefficient of
+c^2 - 4 mu P^m off the top entries of c, P^m, S and R (`_disc_top`) and its
+verdict at P by one lookup.  The census pass tallies the verdicts and keys
+each admissible candidate's chi group by the monic P^m + mu^-1 (1 - c), one
+lookup per coefficient of 1 - c in a table built once per mu, with 1 - c
+formed once per c.  `realize` reads the admissible set alone and builds no
+chi key.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -279,21 +281,18 @@ def candidate_pairs(P, m):
             yield c, mu
 
 
-def admissible_pairs(P, m):
-    """(c, mu, verdict, chi) for every admissible candidate, chi the
-    coefficient tuple of the monic generator P^m + mu^-1 (1 - c) of
-    (1 - c + mu P^m).  P and m must already be checked.
+def admissible_pairs(P, m, Pm):
+    """(c, mu, verdict) for every admissible candidate, Pm the coefficients
+    of P^m.  P and m must already be checked.
 
-    No c costs a polynomial product or a division.  Once per family: P^m,
-    S and R (`_sqrt_parts`), the verdict at P of each multiple P h with
-    deg h <= k - d, so that P | c is one lookup, and per mu a table of each
-    low entry of chi by the coefficient of 1 - c there.  Each candidate
-    reads its verdict off the top of disc (`_disc_top`).  `candidate_pairs`
-    yields one c object for all of its mu in turn, so the verdict at P and
-    1 - c are formed when that object changes."""
+    No c costs a polynomial product or a division.  Once per family: S and
+    R (`_sqrt_parts`) and the verdict at P of each multiple P h with
+    deg h <= k - d, so that P | c is one lookup.  Each candidate reads its
+    verdict off the top of disc (`_disc_top`).  `candidate_pairs` yields
+    one c object for all of its mu in turn, so the verdict at P is looked
+    up when that object changes."""
     F = P.field
     d = len(P.coeffs) - 1
-    Pm = (P**m).coeffs
     k = (len(Pm) - 1) // 2
     S, R = _sqrt_parts(F, Pm)
     squares = _unit_squares(F)
@@ -302,8 +301,27 @@ def admissible_pairs(P, m):
     for h in itertools.product(range(F.order), repeat=max(k - d + 1, 0)):
         c = tuple(_list_trim(_list_mul(F, h, P.coeffs)))
         multiples[c] = _at_P(F, c, S, m, d)
-    # deg(1 - c) <= k < md, so chi agrees with P^m above index k and is
-    # monic; below, entry i is chi_rows[mu][i][x] for x the entry i of 1 - c
+    last = None
+    for c, mu in candidate_pairs(P, m):
+        if c is not last:
+            last = c
+            at_P = multiples.get(c.coeffs, Verdict.ORDINARY)
+        verdict = _weil_verdict(_disc_top(F, c.coeffs, mu, Pm, S, R), at_P, squares)
+        if verdict.is_admissible():
+            yield c, mu, verdict
+
+
+def _census_pass(P, m):
+    """The one pass over the (c, mu) grid: (CensusReport with the verdict
+    tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict}).
+
+    chi is the coefficient tuple of the monic generator P^m + mu^-1 (1 - c)
+    of (1 - c + mu P^m).  deg(1 - c) <= k < md, so chi agrees with P^m above
+    index k; below, entry i is chi_rows[mu][i][x] for x the entry i of
+    1 - c, a table built once per mu, and 1 - c is formed once per c."""
+    F = P.field
+    Pm = (P**m).coeffs
+    k = (len(Pm) - 1) // 2
     chi_rows = [None] * F.order
     for mu in F.units():
         mu_inv = F.inv(mu)
@@ -311,23 +329,14 @@ def admissible_pairs(P, m):
             [F.add(p, F.mul(mu_inv, x)) for x in F.elements()] for p in Pm[:k + 1]
         ]
     Pm_tail = Pm[k + 1:]
+    groups, admissible = {}, {}
     last = None
-    for c, mu in candidate_pairs(P, m):
+    for c, mu, verdict in admissible_pairs(P, m, Pm):
         if c is not last:
             last = c
-            at_P = multiples.get(c.coeffs, Verdict.ORDINARY)
             one_minus_c = [F.neg(x) for x in c.coeffs] + [0] * (k + 1 - len(c.coeffs))
             one_minus_c[0] = F.add(F.one, one_minus_c[0])
-        verdict = _weil_verdict(_disc_top(F, c.coeffs, mu, Pm, S, R), at_P, squares)
-        if verdict.is_admissible():
-            yield c, mu, verdict, tuple(map(getitem, chi_rows[mu], one_minus_c)) + Pm_tail
-
-
-def _census_pass(P, m):
-    """The one pass over the (c, mu) grid: (CensusReport with the verdict
-    tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict})."""
-    groups, admissible = {}, {}
-    for c, mu, verdict, chi in admissible_pairs(P, m):
+        chi = tuple(map(getitem, chi_rows[mu], one_minus_c)) + Pm_tail
         groups.setdefault(chi, []).append((c.coeffs, mu))
         admissible[(c.coeffs, mu)] = verdict
     tally = Counter(admissible.values())
@@ -511,7 +520,11 @@ def realize(P, m):
     """
     _check_family(P, m)
     realized = _sweep(P, m)
-    return _against_admissible(realized, _census_pass(P, m)[2])
+    admissible = {
+        (c.coeffs, mu): verdict
+        for c, mu, verdict in admissible_pairs(P, m, (P**m).coeffs)
+    }
+    return _against_admissible(realized, admissible)
 
 
 # --- full report ------------------------------------------------------------

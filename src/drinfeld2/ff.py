@@ -21,7 +21,8 @@ F_p-linear on the base-p code, so the walk splits the code into a low and a
 high half, looks up the products of g with each half (p^(pdeg/2) products
 each, rounded down and up), and adds the two digit by digit.  Since 1 + x
 differs from x only in its lowest base-p digit, zech costs one lookup into
-log per unit.
+log per unit.  Above degree 1 the search for g starts past the base field,
+whose units cannot generate.
 
 Fields above the limit use direct polynomial arithmetic modulo the defining
 polynomial, and add and neg work digit by digit, mod p, on the base-p code:
@@ -396,10 +397,12 @@ class ExtensionField(FiniteField):
         return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
 
     def _least_generator(self):
-        """The least code that generates the unit group."""
+        """The least code that generates the unit group.  Above degree 1 the
+        search starts at B = base.order: the codes below B are the base
+        field, whose units have orders dividing B - 1 < order - 1."""
         n_units = self.order - 1
         factors = _prime_factors(n_units)
-        for cand in range(1, self.order):
+        for cand in range(self.base.order if self.degree > 1 else 1, self.order):
             if all(self.pow(cand, n_units // f) != self.one for f in factors):
                 return cand
         raise AssertionError("the unit group of a finite field is cyclic")

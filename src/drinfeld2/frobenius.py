@@ -19,6 +19,13 @@ a1 = 1/delta and b = -g/delta are formed once, and since the Frobenius is a
 ring map each later step raises the previous step's a0, a1 and b to the q-th
 power, which in a field without tables is a short square-and-multiply where
 a q^i-th power would be a long one.  The only Poly is built from the trace.
+
+The recurrence is written once, in `_motive_trace`, over the field ops it is
+handed.  A tabled L hands it discrete logs to the generator of its tables,
+with None for 0 (the representation of Givaro's GFqDom): a product is a sum
+of logs mod N = |L| - 1, a sum one Zech lookup, the q-th power the log times
+q, and mu one exp lookup, so the charpoly calls no field method.  A
+table-free L hands it codes with its own mul, add and frob_iter.
 """
 
 from __future__ import annotations
@@ -72,39 +79,78 @@ class CharPoly:
         }
 
 
-def _charpoly(ext, gamma, g, delta):
-    """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
-    L = ext; c is a polynomial over the base field F_q."""
-    base = ext.base
-    f, add, mul = ext.frob_iter, ext.add, ext.mul
-    n = ext.degree
-    # M = A A^(1) ... A^(n-1) with A = [[0, (T - gamma)/delta], [1, -g/delta]];
+def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
+    """The trace of M = A A^(1) ... A^(n-1), A^(i) = [[0, a0_i + a1_i T],
+    [1, b_i]], as a coefficient list in T of length n + 1, under the field
+    ops given: zero and one, a product mul, a sum add and the q-th power
+    frob.  a0, a1 and b are the coefficients of A itself."""
     # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
-    # (y, b y + a0 x + a1 T x).  Entries are coefficient lists in T of length
-    # n + 1, and after i steps they have degree <= i.
-    one, zero = [ext.one] + [0] * n, [0] * (n + 1)  # read, never written
-    M = [[one, zero], [zero, one]]
-    a1 = ext.inv(delta)
-    a0, b = ext.neg(mul(gamma, a1)), ext.neg(mul(g, a1))
+    # (y, b y + a0 x + a1 T x); after i steps the entries have degree <= i
+    M = [[[one] + [zero] * n, [zero] * (n + 1)], [[zero] * (n + 1), [one] + [zero] * n]]
     for i in range(n):
         if i:  # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
-            a0, a1, b = f(a0, 1), f(a1, 1), f(b, 1)
+            a0, a1, b = frob(a0), frob(a1), frob(b)
         for row in M:
             x, y = row
             z = [mul(b, e) for e in y]
             for k in range(i + 1):
                 e = x[k]
-                if e:
+                if e != zero:
                     z[k] = add(z[k], mul(a0, e))
                     z[k + 1] = add(z[k + 1], mul(a1, e))
             row[0], row[1] = y, z
+    return [add(u, v) for u, v in zip(M[0][0], M[1][1])]
+
+
+def _charpoly(ext, gamma, g, delta):
+    """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
+    L = ext; c is a polynomial over the base field F_q."""
+    base, n = ext.base, ext.degree
+    zech = ext._zech
+    if zech is None:
+        a1 = ext.inv(delta)
+        neg, mul = ext.neg, ext.mul
+        trace = _motive_trace(
+            n, 0, ext.one, mul, ext.add, lambda x: ext.frob_iter(x, 1),
+            neg(mul(gamma, a1)), a1, neg(mul(g, a1)),
+        )
+        mu = base.inv(ext.pow(delta, (ext.order - 1) // (base.order - 1)))
+        if n % 2:
+            mu = base.neg(mu)
+    else:
+        # discrete logs to the generator of the tables, None for 0: a product
+        # is a sum of logs mod N = |L| - 1, a sum one zech lookup, the q-th
+        # power the log times q, and -1 is log N/2
+        exp, log, N, half, q = ext._exp, ext._log, ext._n_units, ext._half, base.order
+
+        def mul(a, b):
+            if a is None or b is None:
+                return None
+            return (a + b) % N
+
+        def add(a, b):
+            if a is None:
+                return b
+            if b is None:
+                return a
+            z = zech[b - a]
+            return None if z is None else (a + z) % N
+
+        def frob(a):
+            return None if a is None else a * q % N
+
+        k = log[delta]
+        trace = _motive_trace(
+            n, None, 0, mul, add, frob,
+            (log[gamma] + half - k) % N if gamma else None,
+            -k % N,
+            (log[g] + half - k) % N if g else None,
+        )
+        trace = [0 if e is None else exp[e] for e in trace]
+        # N(delta)^-1 = delta^-(N/(q-1)), negated for n odd
+        mu = exp[(-k * (N // (q - 1)) + n % 2 * half) % N]
     # The trace has coefficients in F_q, whose codes are the same in L.
-    c = Poly(base, [add(u, v) for u, v in zip(M[0][0], M[1][1])])
-    norm = ext.pow(delta, (ext.order - 1) // (base.order - 1))
-    mu = base.inv(norm)
-    if ext.degree % 2:
-        mu = base.neg(mu)
-    return c, mu
+    return Poly(base, trace), mu
 
 
 def charpoly(dm):

@@ -7,7 +7,7 @@ under test can be checked against them; nothing in drinfeld2 calls them.
 import itertools
 
 from drinfeld2 import DrinfeldModule, Poly, Verdict, squarefree_split
-from drinfeld2.ff import _list_powmod
+from drinfeld2.ff import _list_powmod, _prime_factors
 
 
 def pow_mod(base, e, mod):
@@ -59,6 +59,16 @@ def matrix_charpoly(ext, gamma, g, delta):
     if ext.degree % 2:
         mu = base.neg(mu)
     return c, mu
+
+
+def least_generator(F):
+    """The least code of F that generates F^*, searched from 1: u generates
+    exactly when u^(N/r) != 1 for every prime r | N, N = |F| - 1."""
+    N = F.order - 1
+    return next(
+        u for u in F.units()
+        if all(F.pow(u, N // r) != F.one for r in _prime_factors(N))
+    )
 
 
 def product_minimal_polynomial(ext, x):

@@ -313,6 +313,40 @@ def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch, record_c
     assert len(charpolys) == 188
 
 
+def test_realize_builds_no_chi_key(monkeypatch, record_calls):
+    # realize reads the admissible map alone: no census pass and no chi
+    # entry looked up, while full_report keys every admissible candidate
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    passes = record_calls(census, "_census_pass")
+    lookups = record_calls(census, "getitem")
+    P, m = T3 + Poly.one(F3), 4
+    result = realize(P, m)
+    assert (passes, lookups) == ([], [])
+    # the recorders see the calls they pin: one lookup per entry of chi
+    # below index k = md/2 = 2 per admissible candidate; and the census pass
+    # gives the same admissible map
+    report, _, admissible = census._census_pass(P, m)
+    assert len(passes) == 1 and len(lookups) == report.total * 3
+    assert result == census._against_admissible(census._sweep(P, m), admissible)
+
+
+def test_realize_on_readme_rows(monkeypatch):
+    # the README's tabled realization rows (q, d, m, total), least P: every
+    # admissible class is realized, and nothing else
+    monkeypatch.setenv(census.REALIZE_BOUND_ENV, str(3**9))
+    rows = (
+        (3, 1, 9, 326), (3, 1, 8, 261), (5, 1, 5, 404), (5, 1, 4, 286),
+        (7, 1, 3, 258), (3, 1, 6, 91), (3, 2, 3, 115), (3, 3, 2, 129),
+        (5, 2, 2, 332), (9, 1, 3, 584),
+    )
+    assert [row[:3] for row in rows] == list(README_SHAPES[1:])
+    for q, d, m, total in rows:
+        P = least_irreducible_poly(grid_field(q), d)
+        realized, admissible, _, missing = realize(P, m)
+        assert (realized == admissible, missing) == (True, []), (q, d, m)
+        assert len(admissible) == total, (q, d, m)
+
+
 def test_sweep_makes_no_polynomial_products(monkeypatch, record_calls):
     # the charpoly rows and the F_q^*-scaled keys are coefficient lists:
     # no Poly product and no Poly scaling in the sweep over F_125

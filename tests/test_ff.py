@@ -18,7 +18,7 @@ from drinfeld2 import (
 )
 from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
-from oracles import is_square_unit
+from oracles import is_square_unit, least_generator
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -240,6 +240,35 @@ def test_table_build_makes_split_products_only(monkeypatch, record_calls):
         assert twin._least_generator() == F._exp[1]
         p, half = F.char, F.pdeg // 2
         assert built == len(calls) + p**half + p ** (F.pdeg - half), F
+
+
+def test_least_generator_matches_search_from_one():
+    # the towers, the fields of the benchmark's realize shapes (q, md),
+    # F_{3^9}, F_{5^6} and F_9/F_9, where degree 1 leaves nothing to skip
+    F9 = field_make(3, 2)
+    fields = [build() for build in TOWER_BUILDS]
+    for q, n in ((3, 2), (3, 3), (5, 2), (7, 2), (9, 1), (3, 4), (5, 3), (9, 2)):
+        fields.append(ext_make(F9 if q == 9 else field_make(q, 1), n))
+    fields += [field_make(3, 9), field_make(5, 6)]
+    for F in fields:
+        assert F._least_generator() == least_generator(F) == F._exp[1], F
+    # F_9/F_9, the field of the shape (9, 1, 1), has degree 1: its generator
+    # is a code below the base order, which the search must not skip
+    F = ext_make(F9, 1)
+    assert F._least_generator() == least_generator(F) < F.base.order
+
+
+def test_generator_search_skips_the_base_field(record_calls):
+    # F_125 over F_5 and F_81 over F_9: the search tests no code below the
+    # base order, whose codes are the base field; over F_9/F_9 it starts at 1
+    calls = record_calls(ff.ExtensionField, "pow")
+    F9 = field_make(3, 2)
+    for base, degree in [(PrimeField(5), 3), (F9, 2), (F9, 1)]:
+        calls.clear()
+        F = ff.ExtensionField(base, degree)
+        tested = sorted({args[1] for args in calls if args[0] is F})
+        start = 1 if degree == 1 else base.order
+        assert tested[0] == start and tested[-1] == F._exp[1], (F, tested)
 
 
 def test_zech_edge_cases(monkeypatch):

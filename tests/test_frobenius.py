@@ -305,3 +305,67 @@ def test_charpoly_matches_matrix_oracle_on_seeded_modules():
                 rng.randrange(1, ext.order),
             )
             assert _charpoly(*case) == matrix_charpoly(*case), case
+
+
+# the fields L = F_{q^(md)} of the benchmark's realize shapes with |L| <= 81,
+# as (p, s, n): L is a degree-n extension of F_{p^s}
+SWEEP_FIELDS = ((3, 1, 2), (3, 1, 3), (5, 1, 2), (7, 1, 2), (3, 2, 1), (3, 1, 4), (3, 2, 2))
+
+
+def test_tabled_charpoly_matches_matrix_oracle_at_zero_coefficients():
+    # gamma = 0 (P = T) and every gamma in F_q^*, at g = 0 and g = 1, for
+    # every delta: gamma = 0 makes a0 = 0 and g = 0 makes b = 0 at every
+    # step, and the log of 1, which is 0, must stay apart from the zero
+    # sentinel of the tabled charpoly
+    for p, s, n in SWEEP_FIELDS:
+        ext = ext_make(field_make(p, s), n)
+        assert ext._zech is not None
+        for gamma in range(ext.base.order):
+            for g in (0, 1):
+                for delta in ext.units():
+                    case = (ext, gamma, g, delta)
+                    assert _charpoly(*case) == matrix_charpoly(*case), case
+
+
+def test_tabled_charpoly_matches_table_free_on_seeded_modules(monkeypatch):
+    # 200 seeded modules each over F_{3^9}, F_{5^6} and F_{9^3}, with gamma,
+    # g or both set to 0 in half of them, against the same field built
+    # without tables
+    rng = random.Random(22)
+    for (p, s), n in (((3, 1), 9), ((5, 1), 6), ((3, 2), 3)):
+        ext = ext_make(field_make(p, s), n)
+        with monkeypatch.context() as patch:
+            patch.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = ext_make(field_make(p, s), n)
+        assert ext._zech is not None and twin._zech is None and twin == ext
+        for i in range(200):
+            gamma = 0 if i % 4 in (0, 2) else rng.randrange(ext.order)
+            g = 0 if i % 4 in (1, 2) else rng.randrange(ext.order)
+            delta = rng.randrange(1, ext.order)
+            c, mu = _charpoly(ext, gamma, g, delta)
+            c_free, mu_free = _charpoly(twin, gamma, g, delta)
+            assert (c.coeffs, mu) == (c_free.coeffs, mu_free), (ext, gamma, g, delta)
+
+
+def test_tabled_charpoly_calls_no_field_method(monkeypatch, record_calls):
+    # over a tabled L the recurrence runs on discrete logs, and mu is one
+    # exp lookup: no ExtensionField product, sum, power, inverse or
+    # Frobenius, in L or in a base like F_9 that is itself an extension
+    names = ("mul", "add", "pow", "inv", "frob_iter")
+    builds = [lambda: ext_make(field_make(3, 2), 2), lambda: ext_make(field_make(5, 1), 3)]
+    tabled = [build() for build in builds]
+    with monkeypatch.context() as patch:
+        patch.setattr(ff, "_TABLE_LIMIT", 0)
+        free = [build() for build in builds]
+    calls = {name: record_calls(ff.ExtensionField, name) for name in names}
+    # codes below 81 lie in both fields
+    rng = random.Random(5)
+    cases = [
+        (i, gamma, rng.randrange(81), rng.randrange(1, 81))
+        for i in range(2) for gamma in (0, 1, 2, rng.randrange(81))
+    ]
+    expected = [_charpoly(tabled[i], *rest) for i, *rest in cases]
+    assert all(calls[name] == [] for name in names), {k: len(v) for k, v in calls.items()}
+    # the recorders see the calls they pin, on the table-free twins
+    assert [_charpoly(free[i], *rest) for i, *rest in cases] == expected
+    assert all(calls[name] for name in names), {k: len(v) for k, v in calls.items()}
