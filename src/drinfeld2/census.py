@@ -471,9 +471,9 @@ def _sweep(P, m):
         )
     ext = ext_make(base, n)
     gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
-    # A unit is gen^k for one k in Z/N, N = |L| - 1: for e | N the e-th
-    # powers are the k divisible by e, and x -> x^(q^d) is k -> k q^d.
-    gen, N = ext._least_generator(), order - 1
+    # A unit is gen^k for one k in Z/N, N = |L| - 1, gen the field's cached
+    # generator: the e-th powers, e | N, are the k divisible by e; x^(q^d) is k q^d.
+    gen, N = ext.generator, order - 1
     # A constant twist by u in L^* is an isomorphism over L, so it keeps the
     # charpoly; it fixes gamma and maps (g, delta) to
     # (g u^(1-q), delta u^(1-q^2)).  For g = 0 only the coset of delta modulo

@@ -12,22 +12,21 @@ Each field has exactly one presentation, fixed by (p, s, n): every extension
 is taken modulo the lexicographically least monic irreducible of its degree
 over its base, so a field is named by its orders alone.
 
-Fields of order up to _TABLE_LIMIT are tabled: exp/log tables on the least
-generator g of the unit group, and the Zech logarithms zech[k] = log(1 + g^k)
-(the representation of Givaro's GFqDom).  There a product is one exp lookup,
-a sum one zech and one exp lookup, and -a = a g^(N/2), N = order - 1.  The
-tables come from one walk x -> x g over the units.  Multiplying by g is
-F_p-linear on the base-p code, so the walk splits the code into a low and a
-high half, looks up the products of g with each half (p^(pdeg/2) products
-each, rounded down and up), and adds the two digit by digit.  Since 1 + x
-differs from x only in its lowest base-p digit, zech costs one lookup into
-log per unit.  Above degree 1 the search for g starts past the base field,
-whose units cannot generate.
+Fields of order up to _TABLE_LIMIT are tabled, as Givaro's GFqDom: exp/log
+tables on the least generator g of the unit group, searched for once (past
+the base field) and kept as `generator`, and Zech logarithms
+zech[k] = log(1 + g^k).  A product is one exp lookup, a sum one zech and one
+exp lookup, and -a = a g^(N/2), N = order - 1.  The tables come from one walk
+x -> x g over the units: that map is F_p-linear on the base-p code, so a step
+adds, digit by digit, the products of g with the code's low and high halves,
+from tables of p^(pdeg/2) products each (rounded down and up).  1 + x moves
+only the lowest base-p digit of x, so zech costs one log lookup per unit.
+Only this module reads the tables: `arith()` hands out a field's arithmetic,
+on discrete logs with None for 0 when tabled and on codes when not.
 
 Fields above the limit use direct polynomial arithmetic modulo the defining
 polynomial, and add and neg work digit by digit, mod p, on the base-p code:
-addition is coefficientwise at every level of a tower.  That digit loop is
-also the oracle for the Zech sums in the tests.  One digit codec,
+addition is coefficientwise at every level of a tower.  One digit codec,
 _to_digits/_from_digits, expands a code in either radix: the text form in
 base p with pdeg digits, and coords/from_coords in base B with one digit per
 base-field element, for the table-free product and the halves of the table
@@ -90,6 +89,10 @@ def _square_and_multiply(mul, one, a, e):
     return result
 
 
+def _same(a):
+    return a
+
+
 def _to_digits(a, radix, count):
     """The count base-radix digits of a, low first."""
     out = []
@@ -116,21 +119,14 @@ class FiniteField:
     zero = 0
     one = 1
 
-    # A tabled ExtensionField sets _zech, and there a sum is one lookup on
-    # logs: a + b = a(1 + b/a) and -a = a g^(N/2), N = order - 1.  A log
-    # difference lies in (-N, N), and a negative index into zech reads its
-    # residue mod N.  Every other field adds in (Z/p)^pdeg on the base-p
-    # digits of the code: addition in F_p[y]/(f) is coefficientwise whatever
-    # f is, at every level of a tower.
+    # Tabled: a + b = a(1 + b/a), and a log difference < 0 indexes zech mod N.
     _zech = None
 
     def add(self, a, b):
         zech = self._zech
         if zech is not None:
-            if a == 0:
-                return b
-            if b == 0:
-                return a
+            if a == 0 or b == 0:
+                return a or b
             log = self._log
             la = log[a]
             z = zech[log[b] - la]
@@ -374,9 +370,7 @@ class ExtensionField(FiniteField):
         self.order = base.order**degree
         self.char = base.char
         self.pdeg = base.pdeg * degree
-        self._exp = None
-        self._log = None
-        self._zech = None
+        self._exp = self._log = self._zech = self._arith = self._generator = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -396,6 +390,14 @@ class ExtensionField(FiniteField):
         prod = _list_mul(base, self.coords(a), self.coords(b))
         return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
 
+    # not a cached_property: its __dict__ write slows all attribute reads (CPython 3.11)
+    @property
+    def generator(self):
+        """The least generator of the unit group, searched for once."""
+        if self._generator is None:
+            self._generator = self._least_generator()
+        return self._generator
+
     def _least_generator(self):
         """The least code that generates the unit group.  Above degree 1 the
         search starts at B = base.order: the codes below B are the base
@@ -408,7 +410,7 @@ class ExtensionField(FiniteField):
         raise AssertionError("the unit group of a finite field is cyclic")
 
     def _build_tables(self):
-        gen = self._least_generator()
+        gen = self.generator
         # x -> x*gen is F_p-linear on the base-p code x = lo + split*hi, so a
         # step of the walk adds one product from a table of low halves to one
         # from a table of high halves, digit by digit
@@ -437,11 +439,8 @@ class ExtensionField(FiniteField):
             for x in itertools.islice(exp, n_units)
         ]
         zech[n_units // 2] = None
-        self._exp = exp
-        self._log = log
-        self._zech = zech
-        self._n_units = n_units
-        self._half = n_units // 2
+        self._exp, self._log, self._zech = exp, log, zech
+        self._n_units, self._half = n_units, n_units // 2
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -458,6 +457,46 @@ class ExtensionField(FiniteField):
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n_units]
         return super().pow(a, e)
+
+    def arith(self):
+        """(rep, code, zero, one, mul, add, pow, frob), built once: the field
+        arithmetic in the form it runs fastest in (see the module docstring).
+        rep maps a code into it and code back, pow takes units and frob is
+        the q-th power, q = base.order.  Tabled closures hold no field."""
+        if self._arith is None:
+            self._arith = self._log_arith() if self._zech is not None else (
+                _same, _same, 0, self.one, self.mul, self.add, self.pow,
+                lambda a: self.frob_iter(a, 1))
+        return self._arith
+
+    def _log_arith(self):
+        exp, log, zech, N = self._exp, self._log, self._zech, self._n_units
+        q = self.base.order
+
+        def rep(a):
+            return log[a] if a else None
+
+        def code(a):
+            return 0 if a is None else exp[a]
+
+        def mul(a, b):
+            return None if a is None or b is None else (a + b) % N
+
+        def add(a, b):
+            if a is None:
+                return b
+            if b is None:
+                return a
+            z = zech[b - a]
+            return None if z is None else (a + z) % N
+
+        def pow(a, e):
+            return a * e % N
+
+        def frob(a):
+            return None if a is None else a * q % N
+
+        return rep, code, None, 0, mul, add, pow, frob
 
     # --- Frobenius relative to the base field ---
 

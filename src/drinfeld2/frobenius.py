@@ -19,13 +19,9 @@ a1 = 1/delta and b = -g/delta are formed once, and since the Frobenius is a
 ring map each later step raises the previous step's a0, a1 and b to the q-th
 power, which in a field without tables is a short square-and-multiply where
 a q^i-th power would be a long one.  The only Poly is built from the trace.
-
-The recurrence is written once, in `_motive_trace`, over the field ops it is
-handed.  A tabled L hands it discrete logs to the generator of its tables,
-with None for 0 (the representation of Givaro's GFqDom): a product is a sum
-of logs mod N = |L| - 1, a sum one Zech lookup, the q-th power the log times
-q, and mu one exp lookup, so the charpoly calls no field method.  A
-table-free L hands it codes with its own mul, add and frob_iter.
+`_charpoly` runs `_motive_trace` in one body, on the arithmetic L hands out
+(`ExtensionField.arith`): discrete logs when L is tabled, where it calls no
+field method, and codes with L's own mul, add, pow and frob_iter when not.
 """
 
 from __future__ import annotations
@@ -105,52 +101,17 @@ def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
 def _charpoly(ext, gamma, g, delta):
     """(c, mu) of the Frobenius t^n for Phi_T = gamma + g t + delta t^2 over
     L = ext; c is a polynomial over the base field F_q."""
-    base, n = ext.base, ext.degree
-    zech = ext._zech
-    if zech is None:
-        a1 = ext.inv(delta)
-        neg, mul = ext.neg, ext.mul
-        trace = _motive_trace(
-            n, 0, ext.one, mul, ext.add, lambda x: ext.frob_iter(x, 1),
-            neg(mul(gamma, a1)), a1, neg(mul(g, a1)),
-        )
-        mu = base.inv(ext.pow(delta, (ext.order - 1) // (base.order - 1)))
-        if n % 2:
-            mu = base.neg(mu)
-    else:
-        # discrete logs to the generator of the tables, None for 0: a product
-        # is a sum of logs mod N = |L| - 1, a sum one zech lookup, the q-th
-        # power the log times q, and -1 is log N/2
-        exp, log, N, half, q = ext._exp, ext._log, ext._n_units, ext._half, base.order
-
-        def mul(a, b):
-            if a is None or b is None:
-                return None
-            return (a + b) % N
-
-        def add(a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            z = zech[b - a]
-            return None if z is None else (a + z) % N
-
-        def frob(a):
-            return None if a is None else a * q % N
-
-        k = log[delta]
-        trace = _motive_trace(
-            n, None, 0, mul, add, frob,
-            (log[gamma] + half - k) % N if gamma else None,
-            -k % N,
-            (log[g] + half - k) % N if g else None,
-        )
-        trace = [0 if e is None else exp[e] for e in trace]
-        # N(delta)^-1 = delta^-(N/(q-1)), negated for n odd
-        mu = exp[(-k * (N // (q - 1)) + n % 2 * half) % N]
+    rep, code, zero, one, mul, add, pow, frob = ext.arith()
+    minus_one = rep(ext.scalar(-1))
+    a1 = pow(rep(delta), -1)
+    minus_a1 = mul(a1, minus_one)
+    trace = _motive_trace(ext.degree, zero, one, mul, add, frob,
+                          mul(rep(gamma), minus_a1), a1, mul(rep(g), minus_a1))
+    # mu = (-1)^n N(delta)^-1, and N(delta)^-1 = (1/delta)^(|L^*|/(q-1))
+    mu = pow(a1, (ext.order - 1) // (ext.base.order - 1))
+    mu = mul(pow(minus_one, ext.degree), mu)
     # The trace has coefficients in F_q, whose codes are the same in L.
-    return Poly(base, trace), mu
+    return Poly(ext.base, [code(e) for e in trace]), code(mu)
 
 
 def charpoly(dm):

@@ -81,3 +81,19 @@ def test_admissibility_lives_in_census():
     assert {"frobenius", "ore", "polyring"} <= _sibling_imports("classify")
     assert drinfeld2.Verdict.__module__ == "drinfeld2.census"
     assert drinfeld2.weil_admissible.__module__ == "drinfeld2.census"
+
+
+def test_only_ff_reads_the_field_tables():
+    # the discrete-log tables and the generator search belong to ff: other
+    # modules take a field's arithmetic from ExtensionField.arith and its
+    # generator from ExtensionField.generator
+    private = {"_exp", "_log", "_zech", "_n_units", "_half", "_least_generator"}
+    read = {}
+    for info in pkgutil.iter_modules(drinfeld2.__path__):
+        module = importlib.import_module("drinfeld2." + info.name)
+        tree = ast.parse(inspect.getsource(module))
+        read[info.name] = private & {
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        }
+    assert read.pop("ff") == private
+    assert all(not names for names in read.values()), read

@@ -313,6 +313,21 @@ def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch, record_c
     assert len(charpolys) == 188
 
 
+def test_realize_searches_for_the_generator_once(monkeypatch, record_calls):
+    # the table build and the sweep read the one generator L keeps: a
+    # realize over F_81 searches for it once, with tables or without
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    searches = record_calls(ff.ExtensionField, "_least_generator")
+    tabled = realize(T3, 4)
+    assert [args[0].order for args in searches] == [81]
+    assert searches[0][0]._zech is not None
+    searches.clear()
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    assert realize(T3, 4) == tabled
+    assert [args[0].order for args in searches] == [81]
+    assert searches[0][0]._zech is None
+
+
 def test_realize_builds_no_chi_key(monkeypatch, record_calls):
     # realize reads the admissible map alone: no census pass and no chi
     # entry looked up, while full_report keys every admissible candidate

@@ -271,6 +271,48 @@ def test_generator_search_skips_the_base_field(record_calls):
         assert tested[0] == start and tested[-1] == F._exp[1], (F, tested)
 
 
+def test_arith_matches_field_ops(monkeypatch):
+    # the towers, the fields of the benchmark's realize shapes (q, md), F_9/F_9
+    # among them, and the table-free twin of each: every op arith() hands
+    # out agrees with the field's own after code: on all pairs up to
+    # |L| = 81, and above it on 2000 seeded pairs and the pairs with 0; pow
+    # on every unit up to |L| = 125, and above it on 200 seeded units
+    builds = list(TOWER_BUILDS)
+    for q, n in ((3, 2), (3, 3), (5, 2), (7, 2), (9, 1), (3, 4), (5, 3), (9, 2)):
+        builds.append(
+            lambda q=q, n=n: ext_make(field_make(3, 2) if q == 9 else field_make(q, 1), n)
+        )
+    rng = random.Random(23)
+    for build in builds:
+        F = build()
+        with monkeypatch.context() as patch:
+            patch.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = build()
+        assert F._zech is not None and twin._zech is None and twin == F
+        q = F.base.order
+        if F.order <= 81:
+            pairs = list(itertools.product(F.elements(), repeat=2))
+        else:
+            pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+            pairs += [(0, b) for b in F.elements()] + [(a, 0) for a in F.elements()]
+        units = F.units() if F.order <= 125 else rng.sample(F.units(), 200)
+        for L in (F, twin):
+            arith = L.arith()
+            assert L.arith() is arith
+            rep, code, zero, one, mul, add, pow, frob = arith
+            assert (code(zero), code(one)) == (0, 1)
+            assert [code(rep(a)) for a in L.elements()] == list(L.elements())
+            for a, b in pairs:
+                x, y = rep(a), rep(b)
+                assert code(mul(x, y)) == L.mul(a, b), (L, a, b)
+                assert code(add(x, y)) == L.add(a, b), (L, a, b)
+            for a in L.elements():
+                assert code(frob(rep(a))) == L.frob_iter(a, 1), (L, a)
+            for a in units:
+                for e in (-1, 2, q, (L.order - 1) // (q - 1)):
+                    assert code(pow(rep(a), e)) == L.pow(a, e), (L, a, e)
+
+
 def test_zech_edge_cases(monkeypatch):
     builds = TOWER_BUILDS[:3] + [lambda: field_make(5, 2)]
     for build in builds:
