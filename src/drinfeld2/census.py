@@ -17,8 +17,9 @@ mod k and the Frobenius is a product, so the sweep keeps no set of field
 elements.
 P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One walk over the (c, mu) grid
-(`admissible_pairs`) yields each admissible candidate with its verdict.  It
-runs on coefficient lists, builds no Poly per candidate, and spends no
+(`admissible_pairs`) yields each admissible candidate's key
+(c coefficients, mu) with its verdict, and keeps no state from one
+candidate to the next.  It runs on coefficient lists and spends no
 polynomial product or division on any c.  Once per family the caller raises
 P^m, and the walk forms S = floor(sqrt(P^m)) and R = P^m - S^2 for md even
 (`_sqrt_parts`) and the verdict at P of every multiple of P of degree
@@ -26,9 +27,9 @@ P^m, and the walk forms S = floor(sqrt(P^m)) and R = P^m - S^2 for md even
 c^2 - 4 mu P^m off the top entries of c, P^m, S and R (`_disc_top`) and its
 verdict at P by one lookup.  The census pass tallies the verdicts and keys
 each admissible candidate's chi group by the monic P^m + mu^-1 (1 - c), one
-lookup per coefficient of 1 - c in a table built once per mu, with 1 - c
-formed once per c.  `realize` reads the admissible set alone and builds no
-chi key.
+lookup per coefficient of c in rows built once per mu with the 1 folded
+in, so no 1 - c is formed.  `realize` reads the admissible map alone and
+builds no chi key.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -272,7 +273,8 @@ def _weil_verdict(top, at_P, squares):
 
 def candidate_pairs(P, m):
     """All (c, mu) with deg c <= floor(md/2), mu a unit, in lexicographic
-    order of (c coefficients low-first, mu)."""
+    order of (c coefficients low-first, mu); the census reads only the
+    coefficients of each c."""
     base = P.field
     bound = (m * (len(P.coeffs) - 1)) // 2
     for coeffs in itertools.product(range(base.order), repeat=bound + 1):
@@ -282,15 +284,14 @@ def candidate_pairs(P, m):
 
 
 def admissible_pairs(P, m, Pm):
-    """(c, mu, verdict) for every admissible candidate, Pm the coefficients
-    of P^m.  P and m must already be checked.
+    """((c coeffs, mu), verdict) for every admissible candidate, Pm the
+    coefficients of P^m.  P and m must already be checked.
 
     No c costs a polynomial product or a division.  Once per family: S and
     R (`_sqrt_parts`) and the verdict at P of each multiple P h with
     deg h <= k - d, so that P | c is one lookup.  Each candidate reads its
-    verdict off the top of disc (`_disc_top`).  `candidate_pairs` yields
-    one c object for all of its mu in turn, so the verdict at P is looked
-    up when that object changes."""
+    verdict off the top of disc (`_disc_top`) and its verdict at P by that
+    lookup."""
     F = P.field
     d = len(P.coeffs) - 1
     k = (len(Pm) - 1) // 2
@@ -301,14 +302,12 @@ def admissible_pairs(P, m, Pm):
     for h in itertools.product(range(F.order), repeat=max(k - d + 1, 0)):
         c = tuple(_list_trim(_list_mul(F, h, P.coeffs)))
         multiples[c] = _at_P(F, c, S, m, d)
-    last = None
     for c, mu in candidate_pairs(P, m):
-        if c is not last:
-            last = c
-            at_P = multiples.get(c.coeffs, Verdict.ORDINARY)
-        verdict = _weil_verdict(_disc_top(F, c.coeffs, mu, Pm, S, R), at_P, squares)
+        c = c.coeffs
+        at_P = multiples.get(c, Verdict.ORDINARY)
+        verdict = _weil_verdict(_disc_top(F, c, mu, Pm, S, R), at_P, squares)
         if verdict.is_admissible():
-            yield c, mu, verdict
+            yield (c, mu), verdict
 
 
 def _census_pass(P, m):
@@ -316,29 +315,28 @@ def _census_pass(P, m):
     tallies, chi groups as in `chi_census`, {(c coeffs, mu): verdict}).
 
     chi is the coefficient tuple of the monic generator P^m + mu^-1 (1 - c)
-    of (1 - c + mu P^m).  deg(1 - c) <= k < md, so chi agrees with P^m above
-    index k; below, entry i is chi_rows[mu][i][x] for x the entry i of
-    1 - c, a table built once per mu, and 1 - c is formed once per c."""
+    of (1 - c + mu P^m), that is at_zero[mu] - mu^-1 c, where at_zero[mu]
+    is the chi of c = 0: P^m with mu^-1 added at index 0.  Below len(c)
+    <= k + 1, entry i is rows[mu][i][x] for x the entry i of c, one lookup
+    in a row built once per mu with the 1 folded in; from len(c) upward
+    chi is at_zero[mu] itself."""
     F = P.field
     Pm = (P**m).coeffs
     k = (len(Pm) - 1) // 2
-    chi_rows = [None] * F.order
+    at_zero, rows = [None] * F.order, [None] * F.order
     for mu in F.units():
         mu_inv = F.inv(mu)
-        chi_rows[mu] = [
-            [F.add(p, F.mul(mu_inv, x)) for x in F.elements()] for p in Pm[:k + 1]
+        minus = F.neg(mu_inv)
+        at_zero[mu] = (F.add(Pm[0], mu_inv),) + Pm[1:]
+        rows[mu] = [
+            [F.add(p, F.mul(minus, x)) for x in F.elements()]
+            for p in at_zero[mu][:k + 1]
         ]
-    Pm_tail = Pm[k + 1:]
-    groups, admissible = {}, {}
-    last = None
-    for c, mu, verdict in admissible_pairs(P, m, Pm):
-        if c is not last:
-            last = c
-            one_minus_c = [F.neg(x) for x in c.coeffs] + [0] * (k + 1 - len(c.coeffs))
-            one_minus_c[0] = F.add(F.one, one_minus_c[0])
-        chi = tuple(map(getitem, chi_rows[mu], one_minus_c)) + Pm_tail
-        groups.setdefault(chi, []).append((c.coeffs, mu))
-        admissible[(c.coeffs, mu)] = verdict
+    admissible = dict(admissible_pairs(P, m, Pm))
+    groups = {}
+    for c, mu in admissible:
+        chi = tuple(map(getitem, rows[mu], c)) + at_zero[mu][len(c):]
+        groups.setdefault(chi, []).append((c, mu))
     tally = Counter(admissible.values())
     report = CensusReport(
         q=P.field.order, d=int(P.deg), m=m, P=P,
@@ -520,11 +518,7 @@ def realize(P, m):
     """
     _check_family(P, m)
     realized = _sweep(P, m)
-    admissible = {
-        (c.coeffs, mu): verdict
-        for c, mu, verdict in admissible_pairs(P, m, (P**m).coeffs)
-    }
-    return _against_admissible(realized, admissible)
+    return _against_admissible(realized, dict(admissible_pairs(P, m, (P**m).coeffs)))
 
 
 # --- full report ------------------------------------------------------------

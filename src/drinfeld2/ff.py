@@ -423,7 +423,7 @@ class ExtensionField(FiniteField):
         # one int object per value, shared by exp, log and zech
         ints = list(range(self.order))
         exp = [0] * (2 * n_units)
-        log = [0] * self.order
+        log = [None] * self.order  # 0 has no log
         x = self.one
         for i in range(n_units):
             exp[i] = x
@@ -433,12 +433,11 @@ class ExtensionField(FiniteField):
             x = ints[digit_add(self, low[lo], high[hi])]
         # zech[k] = log(1 + gen^k), a reference into log.  1 + x moves only
         # the lowest base-p digit of x, and 1 + x = 0 exactly at x = -1,
-        # k = n_units/2.
+        # k = n_units/2, where zech reads log[0] = None.
         zech = [
             log[x + 1 if x % p != p - 1 else x + 1 - p]
             for x in itertools.islice(exp, n_units)
         ]
-        zech[n_units // 2] = None
         self._exp, self._log, self._zech = exp, log, zech
         self._n_units, self._half = n_units, n_units // 2
 
@@ -473,8 +472,7 @@ class ExtensionField(FiniteField):
         exp, log, zech, N = self._exp, self._log, self._zech, self._n_units
         q = self.base.order
 
-        def rep(a):
-            return log[a] if a else None
+        rep = log.__getitem__
 
         def code(a):
             return 0 if a is None else exp[a]

@@ -337,11 +337,13 @@ def test_realize_builds_no_chi_key(monkeypatch, record_calls):
     P, m = T3 + Poly.one(F3), 4
     result = realize(P, m)
     assert (passes, lookups) == ([], [])
-    # the recorders see the calls they pin: one lookup per entry of chi
-    # below index k = md/2 = 2 per admissible candidate; and the census pass
-    # gives the same admissible map
-    report, _, admissible = census._census_pass(P, m)
-    assert len(passes) == 1 and len(lookups) == report.total * 3
+    # the recorders see the calls they pin: chi is one row lookup per
+    # coefficient of c, and the entries from len(c) upward are those of the
+    # chi of c = 0, so an admissible (c, mu) makes len(c) lookups; and the
+    # census pass gives the same admissible map
+    _, _, admissible = census._census_pass(P, m)
+    assert len(passes) == 1
+    assert len(lookups) == sum(len(c) for c, _ in admissible)
     assert result == census._against_admissible(census._sweep(P, m), admissible)
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from drinfeld2 import cli
+from drinfeld2.census import REALIZE_BOUND_ENV
 
 
 def run(capsys, argv):
@@ -47,6 +51,31 @@ JSON_PINS = {
     for pin in PINS
     if pin["argv"].endswith("json")
 }
+
+
+# The status the process itself ends with, through `sys.exit(main())`: one
+# command per exit code, the first a pinned one.
+PROCESS_ARGV = {
+    0: PINS[0]["argv"],
+    1: "charpoly --p 4 --n 2 --gamma-T 0 --g 1 --delta 1",
+    2: "charpoly",
+    3: "realize --p 3 --P T --m 2 --strict",
+}
+
+
+@pytest.mark.parametrize("status", sorted(PROCESS_ARGV))
+def test_process_exit_status(status):
+    env = {k: v for k, v in os.environ.items() if k != REALIZE_BOUND_ENV}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "drinfeld2.cli"] + PROCESS_ARGV[status].split(),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    if status == 0:
+        assert (proc.stdout, proc.stderr) == (PINS[0]["stdout"], "")
+    if status == 1:
+        assert (proc.stdout, proc.stderr) == ("", "error: p = 4 is not prime\n")
 
 
 @pytest.mark.parametrize("pin", PINS, ids=_pin_id)

@@ -206,7 +206,7 @@ def per_unit_walk(F):
             exp.append(x)
         if len(exp) == n_units:
             break
-    log = [0] * F.order
+    log = [None] * F.order  # 0 has no log
     for i, x in enumerate(exp):
         log[x] = i
     return exp + exp, log
@@ -311,6 +311,15 @@ def test_arith_matches_field_ops(monkeypatch):
             for a in units:
                 for e in (-1, 2, q, (L.order - 1) // (q - 1)):
                     assert code(pow(rep(a), e)) == L.pow(a, e), (L, a, e)
+
+
+def test_zero_has_no_log():
+    # a reader that forgets the zero check fails on None, and never reads 0
+    # as 1 (whose log is 0); zech is None only where 1 + g^k = 0, k = N/2
+    for build in TOWER_BUILDS:
+        F = build()
+        assert F._log[0] is None, F
+        assert [k for k, z in enumerate(F._zech) if z is None] == [(F.order - 1) // 2], F
 
 
 def test_zech_edge_cases(monkeypatch):
