@@ -351,15 +351,13 @@ def _census_pass(P, m):
 # --- closed forms -----------------------------------------------------------
 
 
+# keyed by (m mod 2, d mod 2)
+_FORMULA_CASES = {(1, 1): 1, (0, 1): 2, (0, 0): 3}
+
+
 def formula_case(d, m):
     """1, 2, 3 by the (m, d) parities; None for m odd, d even (no formula)."""
-    if m % 2 == 1 and d % 2 == 1:
-        return 1
-    if m % 2 == 0 and d % 2 == 1:
-        return 2
-    if m % 2 == 0 and d % 2 == 0:
-        return 3
-    return None
+    return _FORMULA_CASES.get((m % 2, d % 2))
 
 
 def formula_total(q, d, m):
@@ -376,16 +374,12 @@ def formula_total(q, d, m):
         hi = md // 2 + 1  # floor(md/2) + 1
         lo = ((m - 2) * d) // 2 + 1  # floor((m-2)d/2) + 1, floor of negatives
         return Fraction(q - 1) * (Fraction(q) ** hi - Fraction(q) ** lo + 1)
-    if case == 2:
-        return Fraction(q - 1) * (
-            Fraction(q - 1, 2) * Fraction(q) ** (md // 2)
-            - Fraction(q) ** ((m - 2) * d // 2 + 1)
-            + q
-        )
+    # m even: cases 2 and 3 differ by one in the middle exponent and in the
+    # constant, q against 1
     return Fraction(q - 1) * (
         Fraction(q - 1, 2) * Fraction(q) ** (md // 2)
-        - Fraction(q) ** ((m - 2) * d // 2)
-        + 1
+        - Fraction(q) ** ((m - 2) * d // 2 + (case == 2))
+        + (q if case == 2 else 1)
     )
 
 

@@ -370,7 +370,10 @@ class ExtensionField(FiniteField):
         self.order = base.order**degree
         self.char = base.char
         self.pdeg = base.pdeg * degree
-        self._exp = self._log = self._zech = self._arith = self._generator = None
+        self._exp = self._log = self._zech = self._generator = None
+        # the table-free arithmetic; _build_tables switches it to logs
+        self._arith = (_same, _same, 0, self.one, self.mul, self.add, self.pow,
+                       lambda a: self.frob_iter(a, 1))
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -440,6 +443,7 @@ class ExtensionField(FiniteField):
         ]
         self._exp, self._log, self._zech = exp, log, zech
         self._n_units, self._half = n_units, n_units // 2
+        self._arith = self._log_arith()
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -458,14 +462,11 @@ class ExtensionField(FiniteField):
         return super().pow(a, e)
 
     def arith(self):
-        """(rep, code, zero, one, mul, add, pow, frob), built once: the field
-        arithmetic in the form it runs fastest in (see the module docstring).
-        rep maps a code into it and code back, pow takes units and frob is
-        the q-th power, q = base.order.  Tabled closures hold no field."""
-        if self._arith is None:
-            self._arith = self._log_arith() if self._zech is not None else (
-                _same, _same, 0, self.one, self.mul, self.add, self.pow,
-                lambda a: self.frob_iter(a, 1))
+        """(rep, code, zero, one, mul, add, pow, frob), built once per field
+        (on logs by _build_tables): the field arithmetic in the form it runs
+        fastest in (see the module docstring).  rep maps a code into it and
+        code back, pow takes units and frob is the q-th power, q =
+        base.order.  Tabled closures hold no field."""
         return self._arith
 
     def _log_arith(self):

@@ -12,6 +12,8 @@ addition, scaling, monic normalization and the text of their terms).
 
 from __future__ import annotations
 
+import re
+
 from .ff import (
     DomainError,
     _list_divmod,
@@ -226,56 +228,43 @@ def poly_from_machine(field, text):
     return Poly(field, coeffs)
 
 
+# a run of signs, then a term; the dangling-sign check leaves no trailing run
+_SIGNED_TERM = re.compile(r"([+-]*)([^+-]+)")
+# DOTALL: tabs and newlines stay inside a term, where int() may strip them
+_T_POWER = re.compile(r"T(?:\^(.*))?", re.DOTALL)
+
+
 def poly_from_human(field, text):
-    """Parse sums of terms like '2*T^3', 'T', '1'; '-' is accepted."""
+    """Parse the human form of a polynomial in T, such as 'T^2 - T + 2*T^3'.
+
+    Spaces are dropped.  The rest is a sum of terms c, T, T^k, c*T or c*T^k,
+    with c in the field's digit form (FiniteField.from_str) and k an integer.
+    A run of signs before a term multiplies, so 'T+-1' is T - 1.  Errors come
+    in this order: an empty text, a trailing sign, then term by term a bad
+    term before its coefficient's FieldError.
+    """
     s = text.replace(" ", "")
     if not s:
         raise PolyDomainError("empty polynomial")
-    # split into signed terms
-    terms = []
-    cur = ""
-    sign = 1
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch in "+-" and not cur:
-            sign = sign if ch == "+" else -sign
-        else:
-            cur += ch
-    if not cur:
+    if s[-1] in "+-":
         raise PolyDomainError("dangling sign in %r" % text)
-    terms.append((sign, cur))
-
     coeffs = {}
-    for sign, term in terms:
-        if "*" in term:
-            cpart, vpart = term.split("*", 1)
-        elif term.startswith("T"):
+    for signs, term in _SIGNED_TERM.findall(s):
+        cpart, star, vpart = term.partition("*")
+        if not star and term.startswith("T"):
             cpart, vpart = "1", term
-        else:
-            cpart, vpart = term, ""
+        power = 0
         if vpart:
-            if not vpart.startswith("T"):
-                raise PolyDomainError("bad term %r in %r" % (term, text))
-            rest = vpart[1:]
-            if rest == "":
-                power = 1
-            elif rest.startswith("^"):
-                try:
-                    power = int(rest[1:])
-                except ValueError:
-                    raise PolyDomainError("bad term %r in %r" % (term, text)) from None
-            else:
-                raise PolyDomainError("bad term %r in %r" % (term, text))
-        else:
-            power = 0
+            match = _T_POWER.fullmatch(vpart)
+            try:
+                power = 1 if match[1] is None else int(match[1])
+            except (TypeError, ValueError):  # TypeError: no match
+                raise PolyDomainError("bad term %r in %r" % (term, text)) from None
         c = field.from_str(cpart)
-        if sign < 0:
+        if signs.count("-") % 2:
             c = field.neg(c)
         coeffs[power] = field.add(coeffs.get(power, 0), c)
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    out = [0] * (max(coeffs) + 1)
     for k, v in coeffs.items():
         out[k] = v
     return Poly(field, out)

@@ -8,6 +8,7 @@ import itertools
 
 from drinfeld2 import DrinfeldModule, Poly, Verdict, squarefree_split
 from drinfeld2.ff import _list_powmod, _prime_factors
+from drinfeld2.polyring import PolyDomainError
 
 
 def pow_mod(base, e, mod):
@@ -235,3 +236,60 @@ def count_monic_irreducibles(q, degree):
             total += moebius(e) * q ** (degree // e)
     assert total % degree == 0
     return total // degree
+
+
+def loop_poly_from_human(field, text):
+    """polyring.poly_from_human as a per-character loop, the reference for
+    the tokenizer: the same language, values and errors, in the same order.
+    Parse sums of terms like '2*T^3', 'T', '1'; '-' is accepted."""
+    s = text.replace(" ", "")
+    if not s:
+        raise PolyDomainError("empty polynomial")
+    # split into signed terms
+    terms = []
+    cur = ""
+    sign = 1
+    for ch in s:
+        if ch in "+-" and cur:
+            terms.append((sign, cur))
+            sign = 1 if ch == "+" else -1
+            cur = ""
+        elif ch in "+-" and not cur:
+            sign = sign if ch == "+" else -sign
+        else:
+            cur += ch
+    if not cur:
+        raise PolyDomainError("dangling sign in %r" % text)
+    terms.append((sign, cur))
+
+    coeffs = {}
+    for sign, term in terms:
+        if "*" in term:
+            cpart, vpart = term.split("*", 1)
+        elif term.startswith("T"):
+            cpart, vpart = "1", term
+        else:
+            cpart, vpart = term, ""
+        if vpart:
+            if not vpart.startswith("T"):
+                raise PolyDomainError("bad term %r in %r" % (term, text))
+            rest = vpart[1:]
+            if rest == "":
+                power = 1
+            elif rest.startswith("^"):
+                try:
+                    power = int(rest[1:])
+                except ValueError:
+                    raise PolyDomainError("bad term %r in %r" % (term, text)) from None
+            else:
+                raise PolyDomainError("bad term %r in %r" % (term, text))
+        else:
+            power = 0
+        c = field.from_str(cpart)
+        if sign < 0:
+            c = field.neg(c)
+        coeffs[power] = field.add(coeffs.get(power, 0), c)
+    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    for k, v in coeffs.items():
+        out[k] = v
+    return Poly(field, out)

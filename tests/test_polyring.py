@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from drinfeld2 import (
     squarefree_decomposition,
     squarefree_split,
 )
-from oracles import count_monic_irreducibles, pow_mod
+from oracles import count_monic_irreducibles, loop_poly_from_human, pow_mod
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -171,6 +172,80 @@ def test_parse_human_and_machine_agree():
 def test_parse_signs_and_spaces():
     assert poly_from_human(F3, " T^2 - T + 1 ") == Poly(F3, (1, 2, 1))
     assert poly_from_human(F3, "-T") == Poly(F3, (0, 2))
+
+
+def _parse_outcome(parse, field, text):
+    try:
+        return parse(field, text).coeffs
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def _grammar_text(field, rng):
+    """A sum of 1-4 terms, each after a sign run of length 0-3: c, T, T^k,
+    c*T or c*T^k with c in digit form, or a broken term; now and then an
+    out-of-range or overlong coefficient, a trailing sign or spaces."""
+
+    def coeff():
+        n = rng.randint(1, field.pdeg + (rng.random() < 0.1))
+        top = field.char + (rng.random() < 0.1)
+        return ",".join(str(rng.randrange(top)) for _ in range(n))
+
+    def term():
+        power = "T^%d" % rng.randint(0, 500)
+        broken = rng.choice(["T^", "T^x", "TT", "T^2^3", "T*T", "x", "*T", "2*"])
+        return rng.choice([coeff(), "T", power, coeff() + "*T", coeff() + "*" + power, broken])
+
+    # a run of length 0 only in front, where it cannot join two terms
+    text = "".join(
+        "".join(rng.choice("+-") for _ in range(rng.randint(min(i, 1), 3))) + term()
+        for i in range(rng.randint(1, 4))
+    )
+    if rng.random() < 0.05:
+        text += rng.choice("+-")
+    if rng.random() < 0.2:
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + " " + text[cut:]
+    return text
+
+
+# "T^" is one piece, so that powers are common enough for a newline after
+# the caret (what re.DOTALL is there for) to come up
+_RANDOM_PIECES = (
+    "T", "T^", "^", "*", "+", "-", ",", "0", "1", "2", "7", " ", "\t", "\n", "_", "x",
+)
+
+
+def _random_text(rng):
+    """Up to 8 random pieces of _RANDOM_PIECES, such that every text after a
+    '^' (to the next sign) reads as no integer above 500, so no parse
+    allocates a large coefficient list."""
+    while True:
+        text = "".join(rng.choice(_RANDOM_PIECES) for _ in range(rng.randint(0, 8)))
+        tails = re.findall(r"(?=\^([^+-]*))", text.replace(" ", ""))
+        if not any(_reads_above(tail, 500) for tail in tails):
+            return text
+
+
+def _reads_above(tail, bound):
+    try:
+        return int(tail) > bound
+    except ValueError:
+        return False
+
+
+def test_tokenizer_matches_the_loop_parser():
+    # the regex tokenizer against the per-character loop it replaced, on a
+    # seeded grammar corpus and a seeded random corpus: the same coefficients,
+    # or the same exception class and message
+    fields = [F3, F5, field_make(7, 1), F9, field_make(5, 2)]
+    rng = random.Random(25)
+    cases = [(F, _grammar_text(F, rng)) for F in rng.choices(fields, k=10000)]
+    cases += [(rng.choice(fields), _random_text(rng)) for _ in range(10000)]
+    for field, text in cases:
+        assert _parse_outcome(poly_from_human, field, text) == _parse_outcome(
+            loop_poly_from_human, field, text
+        ), (field, text)
 
 
 def test_machine_form_uses_semicolons_over_nonprime_fields():
