@@ -77,11 +77,7 @@ class DrinfeldModule:
 
     def height(self):
         """Module height ht(Phi_P)/d; 2 means Phi_P is purely inseparable."""
-        return self._height_of(self.phi(self.P))
-
-    def _height_of(self, phi_P):
-        """`height` read off phi_P = Phi_P, which the caller has evaluated."""
-        h = height(phi_P)
+        h = height(self.phi(self.P))
         assert h % self.d == 0
         H = h // self.d
         assert H in (1, 2)
@@ -104,8 +100,14 @@ class DrinfeldModule:
 
     @classmethod
     def from_json(cls, data):
+        """The module of `to_json`; malformed input is a FieldError."""
         if isinstance(data, str):
             data = json.loads(data)
+        for key in ("q", "n", "gamma_T", "g", "delta"):
+            if not isinstance(data, dict) or key not in data:
+                raise FieldError("module JSON lacks the key %r" % key)
+            if key in ("q", "n") and type(data[key]) is not int:  # nor bool
+                raise FieldError("%s = %r is not an int" % (key, data[key]))
         q = data["q"]
         primes = _prime_factors(q)
         if len(primes) != 1:

@@ -6,7 +6,15 @@ under test can be checked against them; nothing in drinfeld2 calls them.
 
 import itertools
 
-from drinfeld2 import DrinfeldModule, Poly, Verdict, squarefree_split
+from drinfeld2 import (
+    ConsistencyError,
+    DrinfeldModule,
+    Poly,
+    Verdict,
+    height,
+    kernel_size_exp,
+    squarefree_split,
+)
 from drinfeld2.ff import _list_powmod, _prime_factors
 from drinfeld2.polyring import PolyDomainError
 
@@ -22,6 +30,31 @@ def all_modules(ext):
         for g in ext.elements():
             for delta in ext.units():
                 yield DrinfeldModule(ext, gamma, g, delta)
+
+
+def tri_criterion_supersingular(dm, cp):
+    """`classify.supersingular` by its three criteria, two of them in L{t}.
+
+    Checks (i) module height = 2, (ii) P | c, (iii) Phi_P has trivial kernel,
+    and insists all three agree.
+    """
+    phi_P = dm.phi(dm.P)
+    h = height(phi_P)
+    assert h % dm.d == 0
+    H = h // dm.d
+    assert H in (1, 2)
+    by_height = H == 2
+    c_mod_P = cp.c % dm.P
+    by_trace = c_mod_P.is_zero()
+    kexp = kernel_size_exp(phi_P)
+    by_kernel = kexp == 0
+    if not (by_height == by_trace == by_kernel):
+        raise ConsistencyError(
+            "criteria disagree: height=%r trace=%r kernel=%r for %r"
+            % (by_height, by_trace, by_kernel, dm)
+        )
+    witness = {"height": H, "c_mod_P": str(c_mod_P), "kernel_exp": kexp}
+    return by_height, witness
 
 
 def twist_constant(dm, u):

@@ -74,11 +74,12 @@ def _sibling_imports(name):
 
 def test_admissibility_lives_in_census():
     # the Weil verdict is a property of the census grid: census does not
-    # reach into classify for it, and classify, which keeps the per-module
-    # invariants, needs no field-level kernel
+    # reach into classify for it, and classify, which reads the per-module
+    # invariants off the charpoly, needs neither a field-level kernel nor L{t}
     assert "classify" not in _sibling_imports("census")
     assert "ff" not in _sibling_imports("classify")
-    assert {"frobenius", "ore", "polyring"} <= _sibling_imports("classify")
+    assert "ore" not in _sibling_imports("classify")
+    assert {"frobenius", "polyring"} <= _sibling_imports("classify")
     assert drinfeld2.Verdict.__module__ == "drinfeld2.census"
     assert drinfeld2.weil_admissible.__module__ == "drinfeld2.census"
 

@@ -22,7 +22,7 @@ from drinfeld2 import (
 )
 
 from drinfeld2.classify import _monic_divisors
-from oracles import all_modules
+from oracles import all_modules, tri_criterion_supersingular
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -30,17 +30,42 @@ EXT9 = ext_make(F3, 2)
 T = Poly.x(F3)
 
 
-def test_tri_criterion_agrees_exhaustively():
-    for ext in (EXT1, EXT9):
-        for dm in all_modules(ext):
-            ss, witness = supersingular(dm)  # raises ConsistencyError on a clash
-            assert ss == (witness["height"] == 2)
+def test_tri_criterion_agrees_exhaustively(sweep):
+    # supersingular reads P | c off the charpoly; the oracle also evaluates
+    # Phi_P in L{t} and raises ConsistencyError unless its height and its
+    # kernel agree with P | c.  Verdict and witness must match on every
+    # module over F_3, F_9, F_5, F_25 and F_27
+    L27 = ext_make(F3, 3)
+    exhaustive = [pair for pairs in sweep.values() for pair in pairs]
+    exhaustive += [(dm, charpoly(dm)) for dm in all_modules(L27)]
+    supersingulars = 0
+    for dm, cp in exhaustive:
+        verdict = supersingular(dm, cp)
+        assert verdict == tri_criterion_supersingular(dm, cp), dm
+        supersingulars += verdict[0]
+    assert (len(exhaustive), supersingulars) == (34720, 3272)
+    # seeded modules over the module-query fields up to 3^9, gamma in a
+    # random subfield so that d runs over the divisors of n; supersingular
+    # computes the charpoly itself here
+    rng = random.Random(26)
+    for p, s, n in ((3, 1, 6), (3, 1, 7), (3, 1, 8), (3, 1, 9),
+                    (5, 1, 4), (5, 1, 5), (5, 1, 6), (3, 2, 3)):
+        L = ext_make(field_make(p, s), n)
+        q = L.base.order
+        for _ in range(6):
+            k = rng.choice([k for k in range(1, n + 1) if n % k == 0])
+            gamma = L.pow(rng.randrange(1, L.order), (L.order - 1) // (q**k - 1))
+            dm = DrinfeldModule(L, gamma, rng.randrange(L.order),
+                                rng.randrange(1, L.order))
+            assert supersingular(dm) == tri_criterion_supersingular(dm, charpoly(dm)), dm
 
 
-def test_supersingular_evaluates_phi_P_once(record_calls):
-    calls = record_calls(DrinfeldModule, "phi")
+def test_classify_evaluates_no_phi_P(record_calls):
+    # the verdict and the height come off the charpoly: no L{t} product
+    phis = record_calls(DrinfeldModule, "phi")
+    products = record_calls(OrePoly, "__mul__")
     classify(DrinfeldModule(EXT9, EXT9.from_coords((1, 1)), 4, 7))
-    assert len(calls) == 1
+    assert (len(phis), len(products)) == (0, 0)
 
 
 def test_classify_raises_P_to_the_m_once(record_calls):
@@ -232,9 +257,14 @@ def end_conductor(dm, cp):
 
 def test_end_conductor_over_f27():
     # every module over F_27 with gamma in {0, 1}: the passing conductors are
-    # exactly the multiples of f_End, and g = 1 forces f_End = 1
+    # exactly the multiples of f_End, and g = 1 forces f_End = 1.  Within an
+    # ordinary isogeny class End spreads over every order between A[pi] and
+    # O_K: each monic f | g is f_End of some module in the class (for
+    # elliptic curves this is Waterhouse's theorem; Yu 1995 for Drinfeld
+    # modules)
     L = ext_make(F3, 3)
     ordinary_non_maximal = maximal_end = 0
+    spread = {}  # (gamma, c, mu) of an ordinary class -> (conductors, f_End seen)
     for gamma in (0, 1):
         for g in L.elements():
             for delta in L.units():
@@ -250,11 +280,19 @@ def test_end_conductor_over_f27():
                     assert end_contains(dm, cp, f) == f_end.divides(f), (dm, f)
                 if cond.is_one():
                     assert f_end.is_one()
-                elif not supersingular(dm, cp)[0]:
+                if supersingular(dm, cp)[0]:
+                    continue
+                key = (gamma, cp.c.coeffs, cp.mu)
+                spread.setdefault(key, (conductors, set()))[1].add(f_end.coeffs)
+                if not cond.is_one():
                     ordinary_non_maximal += 1
                     maximal_end += f_end.is_one()
     # End is maximal for a quarter of the ordinary modules whose A[pi] is not
     assert (maximal_end, ordinary_non_maximal) == (104, 416)
+    for key, (conductors, seen) in spread.items():
+        assert seen == {f.coeffs for f in conductors}, key
+    assert len(spread) == 24
+    assert sum(len(conductors) > 1 for conductors, _ in spread.values()) == 8
 
 
 def test_end_conductor_reproducer():

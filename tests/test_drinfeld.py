@@ -165,6 +165,17 @@ def test_json_roundtrip():
     for q in (6, 1):
         with pytest.raises(FieldError, match="not a prime power"):
             DrinfeldModule.from_json(dict(data, q=q))
+    # malformed input is a FieldError naming the key, before any field work
+    for key, value in (("q", "9"), ("n", "2"), ("n", 2.0), ("q", 9.0),
+                       ("q", True), ("n", False), ("q", None)):
+        with pytest.raises(FieldError, match="%s = .* is not an int" % key):
+            DrinfeldModule.from_json(dict(data, **{key: value}))
+    for key in data:
+        partial = {k: v for k, v in data.items() if k != key}
+        with pytest.raises(FieldError, match="lacks the key '%s'" % key):
+            DrinfeldModule.from_json(partial)
+    with pytest.raises(FieldError, match="lacks the key 'q'"):
+        DrinfeldModule.from_json("[3, 2]")
 
 
 def test_all_modules_count():
