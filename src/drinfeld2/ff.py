@@ -17,10 +17,12 @@ tables on the least generator g of the unit group, searched for once (past
 the base field) and kept as `generator`, and Zech logarithms
 zech[k] = log(1 + g^k).  A product is one exp lookup, a sum one zech and one
 exp lookup, and -a = a g^(N/2), N = order - 1.  The tables come from one walk
-x -> x g over the units: that map is F_p-linear on the base-p code, so a step
-adds, digit by digit, the products of g with the code's low and high halves,
-from tables of p^(pdeg/2) products each (rounded down and up).  1 + x moves
-only the lowest base-p digit of x, so zech costs one log lookup per unit.
+x -> x g over the units.  That map is F_p-linear on the base-p digits, so the
+walk packs digit k into bits [wk, wk + w), w = p.bit_length() + 1.  A step is
+one integer sum of the images of the word's halves, every slot of it at most
+2p - 2 < 2^w so no carry crosses a slot, and one mask that takes every slot
+mod p (_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
+costs one log lookup per unit.
 Only this module reads the tables: `arith()` hands out a field's arithmetic,
 on discrete logs with None for 0 when tabled and on codes when not.
 
@@ -29,8 +31,8 @@ polynomial, and add and neg work digit by digit, mod p, on the base-p code:
 addition is coefficientwise at every level of a tower.  One digit codec,
 _to_digits/_from_digits, expands a code in either radix: the text form in
 base p with pdeg digits, and coords/from_coords in base B with one digit per
-base-field element, for the table-free product and the halves of the table
-walk.  The Frobenius x -> x^(q^i) is just a power, one exp/log lookup in a
+base-field element, for the table-free product and the packed words of the
+table walk.  The Frobenius x -> x^(q^i) is just a power, one exp/log lookup in a
 tabled field and square-and-multiply in a table-free one.
 _square_and_multiply is the package's one square-and-multiply loop: field
 powers, powers modulo a polynomial and polyring's Poly powers all pass it
@@ -107,6 +109,17 @@ def _from_digits(digits, radix):
     for d in reversed(digits):
         a = a * radix + d
     return a
+
+
+def _slot_reducer(p, slots):
+    """(w, reduce): reduce(a + b) takes every w-bit slot of the sum of two
+    words of `slots` base-p digits mod p at once (SWAR: Lamport, CACM 1975).
+    A slot of the sum is at most 2p - 2, and adding 2^(w-1) - p to it sets
+    its top bit, with no carry, exactly when it is p or more."""
+    w = p.bit_length() + 1
+    ones = sum(1 << w * k for k in range(slots))
+    top, bias, shift = ones << (w - 1), ones * ((1 << (w - 1)) - p), w - 1
+    return w, lambda s: s - (((s + bias) & top) >> shift) * p
 
 
 class FiniteField:
@@ -414,26 +427,42 @@ class ExtensionField(FiniteField):
 
     def _build_tables(self):
         gen = self.generator
-        # x -> x*gen is F_p-linear on the base-p code x = lo + split*hi, so a
-        # step of the walk adds one product from a table of low halves to one
-        # from a table of high halves, digit by digit
-        p, n_units = self.char, self.order - 1
-        split = p ** (self.pdeg // 2)
-        low = [self._mul_poly(lo, gen) for lo in range(split)]
-        high = [self._mul_poly(hi * split, gen) for hi in range(self.order // split)]
-        # _zech is set last, so until then this is the digit loop
-        digit_add = FiniteField.add
+        # the walk runs on packed words (see the module docstring); its steps
+        # come from the images of the pdeg digit codes p^k
+        p, pdeg, n_units = self.char, self.pdeg, self.order - 1
+        w, reduce = _slot_reducer(p, pdeg)
+        images = [_from_digits(_to_digits(self._mul_poly(p**k, gen), p, pdeg), 1 << w)
+                  for k in range(pdeg)]
+
+        def half(digits):
+            # {packed half: packed image} and {packed half: code}, for the
+            # codes whose nonzero digits sit at the positions `digits`
+            image, code = {0: 0}, {0: 0}
+            for j, k in enumerate(digits):
+                step, b, pk = 1 << w * j, images[k], p**k
+                for key in list(image):
+                    im, c = image[key], code[key]
+                    for _ in range(p - 1):  # one packed add per entry
+                        key, im, c = key + step, reduce(im + b), c + pk
+                        image[key], code[key] = im, c
+            return image, code
+
+        low, low_code = half(range(pdeg // 2))
+        high, high_code = half(range(pdeg // 2, pdeg))
+        cut, mask = w * (pdeg // 2), (1 << w * (pdeg // 2)) - 1
         # one int object per value, shared by exp, log and zech
         ints = list(range(self.order))
-        exp = [0] * (2 * n_units)
+        exp = [0] * n_units
         log = [None] * self.order  # 0 has no log
-        x = self.one
-        for i in range(n_units):
-            exp[i] = x
-            exp[i + n_units] = x
-            log[x] = ints[i]
-            hi, lo = divmod(x, split)
-            x = ints[digit_add(self, low[lo], high[hi])]
+        x = 1  # packed, as are the images; the codes go into the tables
+        for i in itertools.islice(ints, n_units):
+            lo, hi = x & mask, x >> cut
+            exp[i] = c = ints[low_code[lo] + high_code[hi]]
+            log[c] = i
+            x = reduce(low[lo] + high[hi])
+        if x != 1 or None in log[1:]:
+            raise AssertionError("%d does not generate the units of %r" % (gen, self))
+        exp *= 2
         # zech[k] = log(1 + gen^k), a reference into log.  1 + x moves only
         # the lowest base-p digit of x, and 1 + x = 0 exactly at x = -1,
         # k = n_units/2, where zech reads log[0] = None.

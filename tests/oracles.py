@@ -105,6 +105,34 @@ def least_generator(F):
     )
 
 
+def split_walk_tables(F):
+    """(exp, log, zech) by the split walk x -> x g on codes: a step adds, digit
+    by digit, the products of g with the code's low and high halves, from
+    tables of p^(pdeg/2) products each (rounded down and up).  F must be
+    table-free, so that F.add is the digit loop."""
+    assert F._zech is None
+    gen = F.generator
+    p, n_units = F.char, F.order - 1
+    split = p ** (F.pdeg // 2)
+    low = [F._mul_poly(lo, gen) for lo in range(split)]
+    high = [F._mul_poly(hi * split, gen) for hi in range(F.order // split)]
+    exp = [0] * (2 * n_units)
+    log = [None] * F.order  # 0 has no log
+    x = F.one
+    for i in range(n_units):
+        exp[i] = x
+        exp[i + n_units] = x
+        log[x] = i
+        hi, lo = divmod(x, split)
+        x = F.add(low[lo], high[hi])
+    # 1 + x moves only the lowest base-p digit of x
+    zech = [
+        log[x + 1 if x % p != p - 1 else x + 1 - p]
+        for x in itertools.islice(exp, n_units)
+    ]
+    return exp, log, zech
+
+
 def product_minimal_polynomial(ext, x):
     """The minimal polynomial of x over F_q as the Poly product of X - y over
     the distinct Frobenius conjugates y of x."""

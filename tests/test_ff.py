@@ -18,7 +18,7 @@ from drinfeld2 import (
 )
 from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
-from oracles import is_square_unit, least_generator
+from oracles import is_square_unit, least_generator, split_walk_tables
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -223,9 +223,9 @@ def test_tables_match_per_unit_walk():
     assert field_make(5, 4)._exp[1] == 30
 
 
-def test_table_build_makes_split_products_only(monkeypatch, record_calls):
-    # one table build is the generator search plus p^floor(pdeg/2) low-half
-    # and p^ceil(pdeg/2) high-half products: no product per unit
+def test_table_build_makes_one_product_per_digit(monkeypatch, record_calls):
+    # one table build is the generator search plus one product per base-p
+    # digit, the image of p^k: no product per unit or per half code
     calls = record_calls(ff.ExtensionField, "_mul_poly")
     F9 = field_make(3, 2)
     for base, degree in [(PrimeField(3), 2), (PrimeField(3), 7), (PrimeField(5), 4),
@@ -238,8 +238,48 @@ def test_table_build_makes_split_products_only(monkeypatch, record_calls):
             twin = ff.ExtensionField(base, degree)
         calls.clear()
         assert twin._least_generator() == F._exp[1]
-        p, half = F.char, F.pdeg // 2
-        assert built == len(calls) + p**half + p ** (F.pdeg - half), F
+        assert built == len(calls) + F.pdeg, F
+
+
+def test_packed_walk_matches_split_walk(monkeypatch):
+    # slot widths w = 3 (p = 3) to 9 (p = 251), and towers over F_9, F_25, F_49
+    F9, F25, F49 = field_make(3, 2), field_make(5, 2), field_make(7, 2)
+    builds = [(PrimeField(3), 10), (PrimeField(5), 6), (PrimeField(7), 5),
+              (PrimeField(11), 4), (PrimeField(13), 4), (PrimeField(251), 2),
+              (F9, 5), (F25, 3), (F49, 2)]
+    for base, degree in builds:
+        F = ff.ExtensionField(base, degree)
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = ff.ExtensionField(base, degree)
+        assert (F._exp, F._log, F._zech) == split_walk_tables(twin), F
+        assert F.generator == twin.generator == least_generator(F), F
+
+
+def test_slot_reduction_every_odd_prime_below_256():
+    for p in range(3, 256, 2):
+        if ff._prime_factors(p) != [p]:
+            continue
+        _, reduce = ff._slot_reducer(p, 1)
+        assert [reduce(a + b) for a in range(p) for b in range(p)] == [
+            (a + b) % p for a in range(p) for b in range(p)
+        ], p
+        # pdeg slots of the largest tabled field of characteristic p, each at
+        # the bound 2p - 2, at p (the least that reduces) and at p - 1
+        pdeg = max(s for s in range(1, 17) if p**s <= ff._TABLE_LIMIT)
+        w, reduce = ff._slot_reducer(p, pdeg)
+        ones = sum(1 << w * k for k in range(pdeg))
+        for slot in (2 * p - 2, p, p - 1):
+            assert reduce(slot * ones) == slot % p * ones, (p, slot)
+
+
+@pytest.mark.parametrize("power", [2, 0])
+def test_table_build_rejects_a_non_generator(power):
+    # the square of the generator reaches half the units, 1 none but itself
+    F = field_make(3, 4)
+    F._generator = F.pow(F.generator, power)
+    with pytest.raises(AssertionError, match="does not generate"):
+        F._build_tables()
 
 
 def test_least_generator_matches_search_from_one():
