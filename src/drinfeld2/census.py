@@ -42,7 +42,6 @@ import enum
 import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from operator import getitem
@@ -337,13 +336,14 @@ def _census_pass(P, m):
     for c, mu in admissible:
         chi = tuple(map(getitem, rows[mu], c)) + at_zero[mu][len(c):]
         groups.setdefault(chi, []).append((c, mu))
-    tally = Counter(admissible.values())
+    # list.count compares by identity in C; a Counter would hash each Enum
+    verdicts = list(admissible.values())
     report = CensusReport(
         q=P.field.order, d=int(P.deg), m=m, P=P,
-        ordinary_count=tally[Verdict.ORDINARY],
-        ss2_count=tally[Verdict.SUPERSINGULAR_2],
-        ss3_count=tally[Verdict.SUPERSINGULAR_3],
-        ss4_count=tally[Verdict.SUPERSINGULAR_4],
+        ordinary_count=verdicts.count(Verdict.ORDINARY),
+        ss2_count=verdicts.count(Verdict.SUPERSINGULAR_2),
+        ss3_count=verdicts.count(Verdict.SUPERSINGULAR_3),
+        ss4_count=verdicts.count(Verdict.SUPERSINGULAR_4),
     )
     return report, groups, admissible
 

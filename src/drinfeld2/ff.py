@@ -39,8 +39,11 @@ powers, powers modulo a polynomial and polyring's Poly powers all pass it
 their product.
 
 This module also holds the polynomial kernel: the one implementation of
-products, division, gcd, the Rabin irreducibility test and the enumeration
-of monic irreducibles on coefficient lists.  The extension fields use it for
+products, division, gcd, Ben-Or's irreducibility test and the enumeration
+of monic irreducibles on coefficient lists.  The test takes x to one more
+q-th power mod f per degree, q the order of the coefficient field, and stops
+at the degree of f's smallest factor, so most reducible candidates of a
+modulus search cost one power.  The extension fields use the kernel for
 their moduli and table-free products, and polyring wraps it.
 """
 
@@ -278,8 +281,9 @@ def _list_mul(field, a, b):
 def _list_divmod(field, a, b):
     """(quotient, remainder) of a by b, whose last coefficient is nonzero.
 
-    A monic b is never inverted: the field product and the Rabin test divide
-    by monic polynomials all the time, and inverting is a power in F_p.
+    A monic b is never inverted: the field product and the irreducibility
+    test divide by monic polynomials all the time, and inverting is a power
+    in F_p.
     """
     add, mul, neg = field.add, field.mul, field.neg
     r = list(a)
@@ -323,17 +327,18 @@ def _list_gcd(field, a, b):
 
 
 def _list_irreducible(field, f):
-    """Rabin's irreducibility test for monic f of degree >= 1 over field."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    B = field.order
-    x = [0, field.one]
-    if _list_powmod(field, x, B**d, f) != x:
-        return False
-    for r in _prime_factors(d):
-        g = _list_powmod(field, x, B ** (d // r), f)
-        g += [0] * (2 - len(g))
+    """Ben-Or's irreducibility test for monic f of degree >= 1 over field.
+
+    f of degree d is reducible exactly when it has a factor of some degree
+    i <= d/2, that is when gcd(f, x^(B^i) - x) != 1, B = field.order.  The
+    powers x^(B^i) mod f come one B-th power at a time, and the test stops
+    at the degree of the smallest factor of f: 1 for most reducible f
+    (Ben-Or, FOCS 1981; Gao and Panario 1997).
+    """
+    h = [0, field.one]
+    for _ in range((len(f) - 1) // 2):
+        h = _list_powmod(field, h, field.order, f)
+        g = h + [0] * (2 - len(h))
         g[1] = field.sub(g[1], field.one)
         if _list_gcd(field, f, g) != [field.one]:
             return False

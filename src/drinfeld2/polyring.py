@@ -288,7 +288,8 @@ def gcd(a, b):
 
 
 def is_irreducible(f):
-    """Rabin test; requires deg f >= 1."""
+    """Ben-Or's test, which stops at the degree of the smallest factor;
+    requires deg f >= 1."""
     if f.is_constant():
         raise PolyDomainError("irreducibility is undefined for constants")
     return _list_irreducible(f.field, f.monic().coeffs)

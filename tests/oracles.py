@@ -15,7 +15,7 @@ from drinfeld2 import (
     kernel_size_exp,
     squarefree_split,
 )
-from drinfeld2.ff import _list_powmod, _prime_factors
+from drinfeld2.ff import _list_gcd, _list_powmod, _prime_factors
 from drinfeld2.polyring import PolyDomainError
 
 
@@ -103,6 +103,26 @@ def least_generator(F):
         u for u in F.units()
         if all(F.pow(u, N // r) != F.one for r in _prime_factors(N))
     )
+
+
+def rabin_irreducible(field, f):
+    """Rabin's irreducibility test for monic f of degree d >= 1: f divides
+    x^(B^d) - x, and gcd(f, x^(B^(d/r)) - x) = 1 for every prime r | d,
+    B = field.order.  It raises x to the power B^d before it can reject f."""
+    d = len(f) - 1
+    if d == 1:
+        return True
+    B = field.order
+    x = [0, field.one]
+    if _list_powmod(field, x, B**d, f) != x:
+        return False
+    for r in _prime_factors(d):
+        g = _list_powmod(field, x, B ** (d // r), f)
+        g += [0] * (2 - len(g))
+        g[1] = field.sub(g[1], field.one)
+        if _list_gcd(field, f, g) != [field.one]:
+            return False
+    return True
 
 
 def split_walk_tables(F):

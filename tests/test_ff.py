@@ -18,7 +18,12 @@ from drinfeld2 import (
 )
 from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
-from oracles import is_square_unit, least_generator, split_walk_tables
+from oracles import (
+    is_square_unit,
+    least_generator,
+    rabin_irreducible,
+    split_walk_tables,
+)
 
 
 def test_prime_field_matches_integer_arithmetic():
@@ -54,6 +59,65 @@ def test_auto_modulus_is_least_irreducible():
     assert least_irreducible(base, 9) == (1, 0, 0, 0, 0, 0, 2, 1, 0, 1)
     assert least_irreducible(base, 10) == (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)
     assert least_irreducible(PrimeField(5), 6) == (1, 0, 0, 0, 1, 1, 1)
+
+
+def monics(F, degree):
+    """Every monic polynomial of the degree over F, as coefficient tuples."""
+    for tail in itertools.product(range(F.order), repeat=degree):
+        yield tail + (F.one,)
+
+
+def test_irreducibility_matches_rabin_oracle():
+    # every monic f of degree <= 5 over F_3, <= 4 over F_5 and F_7, <= 3 over
+    # F_9 and <= 2 over F_25
+    tested = 0
+    for (p, s), max_deg in (((3, 1), 5), ((5, 1), 4), ((7, 1), 4),
+                            ((3, 2), 3), ((5, 2), 2)):
+        F = field_make(p, s)
+        for d in range(1, max_deg + 1):
+            for f in monics(F, d):
+                assert ff._list_irreducible(F, f) == rabin_irreducible(F, f), f
+                tested += 1
+    assert tested == 5412
+    # the modulus search finds the oracle's least irreducible, so no field
+    # presentation moves; from degree 2 on, c_0 = 0 means the factor T
+    for F, max_deg in ((PrimeField(3), 12), (PrimeField(5), 7)):
+        for d in range(1, max_deg + 1):
+            least = next(
+                f for f in monics(F, d)
+                if (d == 1 or f[0]) and rabin_irreducible(F, f)
+            )
+            assert least_irreducible(F, d) == least
+
+
+def test_irreducibility_stops_at_the_smallest_factor_degree(record_calls):
+    # one more B-th power mod f per degree tried: a root stops the test at
+    # degree 1, a product of two irreducible quadratics at degree 2, and an
+    # irreducible f of degree d runs all floor(d/2) degrees
+    powmods = record_calls(ff, "_list_powmod")
+
+    def powers(F, f):
+        powmods.clear()
+        irreducible = ff._list_irreducible(F, f)
+        return irreducible, len(powmods)
+
+    F = PrimeField(3)
+    with_root = 0
+    for d in range(2, 7):
+        for f in monics(F, d):
+            if any(sum(c * a**i for i, c in enumerate(f)) % 3 == 0 for a in range(3)):
+                assert powers(F, f) == (False, 1), f
+                with_root += 1
+    assert with_root > 0
+    quadratics = [f for f in monics(F, 2) if rabin_irreducible(F, f)]
+    assert len(quadratics) == 3
+    for g, h in itertools.combinations_with_replacement(quadratics, 2):
+        assert powers(F, tuple(ff._list_mul(F, g, h))) == (False, 2), (g, h)
+    for F, max_deg in ((PrimeField(3), 7), (PrimeField(5), 4), (field_make(3, 2), 3)):
+        for d in range(1, max_deg + 1):
+            for f in monics(F, d):
+                if rabin_irreducible(F, f):
+                    assert powers(F, f) == (True, d // 2), f
 
 
 def test_extension_generator_cube_is_frobenius():
