@@ -8,8 +8,8 @@ which is read off constants with no P-adic valuation and no squarefree
 split (see `_at_P`).  Enumerates the admissible candidates, evaluates
 the closed-form counts, optionally sweeps the modules over L = F_{q^(md)}
 to measure which classes are realized, and counts distinct Euler-Poincare
-divisors.  The sweep computes one charpoly per Frobenius orbit of j,
-scaled by F_q^*, plus gcd(q^2 - 1, |L| - 1) for g = 0.  It scales a
+divisors.  The sweep computes one charpoly per Frobenius orbit of twist
+classes, scaled by F_q^* (the rule is in `_sweep`).  It scales a
 charpoly's coefficient tuple by each unit of F_q for its q - 1 keys, with
 no Poly built.  It picks those representatives on discrete logs to the
 least generator of L^*: there a coset of the k-th powers is a residue class
@@ -448,9 +448,18 @@ def realize_bound():
 
 def _sweep(P, m):
     """Distinct charpoly keys (c coefficients, mu) over L = F_{q^(md)}: one
-    charpoly per Frobenius orbit of j, scaled by F_q^*, plus
-    gcd(q^2 - 1, |L| - 1) for g = 0, with delta = gen^k chosen by its log
-    k.  P and m must already be checked; the bound is checked first."""
+    charpoly per Frobenius orbit of twist classes, scaled by F_q^*, with
+    delta = gen^k chosen by its log k.  P and m must already be checked;
+    the bound is checked first.
+
+    For v in L^* take w with w^(q-1) = v.  Conjugating by w maps the module
+    (g, delta) to (g v, delta v^(q+1)) and its charpoly (c, mu) to
+    (zeta^-1 c, zeta^-2 mu) with zeta = N_{L/F_q}(v), and the norm is onto
+    F_q^*.  So the charpoly of (1, delta) gives the keys of every g != 0
+    module twisted from it, and that of (0, delta) the keys of the class of
+    delta modulo (L^*)^(q+1): gcd(q + 1, |L| - 1) classes.  The Frobenius
+    x -> x^(q^d) fixes gamma, 0 and 1 and keeps the charpoly, so one class
+    per orbit is enough."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
@@ -464,32 +473,19 @@ def _sweep(P, m):
     ext = ext_make(base, n)
     gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
     # A unit is gen^k for one k in Z/N, N = |L| - 1, gen the field's cached
-    # generator: the e-th powers, e | N, are the k divisible by e; x^(q^d) is k q^d.
+    # generator: its class modulo the e-th powers, e | N, is k mod e, and
+    # x^(q^d) is k q^d.  Each orbit keeps its least k.
     gen, N = ext.generator, order - 1
-    # A constant twist by u in L^* is an isomorphism over L, so it keeps the
-    # charpoly; it fixes gamma and maps (g, delta) to
-    # (g u^(1-q), delta u^(1-q^2)).  For g = 0 only the coset of delta modulo
-    # (L^*)^(q^2-1) matters, and gen^i for i < gcd(q^2 - 1, N) is one
-    # delta from each.
-    realized = set()
-    for i in range(math.gcd(q * q - 1, N)):
-        c, mu = frobenius._charpoly(ext, gamma, 0, ext.pow(gen, i))
-        realized.add((c.coeffs, mu))
-    # For g != 0 put j = g^(q+1)/delta.  The modules with a given j are
-    # (v, v^(q+1)/j) for v in L^*, twists of (1, 1/j), and the charpoly of
-    # the one at v is (zeta^-1 c, zeta^-2 mu) with zeta = N_{L/F_q}(v).  The
-    # norm is onto F_q^*, so the one charpoly at g = 1 gives all q - 1 keys
-    # of j.  The Frobenius x -> x^(q^d) fixes gamma and g = 1 and keeps the
-    # charpoly, so one delta = gen^k per orbit is enough: the k that is
-    # least in {k q^(di) mod N}.
     scalings = [(u, base.mul(u, u)) for u in base.units()]  # u = zeta^-1
     frobs = [pow(q ** int(P.deg), i, N) for i in range(1, m)]
-    for k in range(N):
-        if all(k <= k * f % N for f in frobs):
-            c, mu = frobenius._charpoly(ext, gamma, ext.one, ext.pow(gen, k))
-            for u, u2 in scalings:
-                key = tuple(base.mul(u, e) for e in c.coeffs)
-                realized.add((key, base.mul(u2, mu)))
+    realized = set()
+    for g, classes in ((ext.zero, math.gcd(q + 1, N)), (ext.one, N)):
+        for k in range(classes):
+            if all(k <= k * f % classes for f in frobs):
+                c, mu = frobenius._charpoly(ext, gamma, g, ext.pow(gen, k))
+                for u, u2 in scalings:
+                    key = tuple(base.mul(u, e) for e in c.coeffs)
+                    realized.add((key, base.mul(u2, mu)))
     return realized
 
 
@@ -502,10 +498,10 @@ def _against_admissible(realized, admissible):
 def realize(P, m):
     """Collect the distinct Frobenius characteristic polynomials of the
     modules (gamma a fixed root of P, g in L, delta in L^*) over
-    L = F_{q^(md)}: one charpoly per Frobenius orbit of j = g^(q+1)/delta,
-    scaled by F_q^*, plus gcd(q^2 - 1, |L| - 1) for g = 0, each delta
-    chosen by its log to the least generator of L^*.  The sweep bound is
-    checked before the census pass.
+    L = F_{q^(md)}: one charpoly per Frobenius orbit of twist classes,
+    scaled by F_q^* (see `_sweep`), each delta chosen by its log to the
+    least generator of L^*.  The sweep bound is checked before the census
+    pass.
 
     Returns (realized_keys, admissible_keys, ordinary_admissible_keys,
     missing_ordinary) where keys are (c coefficients, mu).

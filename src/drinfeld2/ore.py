@@ -52,21 +52,18 @@ class OrePoly(_Dense):
         if other.is_zero():
             raise ZeroDivisionError("right division by zero")
         F = self.field
+        b = other.coeffs
         r = list(self.coeffs)
-        db = len(other.coeffs) - 1
-        lead_b = other.coeffs[-1]
+        db = len(b) - 1
         q = [0] * max(len(r) - db, 0)
-        while len(r) - 1 >= db and r:
-            if r[-1]:
-                k = len(r) - 1 - db
-                c = F.mul(r[-1], F.inv(F.frob_iter(lead_b, k)))
+        # step k leaves entry k + db as it is: no later step reads it
+        for k in reversed(range(len(q))):
+            if r[k + db]:
+                c = F.mul(r[k + db], F.inv(F.frob_iter(b[-1], k)))
                 q[k] = c
                 for i in range(db):
-                    r[k + i] = F.sub(r[k + i], F.mul(c, F.frob_iter(other.coeffs[i], k)))
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        return OrePoly(F, q), OrePoly(F, r)
+                    r[k + i] = F.sub(r[k + i], F.mul(c, F.frob_iter(b[i], k)))
+        return OrePoly(F, q), OrePoly(F, r[:db])
 
     def __str__(self):
         return " + ".join(self._terms("t")) or "0"
@@ -80,10 +77,7 @@ def height(u):
     coefficient)."""
     if u.is_zero():
         raise OreDomainError("height of 0")
-    for i, c in enumerate(u.coeffs):
-        if c != 0:
-            return i
-    raise AssertionError  # unreachable
+    return next(i for i, c in enumerate(u.coeffs) if c)
 
 
 def kernel_size_exp(u):

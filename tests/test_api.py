@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
+import sys
 import types
 
 import drinfeld2
@@ -98,3 +101,27 @@ def test_only_ff_reads_the_field_tables():
         }
     assert read.pop("ff") == private
     assert all(not names for names in read.values()), read
+
+
+def test_the_library_imports_the_standard_library_alone():
+    # drinfeld2 has no dependencies: an absolute import names a standard
+    # library module, a relative one a sibling module, and the project
+    # declares none (matched as text: Python 3.10 has no tomllib)
+    siblings = {info.name for info in pkgutil.iter_modules(drinfeld2.__path__)}
+    package = pathlib.Path(drinfeld2.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if node.module else [a.name for a in node.names]
+                assert node.level == 1 and set(names) <= siblings, (path.name, names)
+                continue
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+    pyproject = package.parents[1] / "pyproject.toml"
+    assert re.search(r"^dependencies = \[\]$", pyproject.read_text(), re.M)

@@ -247,12 +247,12 @@ def test_sweep_matches_twist_orbit_oracle(monkeypatch):
 
 
 def sweep_weights(ext, gamma, d):
-    """{(c coefficients, mu): modules} from the sweep's representatives over
-    L = ext, gamma of degree d, each weighted by the modules it stands for: a
-    g = 0 coset representative by the size (|L| - 1)/gcd(q^2 - 1, |L| - 1)
-    of its coset, and a g = 1 representative whose delta has an orbit of
-    length l under x -> x^(q^d) by l (|L| - 1)/(q - 1) at each of its q - 1
-    scaled keys."""
+    """{(c coefficients, mu): modules} from representatives over L = ext,
+    gamma of degree d, each weighted by the modules it stands for: a g = 0
+    constant-twist coset representative by the size
+    (|L| - 1)/gcd(q^2 - 1, |L| - 1) of its coset, and a g = 1 representative
+    whose delta has an orbit of length l under x -> x^(q^d) by
+    l (|L| - 1)/(q - 1) at each of its q - 1 scaled keys."""
     base = ext.base
     q = base.order
     gen, N = ext._least_generator(), ext.order - 1
@@ -297,20 +297,60 @@ def test_sweep_weights_count_every_module(monkeypatch):
 
 def test_realize_computes_one_charpoly_per_frobenius_orbit(monkeypatch, record_calls):
     # over F_625: 164 orbits of x -> x^5 on L^* (Burnside:
-    # (624 + 4 + 24 + 4)/4) at g = 1, plus gcd(24, 624) = 24 cosets at
-    # g = 0; one module per constant-twist orbit would be 2520
+    # (624 + 4 + 24 + 4)/4) at g = 1, plus 4 orbits of k -> 5k on
+    # Z/gcd(6, 624) = Z/6 ({0}, {1, 5}, {2, 4}, {3}) at g = 0; one module per
+    # constant-twist orbit would be 2520
     monkeypatch.setenv(census.REALIZE_BOUND_ENV, "625")
     charpolys = record_calls(frobenius, "_charpoly")
     tabled = realize(T5, 4)
     realized, admissible, _, missing = tabled
-    assert len(charpolys) == 188
+    assert len(charpolys) == 168
     assert realized == admissible and len(realized) == 286
     assert missing == []
     # the same orbits and keys without field tables
     charpolys.clear()
     monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
     assert realize(T5, 4) == tabled
-    assert len(charpolys) == 188
+    assert len(charpolys) == 168
+
+
+def test_sweep_covers_g0_by_one_charpoly_per_frobenius_orbit(monkeypatch, record_calls):
+    # at g = 0 the sweep computes one charpoly per orbit of k -> k q^d on
+    # Z/gcd(q + 1, |L| - 1), the classes of delta = gen^k modulo the
+    # (q+1)-th powers, and those charpolys scaled as (u c, u^2 mu), u in
+    # F_q^*, are exactly the keys of (gamma, 0, delta) over all delta in L^*
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    charpolys = record_calls(frobenius, "_charpoly")
+    shapes = (
+        (3, 1, 1, 2), (3, 1, 1, 3), (3, 1, 1, 4), (3, 1, 2, 2), (5, 1, 1, 2),
+        (5, 1, 3, 1), (7, 1, 2, 1), (3, 2, 1, 1), (3, 2, 1, 2), (3, 2, 2, 1),
+    )
+    for limit in (ff._TABLE_LIMIT, 0):
+        monkeypatch.setattr(ff, "_TABLE_LIMIT", limit)
+        for p, s, d, m in shapes:
+            base = field_make(p, s)
+            q = base.order
+            P = least_irreducible_poly(base, d)
+            charpolys.clear()
+            census._sweep(P, m)
+            at_zero = [args for args in charpolys if args[2] == 0]
+            ext, gamma = at_zero[0][:2]
+            classes = math.gcd(q + 1, ext.order - 1)
+            orbits = {
+                frozenset(k * q ** (d * i) % classes for i in range(m))
+                for k in range(classes)
+            }
+            assert len(at_zero) == len(orbits), (p, s, d, m, limit)
+            scaled = set()
+            for args in at_zero:
+                c, mu = frobenius._charpoly(*args)
+                for u in base.units():
+                    scaled.add((c.scale(u).coeffs, base.mul(base.mul(u, u), mu)))
+            brute = set()
+            for delta in ext.units():
+                cp = charpoly(DrinfeldModule(ext, gamma, 0, delta))
+                brute.add((cp.c.coeffs, cp.mu))
+            assert scaled == brute, (p, s, d, m, limit)
 
 
 def test_realize_searches_for_the_generator_once(monkeypatch, record_calls):
@@ -379,8 +419,8 @@ def test_sweep_makes_no_polynomial_products(monkeypatch, record_calls):
 
 
 def test_coset_representatives(monkeypatch):
-    # k = gcd(q^2 - 1, |L| - 1) gives the sweep's g = 0 twist classes;
-    # k = q - 1 checks the function alone
+    # k = gcd(q^2 - 1, |L| - 1) gives the g = 0 constant-twist classes of
+    # the twist-orbit oracle; k = q - 1 checks the function alone
     fields = [
         ext_make(F3, 2),
         ext_make(F3, 3),
