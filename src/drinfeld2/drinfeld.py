@@ -70,9 +70,7 @@ class DrinfeldModule:
         ext = self.ext
         acc = OrePoly.zero(ext)
         for c in reversed(a.coeffs):
-            acc = acc * self._phi_T
-            if c:
-                acc = acc + OrePoly.constant(ext, c)
+            acc = acc * self._phi_T + OrePoly.constant(ext, c)
         return acc
 
     def height(self):

@@ -265,8 +265,6 @@ def _list_trim(c):
 
 
 def _list_mul(field, a, b):
-    if not a or not b:
-        return []
     add, mul = field.add, field.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -487,11 +485,7 @@ class ExtensionField(FiniteField):
         return self._mul_poly(a, b)
 
     def pow(self, a, e):
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return self.zero if e else self.one
-        if self._exp is not None:
+        if a and self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n_units]
         return super().pow(a, e)
 

@@ -31,8 +31,6 @@ class OrePoly(_Dense):
         check_same_field(self.field, other.field)
         F = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return OrePoly.zero(F)
         out = [0] * (len(a) + len(b) - 1)
         add, mul, frob = F.add, F.mul, F.frob_iter
         for i, x in enumerate(a):

@@ -315,14 +315,8 @@ def squarefree_decomposition(f):
         raise PolyDomainError("squarefree decomposition of 0")
     f = f.monic()
     p = f.field.char
-    if f.is_constant():
-        return {}
-    df = f.deriv()
-    if df.is_zero():
-        root = squarefree_decomposition(_pth_root_poly(f))
-        return {mult * p: g for mult, g in root.items()}
     result = {}
-    c = gcd(f, df)
+    c = gcd(f, f.deriv())
     w = f // c
     i = 1
     # step i yields the factors of multiplicity exactly i, which is prime to
@@ -335,11 +329,12 @@ def squarefree_decomposition(f):
         w = y
         c = c // y
         i += 1
-    # the residue holds exactly the factors with p-divisible multiplicity,
-    # at full multiplicity, so recurse without rescaling; its keys are
-    # multiples of p and repeat none of the loop's
+    # the residue is a p-th power, all of f when f' = 0: the factors of
+    # p-divisible multiplicity at full multiplicity.  Recurse on its p-th
+    # root and scale the keys by p, which repeat none of the loop's
     if not c.is_constant():
-        result.update(squarefree_decomposition(c))
+        root = squarefree_decomposition(_pth_root_poly(c))
+        result.update({mult * p: g for mult, g in root.items()})
     return result
 
 

@@ -24,6 +24,12 @@ def pow_mod(base, e, mod):
     return Poly(mod.field, _list_powmod(mod.field, base.coeffs, e, mod.coeffs))
 
 
+def first_root(ext, P):
+    """The least code in ext that is a root of P: the gamma census._sweep
+    takes."""
+    return next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+
+
 def all_modules(ext):
     """Every rank-2 module over L: gamma in L, g in L, delta in L^*."""
     for gamma in ext.elements():

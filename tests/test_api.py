@@ -125,3 +125,39 @@ def test_the_library_imports_the_standard_library_alone():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
     pyproject = package.parents[1] / "pyproject.toml"
     assert re.search(r"^dependencies = \[\]$", pyproject.read_text(), re.M)
+
+
+def test_the_library_keeps_no_dead_names():
+    # every import outside __init__.py (which re-exports) is used in its
+    # module, and every module-level private function or class is named by
+    # some other top-level statement of the library
+    package = pathlib.Path(drinfeld2.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+    def names(node):
+        found = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                found.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                found.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                found.add(sub.name)
+        return found
+
+    statements = [(stmt, names(stmt)) for tree in trees.values() for stmt in tree.body]
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        assert bound in loaded, (name, "unused import", bound)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                assert any(
+                    stmt.name in refs for node, refs in statements if node is not stmt
+                ), (name, "unnamed private", stmt.name)

@@ -28,8 +28,8 @@ from drinfeld2 import (
 from drinfeld2 import census, cli, ff, frobenius, polyring
 from drinfeld2.census import CSV_HEADER, candidate_pairs, csv_row, formula_case
 from oracles import (
-    coset_representatives, is_square_unit, poly_census_pass, pow_mod, proved_counts,
-    weil_verdict,
+    coset_representatives, first_root, is_square_unit, poly_census_pass, pow_mod,
+    proved_counts, weil_verdict,
 )
 
 F3 = field_make(3, 1)
@@ -193,9 +193,7 @@ def test_realize_matches_full_sweep_oracle():
             ext = ext_make(base, m * d)
             pool = 1 if ext.order == 81 else 3
             for P in itertools.islice(monic_irreducibles(base, d), pool):
-                gamma = next(
-                    x for x in ext.elements() if P.eval(x, field=ext) == ext.zero
-                )
+                gamma = first_root(ext, P)
                 oracle = set()
                 for g in ext.elements():
                     for delta in ext.units():
@@ -215,7 +213,7 @@ def twist_orbit_sweep(P, m):
     base = P.field
     q = base.order
     ext = ext_make(base, m * int(P.deg))
-    gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+    gamma = first_root(ext, P)
     points = itertools.chain(
         itertools.product(
             (0,),
@@ -283,7 +281,7 @@ def test_sweep_weights_count_every_module(monkeypatch):
         base = field_make(3, 2) if q == 9 else field_make(q, 1)
         P = dense_pool(base, d)[0]
         ext = ext_make(base, m * d)
-        gamma = next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
+        gamma = first_root(ext, P)
         weights = sweep_weights(ext, gamma, d)
         assert set(weights) == census._sweep(P, m), (q, d, m)
         assert sum(weights.values()) == ext.order * (ext.order - 1), (q, d, m)

@@ -172,6 +172,33 @@ def test_table_mul_matches_polynomial_mul(monkeypatch):
                 assert twin.inv(a) == ext.inv(a)
 
 
+def test_powers_of_zero(monkeypatch):
+    # 0 has no log: pow and the Frobenius take it through the generic
+    # square-and-multiply, with and without tables
+    builds = [
+        lambda: field_make(3, 2),
+        lambda: ext_make(field_make(3, 2), 2),
+        lambda: field_make(5, 3),
+    ]
+    for build in builds:
+        F = build()
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_TABLE_LIMIT", 0)
+            twin = build()
+        assert F._exp is not None and twin._exp is None
+        q, N = F.base.order, F.order - 1
+        for field in (F, twin):
+            assert field.pow(0, 0) == field.one, field
+            for e in (1, 2, q, N, N + 1):
+                assert field.pow(0, e) == field.zero, (field, e)
+            for i in range(F.degree + 1):
+                assert field.frob_iter(0, i) == field.zero, (field, i)
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                field.pow(0, -1)
+            with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+                field.inv(0)
+
+
 # F_9 and F_27 over F_3, and the towers F_81/F_9 and F_729/F_9, where the
 # base-field order q and the coordinate radix differ from p
 TOWER_BUILDS = [

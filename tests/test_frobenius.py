@@ -18,7 +18,7 @@ from drinfeld2 import (
 )
 from drinfeld2 import ff
 from drinfeld2.frobenius import _charpoly
-from oracles import all_modules, matrix_charpoly
+from oracles import all_modules, first_root, matrix_charpoly
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -200,10 +200,6 @@ LAW_FIELDS = (
     ((3, 2), 2, 1),
     ((3, 2), 3, 1),
 )
-
-
-def first_root(ext, P):
-    return next(x for x in ext.elements() if P.eval(x, field=ext) == ext.zero)
 
 
 def law_fields():

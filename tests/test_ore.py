@@ -33,6 +33,13 @@ def test_square_oracle():
     # (t + t^2)^2 = t^2 + 2 t^3 + t^4 over F_3 (trivial Frobenius)
     u = OrePoly(EXT1, (0, 1, 1))
     assert (u * u).coeffs == (0, 0, 1, 2, 1)
+    # a zero operand on either side gives zero, trimmed
+    for L in (EXT1, EXT9):
+        zero = OrePoly.zero(L)
+        for k in range(4):
+            t_k = OrePoly.tau_power(L, k)
+            assert (zero * t_k).coeffs == () and (t_k * zero).coeffs == (), (L, k)
+        assert (zero * zero).coeffs == ()
 
 
 def test_multiplication_is_associative():

@@ -137,6 +137,25 @@ def test_squarefree_decomposition_pth_power():
     f = (Poly.x(F3) + Poly.one(F3)) ** 3
     parts = squarefree_decomposition(f)
     assert parts == {3: Poly.x(F3) + Poly.one(F3)}
+    # f = u * prod pi_i^e_i built from its factors, e_i in {1, 2, p, p + 1,
+    # 2p}: multiplicities p and 2p leave the loop a p-th-power residue, and
+    # all of f when every e_i is one of them (f' = 0)
+    for field, degrees in ((F3, (1, 2)), (F5, (1,)), (F9, (1,))):
+        p = field.char
+        pis = [pi for d in degrees for pi in monic_irreducibles(field, d)]
+        units = itertools.cycle(range(2, field.order))
+        for r in (1, 2):
+            for factors in itertools.combinations(pis, r):
+                for exps in itertools.product((1, 2, p, p + 1, 2 * p), repeat=r):
+                    expected = {}
+                    f = Poly.constant(field, next(units))
+                    for pi, e in zip(factors, exps):
+                        expected[e] = expected.get(e, Poly.one(field)) * pi
+                        f = f * pi**e
+                    assert squarefree_decomposition(f) == expected, (f, exps)
+                    g, w = squarefree_split(f)
+                    assert g * g * w == f, (f, exps)
+        assert squarefree_decomposition(Poly.constant(field, 2)) == {}
 
 
 def test_squarefree_split_exact():
