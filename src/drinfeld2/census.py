@@ -9,12 +9,13 @@ split (see `_at_P`).  Enumerates the admissible candidates, evaluates
 the closed-form counts, optionally sweeps the modules over L = F_{q^(md)}
 to measure which classes are realized, and counts distinct Euler-Poincare
 divisors.  The sweep computes one charpoly per Frobenius orbit of twist
-classes, scaled by F_q^* (the rule is in `_sweep`).  It scales a
-charpoly's coefficient tuple by each unit of F_q for its q - 1 keys, with
-no Poly built.  It picks those representatives on discrete logs to the
-least generator of L^*: there a coset of the k-th powers is a residue class
-mod k and the Frobenius is a product, so the sweep keeps no set of field
-elements.
+classes, scaled by F_q^* (the rule is in `_sweep`).  It keeps each
+charpoly as the one point of its F_q^* orbit with c monic (with c = 0, the
+least u^2 mu) and scales the set of points by each unit of F_q once at the
+end, on one product row per unit, with no Poly built.  It picks those
+representatives on discrete logs to the least generator of L^*: there a
+coset of the k-th powers is a residue class mod k and the Frobenius is a
+product, so the sweep keeps no set of field elements.
 P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One walk over the (c, mu) grid
 (`admissible_pairs`) yields each admissible candidate's key
@@ -459,7 +460,8 @@ def _sweep(P, m):
     module twisted from it, and that of (0, delta) the keys of the class of
     delta modulo (L^*)^(q+1): gcd(q + 1, |L| - 1) classes.  The Frobenius
     x -> x^(q^d) fixes gamma, 0 and 1 and keeps the charpoly, so one class
-    per orbit is enough."""
+    per orbit is enough.  Each F_q^* orbit is kept as one point and
+    expanded once at the end."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
@@ -476,17 +478,25 @@ def _sweep(P, m):
     # generator: its class modulo the e-th powers, e | N, is k mod e, and
     # x^(q^d) is k q^d.  Each orbit keeps its least k.
     gen, N = ext.generator, order - 1
-    scalings = [(u, base.mul(u, u)) for u in base.units()]  # u = zeta^-1
+    # one product row per unit u = zeta^-1, mapping each code x to u x
+    rows = {u: [base.mul(u, x) for x in base.elements()] for u in base.units()}
     frobs = [pow(q ** int(P.deg), i, N) for i in range(1, m)]
-    realized = set()
+    points = set()
     for g, classes in ((ext.zero, math.gcd(q + 1, N)), (ext.one, N)):
         for k in range(classes):
             if all(k <= k * f % classes for f in frobs):
                 c, mu = frobenius._charpoly(ext, gamma, g, ext.pow(gen, k))
-                for u, u2 in scalings:
-                    key = tuple(base.mul(u, e) for e in c.coeffs)
-                    realized.add((key, base.mul(u2, mu)))
-    return realized
+                c = c.coeffs
+                if c:  # the point of the orbit with c monic
+                    row = rows[base.inv(c[-1])]
+                    points.add((tuple(map(row.__getitem__, c)), row[row[mu]]))
+                else:
+                    points.add((c, min(row[row[mu]] for row in rows.values())))
+    return {
+        (tuple(map(row.__getitem__, c)), row[row[mu]])
+        for c, mu in points
+        for row in rows.values()
+    }
 
 
 def _against_admissible(realized, admissible):

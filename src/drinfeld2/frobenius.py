@@ -11,14 +11,18 @@ q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
 (Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
 
 The product is formed on the two rows of M, kept as coefficient lists in T
-of length n + 1.  A^(i) is [[0, a0 + a1 T], [1, b]], with a1 the q^i-th
-power of 1/delta, and right multiplication by it maps a row (x, y) to
-(y, b y + a0 x + a1 T x): one pass of field products and sums over the
-i + 1 coefficients that can be nonzero after i steps.  a0 = -gamma/delta,
-a1 = 1/delta and b = -g/delta are formed once, and since the Frobenius is a
-ring map each later step raises the previous step's a0, a1 and b to the q-th
-power, which in a field without tables is a short square-and-multiply where
-a q^i-th power would be a long one.  The only Poly is built from the trace.
+of length n + 1 and started at the rows of A itself.  A^(i) is
+[[0, a0 + a1 T], [1, b]], with a1 the q^i-th power of 1/delta, and right
+multiplication by it maps a row (x, y) to (y, b y + a0 x + a1 T x): one
+pass of field products and sums over the i + 1 coefficients that can be
+nonzero in a product of i factors.  On the last step the trace reads only
+row 0's new x, which is its y before the step, so row 1 alone is
+multiplied: 2n - 3 row products for n >= 2, and none for n = 1, where the
+trace is b.  a0 = -gamma/delta, a1 = 1/delta and b = -g/delta are formed
+once, and since the Frobenius is a ring map each later step raises the
+previous step's a0, a1 and b to the q-th power, which in a field without
+tables is a short square-and-multiply where a q^i-th power would be a long
+one.  The only Poly is built from the trace.
 `_charpoly` runs `_motive_trace` in one body, on the arithmetic L hands out
 (`ExtensionField.arith`): discrete logs when L is tabled, where it calls no
 field method, and codes with L's own mul, add, pow and frob_iter when not.
@@ -81,12 +85,18 @@ def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
     ops given: zero and one, a product mul, a sum add and the q-th power
     frob.  a0, a1 and b are the coefficients of A itself."""
     # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
-    # (y, b y + a0 x + a1 T x); after i steps the entries have degree <= i
-    M = [[[one] + [zero] * n, [zero] * (n + 1)], [[zero] * (n + 1), [one] + [zero] * n]]
-    for i in range(n):
-        if i:  # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
-            a0, a1, b = frob(a0), frob(a1), frob(b)
-        for row in M:
+    # (y, b y + a0 x + a1 T x); M starts at A, and a product of i factors
+    # has entries of degree <= i
+    pad = [zero] * (n - 1)
+    M = [[[zero] * (n + 1), [a0, a1] + pad], [[one, zero] + pad, [b, zero] + pad]]
+    rows = M
+    for i in range(1, n):
+        # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
+        a0, a1, b = frob(a0), frob(a1), frob(b)
+        if i == n - 1:  # the trace reads only row 0's new x, its current y
+            M[0][0] = M[0][1]
+            rows = M[1:]
+        for row in rows:
             x, y = row
             z = [mul(b, e) for e in y]
             for k in range(i + 1):

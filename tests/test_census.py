@@ -244,6 +244,27 @@ def test_sweep_matches_twist_orbit_oracle(monkeypatch):
         assert census._sweep(P, 2) == twist_orbit_sweep(P, 2)
 
 
+def test_sweep_matches_twist_orbit_oracle_at_c_zero(monkeypatch):
+    # P = T families whose sweep has c = 0 keys, where an F_q^* orbit has no
+    # point with c monic and is kept by its least u^2 mu: the c = 0 keys as
+    # they are, mu as codes of F_q, and every key set closed under
+    # (c, mu) -> (u c, u^2 mu)
+    monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)
+    families = (((5, 1), 4, {2, 3}), ((3, 2), 2, {4, 5, 7, 8}), ((3, 1), 2, {1}))
+    for (p, s), m, at_zero in families:
+        base = field_make(p, s)
+        P = Poly.x(base)
+        keys = census._sweep(P, m)
+        assert keys == twist_orbit_sweep(P, m), (p, s, m)
+        assert {mu for c, mu in keys if c == ()} == at_zero, (p, s, m)
+        for u in base.units():
+            scaled = {
+                (Poly(base, c).scale(u).coeffs, base.mul(base.mul(u, u), mu))
+                for c, mu in keys
+            }
+            assert scaled == keys, (p, s, m, u)
+
+
 def sweep_weights(ext, gamma, d):
     """{(c coefficients, mu): modules} from representatives over L = ext,
     gamma of degree d, each weighted by the modules it stands for: a g = 0

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,12 +18,13 @@ from drinfeld2 import (
     endomorphism_order,
     ext_make,
     field_make,
+    monic_irreducibles,
     supersingular,
     weil_admissible,
 )
 
 from drinfeld2.classify import _monic_divisors
-from oracles import all_modules, tri_criterion_supersingular
+from oracles import all_modules, first_root, tri_criterion_supersingular
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -85,6 +87,34 @@ def test_classify_raises_nothing_to_the_power_0(record_calls):
     raises = record_calls(Poly, "__pow__")
     classify(DrinfeldModule(EXT9, 1, 4, 7))
     assert [e for _, e in raises] == [2]
+
+
+def test_supersingular_count_matches_gekeler():
+    # Gekeler's count, the analogue of Deuring's for elliptic curves: over
+    # L = F_{q^(2d)}, gamma a root of P of degree d, one module per j in L,
+    # (g, delta) = (0, 1) at j = 0 and (1, 1/j) otherwise.  There are
+    # (q^d - 1)/(q^2 - 1) supersingular j for d even and
+    # (q^d - q)/(q^2 - 1) + 1 for d odd, j = 0 among them exactly when d is
+    # odd, and the mass sum of 1/|Aut| is (q^d - 1)/((q - 1)(q^2 - 1)), with
+    # |Aut| = q^2 - 1 at j = 0 and q - 1 elsewhere
+    for q, d in ((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3)):
+        base = field_make(q, 1)
+        ext = ext_make(base, 2 * d)
+        for P in itertools.islice(monic_irreducibles(base, d), 2):
+            gamma = first_root(ext, P)
+            found = [
+                j for j in ext.elements()
+                if supersingular(DrinfeldModule(
+                    ext, gamma, *((0, 1) if j == 0 else (1, ext.inv(j)))
+                ))[0]
+            ]
+            if d % 2:
+                count = (q**d - q) // (q * q - 1) + 1
+            else:
+                count = (q**d - 1) // (q * q - 1)
+            assert (len(found), 0 in found) == (count, d % 2 == 1), (q, d, P.coeffs)
+            mass = sum(Fraction(1, q * q - 1 if j == 0 else q - 1) for j in found)
+            assert mass == Fraction(q**d - 1, (q - 1) * (q * q - 1)), (q, d, P.coeffs)
 
 
 def test_supersingular_examples():

@@ -20,13 +20,17 @@ MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", 
 
 # Exit code and stdout of every subcommand in every output format at one small
 # input: --p 3 --n 2 --gamma-T 0 --g 1 --delta 1 for the module subcommands,
-# --p 3 --P T --m 2 for the family ones.
+# --p 3 --P T --m 2 for the family ones.  Three realize pins in csv follow, on
+# the least P of degree --d over F_{p^s}: F_625/F_5 at d = 1 and 2, and
+# F_81/F_9, which runs the sweep's product rows over F_9.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 def _pin_id(pin):
+    # subcommand-format; a --d pin also names its family by its flag values
     words = pin["argv"].split()
-    return words[0] + "-" + words[-1]
+    family = [w for w in words[1:-2] if not w.startswith("--")] if "--d" in words else []
+    return "-".join([words[0]] + family + [words[-1]])
 
 
 @pytest.mark.parametrize("pin", PINS, ids=_pin_id)

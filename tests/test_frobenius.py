@@ -288,6 +288,28 @@ def test_charpoly_matches_matrix_oracle_without_tables(monkeypatch):
         assert _charpoly(*case) == matrix_charpoly(*case), case
 
 
+def test_short_products_match_matrix_oracle_without_tables(monkeypatch):
+    # the motive product starts at A and multiplies row 1 alone on its last
+    # step: over F_9 as a degree-1 extension of itself there is no step and
+    # the trace is b, and over F_25/F_5 the first step is also the last; every
+    # (g, delta), gamma a root of the least P of degree 1 and of degree n
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    L9 = ext_make(field_make(3, 2), 1)
+    L25 = ext_make(field_make(5, 1), 2)
+    assert L9._zech is None and L9.base._zech is None and L25._zech is None
+    cases = []
+    for ext in (L9, L25):
+        gammas = {
+            first_root(ext, least_irreducible_poly(ext.base, d))
+            for d in (1, ext.degree)
+        }
+        pairs = list(itertools.product(ext.elements(), ext.units()))
+        cases += [(ext, gamma, g, delta) for gamma in gammas for g, delta in pairs]
+    assert len(cases) == 9 * 8 + 2 * 25 * 24
+    for case in cases:
+        assert _charpoly(*case) == matrix_charpoly(*case), case
+
+
 def test_charpoly_matches_matrix_oracle_on_seeded_modules():
     # 200 seeded modules each over F_{3^9}, F_{5^6} and F_{9^3}
     rng = random.Random(15)
