@@ -10,9 +10,9 @@ the closed-form counts, optionally sweeps the modules over L = F_{q^(md)}
 to measure which classes are realized, and counts distinct Euler-Poincare
 divisors.  The sweep computes one charpoly per Frobenius orbit of twist
 classes, scaled by F_q^* (the rule is in `_sweep`).  It keeps each
-charpoly as the one point of its F_q^* orbit with c monic (with c = 0, the
-least u^2 mu) and scales the set of points by each unit of F_q once at the
-end, on one product row per unit, with no Poly built.  It picks those
+charpoly as one point of its F_q^* orbit, scaled to make c monic (c = 0 is
+kept as it is), and scales the set of points by each unit of F_q once at
+the end, on one product row per unit, with no Poly built.  It picks those
 representatives on discrete logs to the least generator of L^*: there a
 coset of the k-th powers is a residue class mod k and the Frobenius is a
 product, so the sweep keeps no set of field elements.
@@ -460,8 +460,9 @@ def _sweep(P, m):
     module twisted from it, and that of (0, delta) the keys of the class of
     delta modulo (L^*)^(q+1): gcd(q + 1, |L| - 1) classes.  The Frobenius
     x -> x^(q^d) fixes gamma, 0 and 1 and keeps the charpoly, so one class
-    per orbit is enough.  Each F_q^* orbit is kept as one point and
-    expanded once at the end."""
+    per orbit is enough.  Each charpoly is kept as one point of its F_q^*
+    orbit, with c made monic (c = 0 as it is), and the points are expanded
+    once at the end, which merges points of the same orbit."""
     base = P.field
     q = base.order
     n = m * int(P.deg)
@@ -487,11 +488,8 @@ def _sweep(P, m):
             if all(k <= k * f % classes for f in frobs):
                 c, mu = frobenius._charpoly(ext, gamma, g, ext.pow(gen, k))
                 c = c.coeffs
-                if c:  # the point of the orbit with c monic
-                    row = rows[base.inv(c[-1])]
-                    points.add((tuple(map(row.__getitem__, c)), row[row[mu]]))
-                else:
-                    points.add((c, min(row[row[mu]] for row in rows.values())))
+                row = rows[base.inv(c[-1]) if c else base.one]
+                points.add((tuple(map(row.__getitem__, c)), row[row[mu]]))
     return {
         (tuple(map(row.__getitem__, c)), row[row[mu]])
         for c, mu in points

@@ -23,17 +23,20 @@ one integer sum of the images of the word's halves, every slot of it at most
 2p - 2 < 2^w so no carry crosses a slot, and one mask that takes every slot
 mod p (_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
 costs one log lookup per unit.
-Only this module reads the tables: `arith()` hands out a field's arithmetic,
-on discrete logs with None for 0 when tabled and on codes when not.
+Only ExtensionField reads the tables: its add, neg, mul and pow each take a
+tabled branch when the field has tables, and PrimeField has none.  Other
+modules take a field's arithmetic from `arith()`, on discrete logs with None
+for 0 when tabled and on codes when not.
 
 Fields above the limit use direct polynomial arithmetic modulo the defining
 polynomial, and add and neg work digit by digit, mod p, on the base-p code:
 addition is coefficientwise at every level of a tower.  One digit codec,
-_to_digits/_from_digits, expands a code in either radix: the text form in
-base p with pdeg digits, and coords/from_coords in base B with one digit per
-base-field element, for the table-free product and the packed words of the
-table walk.  The Frobenius x -> x^(q^i) is just a power, one exp/log lookup in a
-tabled field and square-and-multiply in a table-free one.
+_to_digits/_from_digits, expands a code in either radix: base p with pdeg
+digits for the text form and the table-free add and neg, and
+coords/from_coords in base B with one digit per base-field element, for the
+table-free product and the packed words of the table walk.  The Frobenius
+x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
+square-and-multiply in a table-free one.
 _square_and_multiply is the package's one square-and-multiply loop: field
 powers, powers modulo a polynomial and polyring's Poly powers all pass it
 their product.
@@ -126,7 +129,8 @@ def _slot_reducer(p, slots):
 
 
 class FiniteField:
-    """Shared behaviour; element codes are ints in range(self.order)."""
+    """Shared behaviour; element codes are ints in range(self.order).  Each
+    subclass defines its own add, neg and mul."""
 
     order: int
     char: int
@@ -134,42 +138,6 @@ class FiniteField:
 
     zero = 0
     one = 1
-
-    # Tabled: a + b = a(1 + b/a), and a log difference < 0 indexes zech mod N.
-    _zech = None
-
-    def add(self, a, b):
-        zech = self._zech
-        if zech is not None:
-            if a == 0 or b == 0:
-                return a or b
-            log = self._log
-            la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else self._exp[la + z]
-        p = self.char
-        out, scale = 0, 1
-        while a and b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * scale
-            scale *= p
-        # one code has run out: the other's remaining digits carry over as is
-        return out + (a + b) * scale
-
-    def neg(self, a):
-        if self._zech is not None:
-            return self._exp[self._log[a] + self._half] if a else 0
-        p = self.char
-        out, scale = 0, 1
-        while a:
-            a, x = divmod(a, p)
-            out += -x % p * scale
-            scale *= p
-        return out
-
-    def mul(self, a, b):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -233,7 +201,7 @@ class PrimeField(FiniteField):
         self.char = p
         self.pdeg = 1
 
-    # the one-digit case of FiniteField.add and neg
+    # the one-digit case of ExtensionField's table-free add and neg
     def add(self, a, b):
         return (a + b) % self.order
 
@@ -476,6 +444,27 @@ class ExtensionField(FiniteField):
         self._exp, self._log, self._zech = exp, log, zech
         self._n_units, self._half = n_units, n_units // 2
         self._arith = self._log_arith()
+
+    def add(self, a, b):
+        # tabled: a + b = a(1 + b/a), and a log difference < 0 indexes zech mod N
+        zech = self._zech
+        if zech is not None:
+            if a == 0 or b == 0:
+                return a or b
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else self._exp[la + z]
+        p, k = self.char, self.pdeg
+        return _from_digits(
+            [(x + y) % p for x, y in zip(_to_digits(a, p, k), _to_digits(b, p, k))], p
+        )
+
+    def neg(self, a):
+        if self._zech is not None:
+            return self._exp[self._log[a] + self._half] if a else 0
+        p = self.char
+        return _from_digits([-x % p for x in _to_digits(a, p, self.pdeg)], p)
 
     def mul(self, a, b):
         if a == 0 or b == 0:

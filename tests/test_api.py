@@ -101,6 +101,24 @@ def test_only_ff_reads_the_field_tables():
         }
     assert read.pop("ff") == private
     assert all(not names for names in read.values()), read
+    # and inside ff, only ExtensionField's body, nested closures included,
+    # touches the tables: PrimeField has none, and FiniteField holds only
+    # what both classes share
+    tables = private - {"_least_generator"}
+    tree = ast.parse(inspect.getsource(drinfeld2.ff))
+    (ext,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ExtensionField"
+    ]
+
+    def touched(tops):
+        return tables & {
+            node.attr for top in tops for node in ast.walk(top)
+            if isinstance(node, ast.Attribute)
+        }
+
+    assert touched([ext]) == tables
+    assert not touched(top for top in tree.body if top is not ext)
 
 
 def test_the_library_imports_the_standard_library_alone():

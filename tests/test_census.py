@@ -246,7 +246,7 @@ def test_sweep_matches_twist_orbit_oracle(monkeypatch):
 
 def test_sweep_matches_twist_orbit_oracle_at_c_zero(monkeypatch):
     # P = T families whose sweep has c = 0 keys, where an F_q^* orbit has no
-    # point with c monic and is kept by its least u^2 mu: the c = 0 keys as
+    # point with c monic and may be kept as several points: the c = 0 keys as
     # they are, mu as codes of F_q, and every key set closed under
     # (c, mu) -> (u c, u^2 mu)
     monkeypatch.delenv(census.REALIZE_BOUND_ENV, raising=False)

@@ -23,6 +23,7 @@ from drinfeld2 import (
     weil_admissible,
 )
 
+from drinfeld2 import ff
 from drinfeld2.classify import _monic_divisors
 from oracles import all_modules, first_root, tri_criterion_supersingular
 
@@ -89,11 +90,30 @@ def test_classify_raises_nothing_to_the_power_0(record_calls):
     assert [e for _, e in raises] == [2]
 
 
+def supersingular_js(ext, P):
+    """The j in L = ext whose module is supersingular, gamma the first root
+    of P: one module per j, (g, delta) = (0, 1) at j = 0 and (1, 1/j)
+    otherwise."""
+    gamma = first_root(ext, P)
+    return [
+        j for j in ext.elements()
+        if supersingular(DrinfeldModule(
+            ext, gamma, *((0, 1) if j == 0 else (1, ext.inv(j)))
+        ))[0]
+    ]
+
+
+def gekeler_count(q, d):
+    """The number of supersingular j for P of degree d over F_q."""
+    if d % 2:
+        return (q**d - q) // (q * q - 1) + 1
+    return (q**d - 1) // (q * q - 1)
+
+
 def test_supersingular_count_matches_gekeler():
     # Gekeler's count, the analogue of Deuring's for elliptic curves: over
-    # L = F_{q^(2d)}, gamma a root of P of degree d, one module per j in L,
-    # (g, delta) = (0, 1) at j = 0 and (1, 1/j) otherwise.  There are
-    # (q^d - 1)/(q^2 - 1) supersingular j for d even and
+    # L = F_{q^(2d)}, gamma a root of P of degree d, one module per j in L.
+    # There are (q^d - 1)/(q^2 - 1) supersingular j for d even and
     # (q^d - q)/(q^2 - 1) + 1 for d odd, j = 0 among them exactly when d is
     # odd, and the mass sum of 1/|Aut| is (q^d - 1)/((q - 1)(q^2 - 1)), with
     # |Aut| = q^2 - 1 at j = 0 and q - 1 elsewhere
@@ -101,20 +121,33 @@ def test_supersingular_count_matches_gekeler():
         base = field_make(q, 1)
         ext = ext_make(base, 2 * d)
         for P in itertools.islice(monic_irreducibles(base, d), 2):
-            gamma = first_root(ext, P)
-            found = [
-                j for j in ext.elements()
-                if supersingular(DrinfeldModule(
-                    ext, gamma, *((0, 1) if j == 0 else (1, ext.inv(j)))
-                ))[0]
-            ]
-            if d % 2:
-                count = (q**d - q) // (q * q - 1) + 1
-            else:
-                count = (q**d - 1) // (q * q - 1)
+            found = supersingular_js(ext, P)
+            count = gekeler_count(q, d)
             assert (len(found), 0 in found) == (count, d % 2 == 1), (q, d, P.coeffs)
             mass = sum(Fraction(1, q * q - 1 if j == 0 else q - 1) for j in found)
             assert mass == Fraction(q**d - 1, (q - 1) * (q * q - 1)), (q, d, P.coeffs)
+
+
+def test_supersingular_js_lie_in_F_q_2d(monkeypatch):
+    # as every supersingular elliptic j lies in F_{p^2}, every supersingular
+    # j lies in F_{q^(2d)}: over a larger L the count does not grow and
+    # x -> x^(q^(2d)) fixes each j.  The last two fields are table-free.
+    cases = (
+        (3, 1, 4, False), (3, 1, 6, False), (5, 1, 4, False), (7, 1, 4, False),
+        (3, 2, 8, False), (3, 1, 4, True), (5, 1, 4, True),
+    )
+    for q, d, n, table_free in cases:
+        with monkeypatch.context() as patch:
+            if table_free:
+                patch.setattr(ff, "_TABLE_LIMIT", 0)
+            base = field_make(q, 1)
+            ext = ext_make(base, n)
+        assert (ext._exp is None) == table_free
+        for P in itertools.islice(monic_irreducibles(base, d), 2):
+            found = supersingular_js(ext, P)
+            case = (q, d, n, P.coeffs)
+            assert (len(found), 0 in found) == (gekeler_count(q, d), d % 2 == 1), case
+            assert all(ext.frob_iter(j, 2 * d) == j for j in found), case
 
 
 def test_supersingular_examples():

@@ -22,15 +22,20 @@ MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", 
 # input: --p 3 --n 2 --gamma-T 0 --g 1 --delta 1 for the module subcommands,
 # --p 3 --P T --m 2 for the family ones.  Three realize pins in csv follow, on
 # the least P of degree --d over F_{p^s}: F_625/F_5 at d = 1 and 2, and
-# F_81/F_9, which runs the sweep's product rows over F_9.
+# F_81/F_9, which runs the sweep's product rows over F_9.  Three module pins
+# over fields above the table limit close the file, which run the table-free
+# add and neg: F_{3^11} and F_{5^7}, and F_{9^6} over the tabled F_9.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 def _pin_id(pin):
-    # subcommand-format; a --d pin also names its family by its flag values
+    # subcommand-format; a --d pin also names its family by its flag values,
+    # and a module pin with --n other than 2 its field by --p, --s and --n
     words = pin["argv"].split()
-    family = [w for w in words[1:-2] if not w.startswith("--")] if "--d" in words else []
-    return "-".join([words[0]] + family + [words[-1]])
+    flags = dict(zip(words[1:-2:2], words[2:-2:2]))
+    named = "--d" in flags or flags.get("--n", "2") != "2"
+    family = [v for f, v in flags.items() if f in ("--p", "--s", "--n", "--d", "--m")]
+    return "-".join([words[0]] + (family if named else []) + [words[-1]])
 
 
 @pytest.mark.parametrize("pin", PINS, ids=_pin_id)
