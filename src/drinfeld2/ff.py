@@ -25,18 +25,27 @@ mod p (_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
 costs one log lookup per unit.
 Only ExtensionField reads the tables: its add, neg, mul and pow each take a
 tabled branch when the field has tables, and PrimeField has none.  Other
-modules take a field's arithmetic from `arith()`, on discrete logs with None
-for 0 when tabled and on codes when not.
+modules take a field's arithmetic from `arith()`: on discrete logs with None
+for 0 when tabled, and when not on packed ints over a prime base and on
+codes over a tower.
 
-Fields above the limit use direct polynomial arithmetic modulo the defining
-polynomial, and add and neg work digit by digit, mod p, on the base-p code:
-addition is coefficientwise at every level of a tower.  One digit codec,
-_to_digits/_from_digits, expands a code in either radix: base p with pdeg
-digits for the text form and the table-free add and neg, and
+Fields above the limit, and every field before its tables exist, compute
+modulo the defining polynomial f.  Over a prime base that is the packed
+kernel, _packed_arith (Kronecker substitution): an element is an int that
+holds its base-p digits in s-bit slots, a product is one integer product
+whose high slots are folded back by precomputed rows y^i mod f, and a sum
+is one integer sum and one _slot_reducer step.  The field's own mul, add,
+neg, pow and inv pack their operands once and unpack the result once, and
+the generator search and the table images run on arith() before the
+tables exist.  Towers keep the list kernel: the product is the coefficient
+lists' product over the base, reduced by f, and add and neg work digit by
+digit, mod p, on the base-p code, since addition is coefficientwise at
+every level of a tower.  One digit codec, _to_digits/_from_digits, expands
+a code in either radix: base p with pdeg digits for the text form, the
+tower add and neg and the packed words of the table walk, and
 coords/from_coords in base B with one digit per base-field element, for the
-table-free product and the packed words of the table walk.  The Frobenius
-x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
-square-and-multiply in a table-free one.
+tower product.  The Frobenius x -> x^(q^i) is just a power, one exp/log
+lookup in a tabled field and square-and-multiply in a table-free one.
 _square_and_multiply is the package's one square-and-multiply loop: field
 powers, powers modulo a polynomial and polyring's Poly powers all pass it
 their product.
@@ -47,11 +56,12 @@ of monic irreducibles on coefficient lists.  The test takes x to one more
 q-th power mod f per degree, q the order of the coefficient field, and stops
 at the degree of f's smallest factor, so most reducible candidates of a
 modulus search cost one power.  The extension fields use the kernel for
-their moduli and table-free products, and polyring wraps it.
+their moduli and the tower products, and polyring wraps it.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 _TABLE_LIMIT = 1 << 16
@@ -117,15 +127,99 @@ def _from_digits(digits, radix):
     return a
 
 
-def _slot_reducer(p, slots):
+def _slot_reducer(p, slots, w=None):
     """(w, reduce): reduce(a + b) takes every w-bit slot of the sum of two
     words of `slots` base-p digits mod p at once (SWAR: Lamport, CACM 1975).
     A slot of the sum is at most 2p - 2, and adding 2^(w-1) - p to it sets
-    its top bit, with no carry, exactly when it is p or more."""
-    w = p.bit_length() + 1
+    its top bit, with no carry, exactly when it is p or more.  Any w with
+    2^(w-1) >= p works; the default is the least."""
+    if w is None:
+        w = p.bit_length() + 1
     ones = sum(1 << w * k for k in range(slots))
     top, bias, shift = ones << (w - 1), ones * ((1 << (w - 1)) - p), w - 1
     return w, lambda s: s - (((s + bias) & top) >> shift) * p
+
+
+_Packed = collections.namedtuple("_Packed", "rep code mul add neg pow")
+
+
+def _packed_arith(p, modulus):
+    """(rep, code, mul, add, neg, pow): the table-free arithmetic of
+    F_p[y]/(f), f = modulus monic of degree n, on Kronecker-packed ints
+    (Kronecker 1882; Harvey, J. Symb. Comp. 2009).
+
+    rep puts base-p digit i of a code into bits [si, si + s) of an int,
+    s = bit_length((2n - 1)(p - 1)^2), and code reads the digits back.  A
+    packed element holds every digit below p, so slot k of the integer
+    product of two is the sum of a_i b_j over i + j = k: at most n(p - 1)^2,
+    and at most (n - 1)(p - 1)^2 in the high slots k = n .. 2n - 2.  mul
+    takes each high slot mod p and adds that multiple of the packed row
+    y^k mod f to the n low slots: n - 1 more terms of at most (p - 1)^2 each.
+    So no slot ever exceeds (2n - 1)(p - 1)^2 < 2^s, no carry crosses a slot,
+    and one final pass takes every low slot mod p.  add and neg are one
+    integer sum each, x + y and (p in every slot) - x, whose slots are at
+    most 2p - 2, then _slot_reducer's step on s-bit slots; it needs
+    2^(s-1) >= p, and 2^s > (p - 1)^2 >= 2p for p >= 5, s >= 3 for p = 3.
+    pow takes units: it reduces e mod p^n - 1, so e may be negative.
+    """
+    n = len(modulus) - 1
+    s = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+    slot, low_mask, high = (1 << s) - 1, (1 << n * s) - 1, n * s
+    _, reduce = _slot_reducer(p, n, s)
+    p_slots = p * sum(1 << s * i for i in range(n))
+    n_units = p**n - 1
+
+    def rep(a):
+        x = shift = 0
+        while a:
+            x |= a % p << shift
+            a //= p
+            shift += s
+        return x
+
+    def code(x):
+        a, scale = 0, 1
+        while x:
+            a += (x & slot) * scale
+            x >>= s
+            scale *= p
+        return a
+
+    # y^n = -(f_0 + ... + f_(n-1) y^(n-1)), and y^(k+1) = y * y^k mod f
+    y_n = [-c % p for c in modulus[:-1]]
+    digits, rows = y_n, []
+    for _ in range(n - 1):
+        rows.append(_from_digits(digits, 1 << s))
+        top = digits[-1]
+        digits = [(d + top * c) % p for d, c in zip([0] + digits[:-1], y_n)]
+
+    def mul(x, y):
+        z = x * y
+        low, z = z & low_mask, z >> high
+        for row in rows:
+            if not z:
+                break
+            c = (z & slot) % p
+            if c:
+                low += c * row
+            z >>= s
+        out = shift = 0
+        while low:
+            out |= (low & slot) % p << shift
+            low >>= s
+            shift += s
+        return out
+
+    def add(x, y):
+        return reduce(x + y)
+
+    def neg(x):
+        return reduce(p_slots - x)
+
+    def pow(x, e):
+        return _square_and_multiply(mul, 1, x, e % n_units)
+
+    return _Packed(rep, code, mul, add, neg, pow)
 
 
 class FiniteField:
@@ -355,9 +449,16 @@ class ExtensionField(FiniteField):
         self.char = base.char
         self.pdeg = base.pdeg * degree
         self._exp = self._log = self._zech = self._generator = None
-        # the table-free arithmetic; _build_tables switches it to logs
-        self._arith = (_same, _same, 0, self.one, self.mul, self.add, self.pow,
-                       lambda a: self.frob_iter(a, 1))
+        # the table-free arithmetic, packed over a prime base and on codes
+        # over a tower; _build_tables switches arith() to logs
+        if isinstance(base, PrimeField):
+            self._packed = k = _packed_arith(base.char, self.modulus)
+            self._arith = (k.rep, k.code, 0, 1, k.mul, k.add, k.pow,
+                           lambda x: k.pow(x, base.char))
+        else:
+            self._packed = None
+            self._arith = (_same, _same, 0, self.one, self.mul, self.add, self.pow,
+                           lambda a: self.frob_iter(a, 1))
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -373,6 +474,7 @@ class ExtensionField(FiniteField):
     # --- arithmetic ---
 
     def _mul_poly(self, a, b):
+        # the list kernel's product, for towers
         base = self.base
         prod = _list_mul(base, self.coords(a), self.coords(b))
         return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
@@ -386,13 +488,16 @@ class ExtensionField(FiniteField):
         return self._generator
 
     def _least_generator(self):
-        """The least code that generates the unit group.  Above degree 1 the
-        search starts at B = base.order: the codes below B are the base
-        field, whose units have orders dividing B - 1 < order - 1."""
+        """The least code that generates the unit group, tested on arith().
+        Above degree 1 the search starts at B = base.order: the codes below
+        B are the base field, whose units have orders dividing B - 1 <
+        order - 1."""
+        rep, _, _, one, _, _, pow, _ = self.arith()
         n_units = self.order - 1
-        factors = _prime_factors(n_units)
+        exponents = [n_units // f for f in _prime_factors(n_units)]
         for cand in range(self.base.order if self.degree > 1 else 1, self.order):
-            if all(self.pow(cand, n_units // f) != self.one for f in factors):
+            x = rep(cand)
+            if all(pow(x, e) != one for e in exponents):
                 return cand
         raise AssertionError("the unit group of a finite field is cyclic")
 
@@ -402,7 +507,9 @@ class ExtensionField(FiniteField):
         # come from the images of the pdeg digit codes p^k
         p, pdeg, n_units = self.char, self.pdeg, self.order - 1
         w, reduce = _slot_reducer(p, pdeg)
-        images = [_from_digits(_to_digits(self._mul_poly(p**k, gen), p, pdeg), 1 << w)
+        rep, code, _, _, mul, _, _, _ = self.arith()
+        g = rep(gen)
+        images = [_from_digits(_to_digits(code(mul(rep(p**k), g)), p, pdeg), 1 << w)
                   for k in range(pdeg)]
 
         def half(digits):
@@ -455,14 +562,20 @@ class ExtensionField(FiniteField):
             la = log[a]
             z = zech[log[b] - la]
             return 0 if z is None else self._exp[la + z]
-        p, k = self.char, self.pdeg
+        k = self._packed
+        if k:
+            return k.code(k.add(k.rep(a), k.rep(b)))
+        p, n = self.char, self.pdeg
         return _from_digits(
-            [(x + y) % p for x, y in zip(_to_digits(a, p, k), _to_digits(b, p, k))], p
+            [(x + y) % p for x, y in zip(_to_digits(a, p, n), _to_digits(b, p, n))], p
         )
 
     def neg(self, a):
         if self._zech is not None:
             return self._exp[self._log[a] + self._half] if a else 0
+        k = self._packed
+        if k:
+            return k.code(k.neg(k.rep(a)))
         p = self.char
         return _from_digits([-x % p for x in _to_digits(a, p, self.pdeg)], p)
 
@@ -471,11 +584,17 @@ class ExtensionField(FiniteField):
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
+        k = self._packed
+        if k:
+            return k.code(k.mul(k.rep(a), k.rep(b)))
         return self._mul_poly(a, b)
 
     def pow(self, a, e):
         if a and self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n_units]
+        k = self._packed
+        if a and k:
+            return k.code(k.pow(k.rep(a), e))
         return super().pow(a, e)
 
     def arith(self):
@@ -483,7 +602,7 @@ class ExtensionField(FiniteField):
         (on logs by _build_tables): the field arithmetic in the form it runs
         fastest in (see the module docstring).  rep maps a code into it and
         code back, pow takes units and frob is the q-th power, q =
-        base.order.  Tabled closures hold no field."""
+        base.order.  Tabled and packed closures hold no field."""
         return self._arith
 
     def _log_arith(self):

@@ -24,8 +24,10 @@ previous step's a0, a1 and b to the q-th power, which in a field without
 tables is a short square-and-multiply where a q^i-th power would be a long
 one.  The only Poly is built from the trace.
 `_charpoly` runs `_motive_trace` in one body, on the arithmetic L hands out
-(`ExtensionField.arith`): discrete logs when L is tabled, where it calls no
-field method, and codes with L's own mul, add, pow and frob_iter when not.
+(`ExtensionField.arith`): discrete logs when L is tabled and packed ints
+when L is a table-free extension of a prime field, where it calls no field
+method, and codes with L's own mul, add, pow and frob_iter over a
+table-free tower.
 """
 
 from __future__ import annotations

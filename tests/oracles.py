@@ -15,7 +15,9 @@ from drinfeld2 import (
     kernel_size_exp,
     squarefree_split,
 )
-from drinfeld2.ff import _list_gcd, _list_powmod, _prime_factors
+from drinfeld2.ff import (
+    _list_divmod, _list_gcd, _list_mul, _list_powmod, _prime_factors,
+)
 from drinfeld2.polyring import PolyDomainError
 
 
@@ -131,17 +133,35 @@ def rabin_irreducible(field, f):
     return True
 
 
+def list_kernel_mul(F, a, b):
+    """The product of codes a and b in the extension field F by the list
+    kernel: the coefficient lists' product, reduced by F's modulus."""
+    base = F.base
+    prod = _list_mul(base, F.coords(a), F.coords(b))
+    return F.from_coords(_list_divmod(base, prod, F.modulus)[1])
+
+
 def split_walk_tables(F):
     """(exp, log, zech) by the split walk x -> x g on codes: a step adds, digit
     by digit, the products of g with the code's low and high halves, from
-    tables of p^(pdeg/2) products each (rounded down and up).  F must be
-    table-free, so that F.add is the digit loop."""
+    tables of p^(pdeg/2) products each (rounded down and up).  The products
+    come from the list kernel and the sums from the digit loop here, so the
+    walk runs on neither the field's tables nor its packed arithmetic."""
     assert F._zech is None
     gen = F.generator
     p, n_units = F.char, F.order - 1
+
+    def add(a, b):
+        out, scale = 0, 1
+        for _ in range(F.pdeg):
+            (a, x), (b, y) = divmod(a, p), divmod(b, p)
+            out += (x + y) % p * scale
+            scale *= p
+        return out
+
     split = p ** (F.pdeg // 2)
-    low = [F._mul_poly(lo, gen) for lo in range(split)]
-    high = [F._mul_poly(hi * split, gen) for hi in range(F.order // split)]
+    low = [list_kernel_mul(F, lo, gen) for lo in range(split)]
+    high = [list_kernel_mul(F, hi * split, gen) for hi in range(F.order // split)]
     exp = [0] * (2 * n_units)
     log = [None] * F.order  # 0 has no log
     x = F.one
@@ -150,7 +170,7 @@ def split_walk_tables(F):
         exp[i + n_units] = x
         log[x] = i
         hi, lo = divmod(x, split)
-        x = F.add(low[lo], high[hi])
+        x = add(low[lo], high[hi])
     # 1 + x moves only the lowest base-p digit of x
     zech = [
         log[x + 1 if x % p != p - 1 else x + 1 - p]

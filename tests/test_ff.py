@@ -21,6 +21,7 @@ from drinfeld2.ff import check_same_field, least_irreducible
 from oracles import (
     is_square_unit,
     least_generator,
+    list_kernel_mul,
     rabin_irreducible,
     split_walk_tables,
 )
@@ -296,13 +297,13 @@ def test_digit_add_matches_coordinate_oracle(monkeypatch):
 
 
 def per_unit_walk(F):
-    """exp/log as the tables were first built: one _mul_poly per unit, from
-    the least code whose powers run through every unit."""
+    """exp/log as the tables were first built: one list-kernel product per
+    unit, from the least code whose powers run through every unit."""
     n_units = F.order - 1
     for gen in range(1, F.order):
         exp = [F.one]
         for _ in range(n_units - 1):
-            x = F._mul_poly(exp[-1], gen)
+            x = list_kernel_mul(F, exp[-1], gen)
             if x == F.one:
                 break
             exp.append(x)
@@ -325,22 +326,52 @@ def test_tables_match_per_unit_walk():
     assert field_make(5, 4)._exp[1] == 30
 
 
-def test_table_build_makes_one_product_per_digit(monkeypatch, record_calls):
-    # one table build is the generator search plus one product per base-p
-    # digit, the image of p^k: no product per unit or per half code
-    calls = record_calls(ff.ExtensionField, "_mul_poly")
+@pytest.fixture
+def record_arith(monkeypatch):
+    """Wrap ExtensionField.arith: the mul and pow it hands out append
+    (field, code, code) and (field, code, exponent) to calls["mul"] and
+    calls["pow"].  A table build and the generator search take their
+    products and powers from arith(), packed over a prime base and on the
+    list kernel over a tower."""
+    calls = {"mul": [], "pow": []}
+    arith = ff.ExtensionField.arith
+
+    def recording(self):
+        rep, code, zero, one, mul, add, pow, frob = arith(self)
+
+        def recorded_mul(x, y):
+            calls["mul"].append((self, code(x), code(y)))
+            return mul(x, y)
+
+        def recorded_pow(x, e):
+            calls["pow"].append((self, code(x), e))
+            return pow(x, e)
+
+        return rep, code, zero, one, recorded_mul, add, recorded_pow, frob
+
+    monkeypatch.setattr(ff.ExtensionField, "arith", recording)
+    return calls
+
+
+def test_table_build_makes_one_product_per_digit(monkeypatch, record_arith):
+    # one table build is the generator search, which takes powers alone, plus
+    # one product per base-p digit, the image p^k g: no product per unit or
+    # per half code
     F9 = field_make(3, 2)
     for base, degree in [(PrimeField(3), 2), (PrimeField(3), 7), (PrimeField(5), 4),
                          (PrimeField(3), 10), (F9, 1), (F9, 2), (F9, 3)]:
-        calls.clear()
+        record_arith["mul"].clear()
+        record_arith["pow"].clear()
         F = ff.ExtensionField(base, degree)
-        built = len(calls)
+        products = [call[1:] for call in record_arith["mul"] if call[0] is F]
+        powers = [call[1:] for call in record_arith["pow"] if call[0] is F]
         with monkeypatch.context() as m:
             m.setattr(ff, "_TABLE_LIMIT", 0)
             twin = ff.ExtensionField(base, degree)
-        calls.clear()
+        record_arith["pow"].clear()
         assert twin._least_generator() == F._exp[1]
-        assert built == len(calls) + F.pdeg, F
+        assert powers == [call[1:] for call in record_arith["pow"]], F
+        assert products == [(F.char**k, F._exp[1]) for k in range(F.pdeg)], F
 
 
 def test_packed_walk_matches_split_walk(monkeypatch):
@@ -400,15 +431,15 @@ def test_least_generator_matches_search_from_one():
     assert F._least_generator() == least_generator(F) < F.base.order
 
 
-def test_generator_search_skips_the_base_field(record_calls):
+def test_generator_search_skips_the_base_field(record_arith):
     # F_125 over F_5 and F_81 over F_9: the search tests no code below the
     # base order, whose codes are the base field; over F_9/F_9 it starts at 1
-    calls = record_calls(ff.ExtensionField, "pow")
+    calls = record_arith["pow"]
     F9 = field_make(3, 2)
     for base, degree in [(PrimeField(5), 3), (F9, 2), (F9, 1)]:
         calls.clear()
         F = ff.ExtensionField(base, degree)
-        tested = sorted({args[1] for args in calls if args[0] is F})
+        tested = sorted({a for field, a, _ in calls if field is F})
         start = 1 if degree == 1 else base.order
         assert tested[0] == start and tested[-1] == F._exp[1], (F, tested)
 
@@ -453,6 +484,76 @@ def test_arith_matches_field_ops(monkeypatch):
             for a in units:
                 for e in (-1, 2, q, (L.order - 1) // (q - 1)):
                     assert code(pow(rep(a), e)) == L.pow(a, e), (L, a, e)
+
+
+def list_kernel_pow(F, a, e):
+    """a^e by left-to-right square-and-multiply on list-kernel products."""
+    out = F.one
+    for bit in bin(e)[2:]:
+        out = list_kernel_mul(F, out, out)
+        if bit == "1":
+            out = list_kernel_mul(F, out, a)
+    return out
+
+
+def _check_packed_ops(F, pairs):
+    # mul, add, neg and sub on codes run on the packed kernel; the oracles
+    # are the list kernel's product and the coordinate sum and negation
+    for a, b in pairs:
+        assert F.mul(a, b) == list_kernel_mul(F, a, b), (F, a, b)
+        assert F.add(a, b) == oracle_add(F, a, b), (F, a, b)
+        assert F.neg(b) == oracle_neg(F, b), (F, b)
+        assert F.sub(a, b) == oracle_add(F, a, oracle_neg(F, b)), (F, a, b)
+
+
+def test_packed_kernel_matches_list_kernel_on_every_pair(monkeypatch):
+    # the table-free twins of F_{3^5}, F_{5^3}, F_{7^2} and F_{11^2}: every
+    # pair, and every unit for pow, inv and the q-th power frob
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    for p, n in ((3, 5), (5, 3), (7, 2), (11, 2)):
+        F = ext_make(PrimeField(p), n)
+        assert F._exp is None and F._packed
+        _check_packed_ops(F, itertools.product(F.elements(), repeat=2))
+        rep, code, _, _, _, _, _, frob = F.arith()
+        N = F.order - 1
+        for a in F.units():
+            for e in (0, 1, 2, p, N // (p - 1), N - 1, N + 3):
+                assert F.pow(a, e) == list_kernel_pow(F, a, e), (F, a, e)
+            assert F.pow(a, -1) == F.inv(a) == list_kernel_pow(F, a, N - 1), (F, a)
+            assert list_kernel_mul(F, a, F.inv(a)) == 1, (F, a)
+            assert code(frob(rep(a))) == F.frob_iter(a, 1) == list_kernel_pow(F, a, p)
+        assert code(frob(rep(0))) == F.frob_iter(0, 1) == 0
+
+
+def test_packed_kernel_matches_list_kernel_on_seeded_pairs():
+    # 2000 seeded pairs each over fields above the table limit: slot widths
+    # from 7 bits (F_{3^11}) to 19 (F_{251^3})
+    rng = random.Random(33)
+    for p, n in ((3, 11), (5, 7), (3, 20), (7, 7), (251, 3)):
+        F = ext_make(PrimeField(p), n)
+        assert F._exp is None and F._packed
+        _check_packed_ops(
+            F, [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
+        )
+
+
+def test_packed_kernel_at_the_slot_bound():
+    # every digit p - 1 in both operands puts each slot k of the integer
+    # product at its bound, min(k + 1, 2n - 1 - k)(p - 1)^2, before the
+    # reduction adds up to (n - 1)(p - 1)^2 more to the low slots.  In all
+    # five fields that lifts a low slot past n(p - 1)^2, and over F_{3^30},
+    # F_{7^7} and F_{11^5} past 2^bit_length(n(p - 1)^2): slots sized for the
+    # product alone would carry there
+    for p, n in ((3, 40), (251, 3), (3, 30), (7, 7), (11, 5)):
+        F = ext_make(PrimeField(p), n)
+        top = F.order - 1
+        rep, code, _, _, mul, add, pow, _ = F.arith()
+        expected = list_kernel_mul(F, top, top)
+        assert F.mul(top, top) == code(mul(rep(top), rep(top))) == expected, F
+        assert F.pow(top, 2) == code(pow(rep(top), 2)) == expected, F
+        assert F.add(top, top) == code(add(rep(top), rep(top))) == oracle_add(F, top, top)
+        # -(p - 1) = 1 in every digit
+        assert F.neg(top) == oracle_neg(F, top) == top // (p - 1), F
 
 
 def test_zero_has_no_log():

@@ -387,3 +387,42 @@ def test_tabled_charpoly_calls_no_field_method(monkeypatch, record_calls):
     # the recorders see the calls they pin, on the table-free twins
     assert [_charpoly(free[i], *rest) for i, *rest in cases] == expected
     assert all(calls[name] for name in names), {k: len(v) for k, v in calls.items()}
+
+
+def test_packed_charpoly_matches_tabled(monkeypatch):
+    # F_{3^4} and F_{5^3} built without tables run the charpoly on the packed
+    # kernel: every (g, delta) at gamma = 0, 1 and a root of the least P of
+    # degree n, against the same field with its tables
+    for p, n in ((3, 4), (5, 3)):
+        tabled = ext_make(field_make(p, 1), n)
+        with monkeypatch.context() as patch:
+            patch.setattr(ff, "_TABLE_LIMIT", 0)
+            packed = ext_make(field_make(p, 1), n)
+        assert tabled._zech is not None and packed._zech is None and packed._packed
+        gammas = (0, 1, first_root(tabled, least_irreducible_poly(tabled.base, n)))
+        for gamma in gammas:
+            for g in tabled.elements():
+                for delta in tabled.units():
+                    c, mu = _charpoly(tabled, gamma, g, delta)
+                    c_packed, mu_packed = _charpoly(packed, gamma, g, delta)
+                    assert (c.coeffs, mu) == (c_packed.coeffs, mu_packed), (p, n, gamma, g, delta)
+
+
+def test_packed_charpoly_calls_no_list_kernel(record_calls):
+    # over the table-free F_{3^11} the recurrence runs on packed ints: no
+    # list-kernel product or division, no digit codec and no field method
+    L = ext_make(F3, 11)
+    tower = ext_make(field_make(3, 2), 6)
+    assert L._zech is None and L._packed and tower._zech is None
+    names = ("_list_mul", "_list_divmod", "_to_digits")
+    calls = {name: record_calls(ff, name) for name in names}
+    methods = ("mul", "add", "pow", "inv", "frob_iter")
+    calls.update({name: record_calls(ff.ExtensionField, name) for name in methods})
+    rng = random.Random(11)
+    for _ in range(3):
+        _charpoly(L, rng.randrange(L.order), rng.randrange(L.order), rng.randrange(1, L.order))
+    assert all(v == [] for v in calls.values()), {k: len(v) for k, v in calls.items()}
+    # the recorders see what they pin: the table-free tower F_{9^6} keeps
+    # the list kernel and adds on the digit codec
+    _charpoly(tower, 1, 2, 3)
+    assert all(calls.values()), {k: len(v) for k, v in calls.items()}
