@@ -34,15 +34,16 @@ modulo the defining polynomial f.  Over a prime base that is the packed
 kernel, _packed_arith (Kronecker substitution): an element is an int that
 holds its base-p digits in s-bit slots, a product is one integer product
 whose high slots are folded back by precomputed rows y^i mod f, and a sum
-is one integer sum and one _slot_reducer step.  The field's own mul, add,
-neg, pow and inv pack their operands once and unpack the result once, and
-the generator search and the table images run on arith() before the
-tables exist.  Towers keep the list kernel: the product is the coefficient
-lists' product over the base, reduced by f, and add and neg work digit by
-digit, mod p, on the base-p code, since addition is coefficientwise at
-every level of a tower.  One digit codec, _to_digits/_from_digits, expands
-a code in either radix: base p with pdeg digits for the text form, the
-tower add and neg and the packed words of the table walk, and
+is one integer sum and one _slot_reducer step.  The field's own mul, pow
+and inv pack their operands once and unpack the result once, and the
+generator search and the table images run on arith() before the tables
+exist.  Towers keep the list kernel: the product is the coefficient lists'
+product over the base, reduced by f.  The field's own add and neg work
+digit by digit, mod p, on the base-p code, over any base, since addition
+is coefficientwise at every level of a tower.  One digit codec,
+_to_digits/_from_digits, expands a code in either radix: base p with pdeg
+digits for the text form, the table-free add and neg and the packed words
+of the table walk, and
 coords/from_coords in base B with one digit per base-field element, for the
 tower product.  The Frobenius x -> x^(q^i) is just a power, one exp/log
 lookup in a tabled field and square-and-multiply in a table-free one.
@@ -140,11 +141,11 @@ def _slot_reducer(p, slots, w=None):
     return w, lambda s: s - (((s + bias) & top) >> shift) * p
 
 
-_Packed = collections.namedtuple("_Packed", "rep code mul add neg pow")
+_Packed = collections.namedtuple("_Packed", "rep code mul add pow")
 
 
 def _packed_arith(p, modulus):
-    """(rep, code, mul, add, neg, pow): the table-free arithmetic of
+    """(rep, code, mul, add, pow): the table-free arithmetic of
     F_p[y]/(f), f = modulus monic of degree n, on Kronecker-packed ints
     (Kronecker 1882; Harvey, J. Symb. Comp. 2009).
 
@@ -156,17 +157,16 @@ def _packed_arith(p, modulus):
     takes each high slot mod p and adds that multiple of the packed row
     y^k mod f to the n low slots: n - 1 more terms of at most (p - 1)^2 each.
     So no slot ever exceeds (2n - 1)(p - 1)^2 < 2^s, no carry crosses a slot,
-    and one final pass takes every low slot mod p.  add and neg are one
-    integer sum each, x + y and (p in every slot) - x, whose slots are at
-    most 2p - 2, then _slot_reducer's step on s-bit slots; it needs
-    2^(s-1) >= p, and 2^s > (p - 1)^2 >= 2p for p >= 5, s >= 3 for p = 3.
+    and one final pass takes every low slot mod p.  add is one integer sum,
+    whose slots are at most 2p - 2, then _slot_reducer's step on s-bit
+    slots; it needs 2^(s-1) >= p, and 2^s > (p - 1)^2 >= 2p for p >= 5,
+    s >= 3 for p = 3.
     pow takes units: it reduces e mod p^n - 1, so e may be negative.
     """
     n = len(modulus) - 1
     s = ((2 * n - 1) * (p - 1) ** 2).bit_length()
     slot, low_mask, high = (1 << s) - 1, (1 << n * s) - 1, n * s
     _, reduce = _slot_reducer(p, n, s)
-    p_slots = p * sum(1 << s * i for i in range(n))
     n_units = p**n - 1
 
     def rep(a):
@@ -213,13 +213,10 @@ def _packed_arith(p, modulus):
     def add(x, y):
         return reduce(x + y)
 
-    def neg(x):
-        return reduce(p_slots - x)
-
     def pow(x, e):
         return _square_and_multiply(mul, 1, x, e % n_units)
 
-    return _Packed(rep, code, mul, add, neg, pow)
+    return _Packed(rep, code, mul, add, pow)
 
 
 class FiniteField:
@@ -562,20 +559,14 @@ class ExtensionField(FiniteField):
             la = log[a]
             z = zech[log[b] - la]
             return 0 if z is None else self._exp[la + z]
-        k = self._packed
-        if k:
-            return k.code(k.add(k.rep(a), k.rep(b)))
-        p, n = self.char, self.pdeg
+        p, k = self.char, self.pdeg
         return _from_digits(
-            [(x + y) % p for x, y in zip(_to_digits(a, p, n), _to_digits(b, p, n))], p
+            [(x + y) % p for x, y in zip(_to_digits(a, p, k), _to_digits(b, p, k))], p
         )
 
     def neg(self, a):
         if self._zech is not None:
             return self._exp[self._log[a] + self._half] if a else 0
-        k = self._packed
-        if k:
-            return k.code(k.neg(k.rep(a)))
         p = self.char
         return _from_digits([-x % p for x in _to_digits(a, p, self.pdeg)], p)
 

@@ -328,12 +328,46 @@ def test_tables_match_per_unit_walk():
 
 @pytest.fixture
 def record_arith(monkeypatch):
-    """Wrap ExtensionField.arith: the mul and pow it hands out append
-    (field, code, code) and (field, code, exponent) to calls["mul"] and
-    calls["pow"].  A table build and the generator search take their
-    products and powers from arith(), packed over a prime base and on the
-    list kernel over a tower."""
-    calls = {"mul": [], "pow": []}
+    """Record a field's products and powers at two levels.  The mul and pow
+    that ExtensionField.arith hands out append (field, code, code) and
+    (field, code, exponent) to calls["mul"] and calls["pow"]: a table build
+    and the generator search take their products and powers from arith(),
+    packed over a prime base and on the list kernel over a tower.  Below
+    that, every call of ExtensionField.mul, pow or _mul_poly and of a packed
+    kernel's mul or pow that runs outside an arith() product or power
+    appends (owner, name) to calls["stray"], the owner being the field or
+    its _packed kernel."""
+    calls = {"mul": [], "pow": [], "stray": []}
+    depth = [0]
+
+    def inside(fn, *args):
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
+
+    def watched(owner, name, fn):
+        def wrapper(*args):
+            if not depth[0]:
+                calls["stray"].append((owner[0] if owner else args[0], name))
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("mul", "pow", "_mul_poly"):
+        monkeypatch.setattr(ff.ExtensionField, name,
+                            watched(None, name, getattr(ff.ExtensionField, name)))
+    packed_arith = ff._packed_arith
+
+    def watched_packed_arith(p, modulus):
+        k = packed_arith(p, modulus)
+        owner = []
+        owner.append(k._replace(mul=watched(owner, "packed mul", k.mul),
+                                pow=watched(owner, "packed pow", k.pow)))
+        return owner[0]
+
+    monkeypatch.setattr(ff, "_packed_arith", watched_packed_arith)
     arith = ff.ExtensionField.arith
 
     def recording(self):
@@ -341,11 +375,11 @@ def record_arith(monkeypatch):
 
         def recorded_mul(x, y):
             calls["mul"].append((self, code(x), code(y)))
-            return mul(x, y)
+            return inside(mul, x, y)
 
         def recorded_pow(x, e):
             calls["pow"].append((self, code(x), e))
-            return pow(x, e)
+            return inside(pow, x, e)
 
         return rep, code, zero, one, recorded_mul, add, recorded_pow, frob
 
@@ -356,15 +390,17 @@ def record_arith(monkeypatch):
 def test_table_build_makes_one_product_per_digit(monkeypatch, record_arith):
     # one table build is the generator search, which takes powers alone, plus
     # one product per base-p digit, the image p^k g: no product per unit or
-    # per half code
+    # per half code, and no field or kernel product outside those
     F9 = field_make(3, 2)
     for base, degree in [(PrimeField(3), 2), (PrimeField(3), 7), (PrimeField(5), 4),
                          (PrimeField(3), 10), (F9, 1), (F9, 2), (F9, 3)]:
-        record_arith["mul"].clear()
-        record_arith["pow"].clear()
+        for calls in record_arith.values():
+            calls.clear()
         F = ff.ExtensionField(base, degree)
         products = [call[1:] for call in record_arith["mul"] if call[0] is F]
         powers = [call[1:] for call in record_arith["pow"] if call[0] is F]
+        stray = [name for owner, name in record_arith["stray"]
+                 if owner is F or owner is F._packed]
         with monkeypatch.context() as m:
             m.setattr(ff, "_TABLE_LIMIT", 0)
             twin = ff.ExtensionField(base, degree)
@@ -372,6 +408,7 @@ def test_table_build_makes_one_product_per_digit(monkeypatch, record_arith):
         assert twin._least_generator() == F._exp[1]
         assert powers == [call[1:] for call in record_arith["pow"]], F
         assert products == [(F.char**k, F._exp[1]) for k in range(F.pdeg)], F
+        assert stray == [], F
 
 
 def test_packed_walk_matches_split_walk(monkeypatch):
@@ -497,11 +534,14 @@ def list_kernel_pow(F, a, e):
 
 
 def _check_packed_ops(F, pairs):
-    # mul, add, neg and sub on codes run on the packed kernel; the oracles
-    # are the list kernel's product and the coordinate sum and negation
+    # the packed product and sum, through F.mul and arith(), and the field's
+    # add, neg and sub on the digit loop; the oracles are the list kernel's
+    # product and the coordinate sum and negation
+    rep, code, _, _, mul, add, _, _ = F.arith()
     for a, b in pairs:
-        assert F.mul(a, b) == list_kernel_mul(F, a, b), (F, a, b)
-        assert F.add(a, b) == oracle_add(F, a, b), (F, a, b)
+        x, y = rep(a), rep(b)
+        assert F.mul(a, b) == code(mul(x, y)) == list_kernel_mul(F, a, b), (F, a, b)
+        assert F.add(a, b) == code(add(x, y)) == oracle_add(F, a, b), (F, a, b)
         assert F.neg(b) == oracle_neg(F, b), (F, b)
         assert F.sub(a, b) == oracle_add(F, a, oracle_neg(F, b)), (F, a, b)
 
