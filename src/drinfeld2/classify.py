@@ -10,7 +10,6 @@ census grid and lives in `census`.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import frobenius
@@ -45,20 +44,21 @@ def supersingular(dm, cp=None):
     return H == 2, witness
 
 
-def _monic_divisors(g):
-    """All monic divisors of the monic polynomial g, by degree and then by
-    coefficients low degree first; each one has degree <= deg g / 2 or is
-    the cofactor of one that has, so only those degrees are scanned."""
-    base = g.field
-    found = {}
-    for degree in range(int(g.deg) // 2 + 1):
-        for tail in itertools.product(range(base.order), repeat=degree):
-            f = Poly(base, tail + (base.one,))
-            cofactor, r = divmod(g, f)
-            if r.is_zero():
-                found[f.coeffs] = f
-                found[cofactor.coeffs] = cofactor
-    return sorted(found.values(), key=lambda f: (len(f.coeffs), f.coeffs))
+def _divisors(primes, P):
+    """(divisors, flagged): the monic divisors of g = prod pi^e over the
+    (pi, e) of primes, by degree and then by coefficients low degree first,
+    and those that P divides.  A divisor takes one exponent k <= e at each
+    pi, and P irreducible divides it exactly when P is some pi and its k is
+    not 0, so no division runs."""
+    divisors = [(Poly.one(P.field), False)]
+    for pi, e in primes:
+        is_P = pi == P
+        for f, flagged in list(divisors):
+            for _ in range(e):
+                f = f * pi
+                divisors.append((f, flagged or is_P))
+    divisors.sort(key=lambda d: (len(d[0].coeffs), d[0].coeffs))
+    return [f for f, _ in divisors], [f for f, flagged in divisors if flagged]
 
 
 def endomorphism_order(cp):
@@ -66,17 +66,15 @@ def endomorphism_order(cp):
 
     disc = 0 reports the quaternionic case without a split.  Otherwise
     disc = g^2 * omega with omega squarefree; g a unit means the maximal
-    order.  Conductors listed are the monic divisors of g; those not coprime
-    to P are flagged (not excluded).
+    order.  Conductors listed are the monic divisors of g, read off its
+    factorization; those not coprime to P are flagged (not excluded).
     """
     split = frobenius.conductor_split(cp)
     if split is None:
         return EndRingKind.QUATERNIONIC_CASE, None, None, [], []
     g, omega = split
     kind = EndRingKind.MAXIMAL_ORDER if g.is_one() else EndRingKind.NON_MAXIMAL_ORDER
-    conductors = _monic_divisors(g)
-    # P irreducible, so non-coprime to P just means divisible by P
-    flagged = [f for f in conductors if cp.P.divides(f)]
+    conductors, flagged = _divisors(frobenius._conductor_primes(cp), cp.P)
     return kind, g, omega, conductors, flagged
 
 

@@ -22,19 +22,22 @@ def minimal_polynomial(ext, x):
     """Monic minimal polynomial of x in L over the base field F_q.
 
     The product of (X - y) over the distinct Frobenius conjugates
-    y = x, x^q, x^(q^2), ... of x, on a coefficient list low degree first:
-    each factor is a shift plus a scaled add.  The coefficients lie in F_q,
-    whose codes are the same in L.
+    y = x, x^q, x^(q^2), ... of x, on a coefficient list low degree first,
+    on the arithmetic L hands out (`ExtensionField.arith`), as the charpoly
+    is: each factor is a shift plus a scaled add.  The coefficients lie in
+    F_q, whose codes are the same in L.
     """
-    f = [ext.one]
-    y = x
+    rep, code, zero, one, mul, add, _, frob = ext.arith()
+    minus_one = rep(ext.scalar(-1))
+    f = [one]
+    x = y = rep(x)
     while True:
-        minus_y = ext.neg(y)
+        minus_y = mul(minus_one, y)
         # (X - y) f: the coefficient at X^k is f[k-1] - y f[k]
-        f = [ext.add(lo, ext.mul(minus_y, hi)) for lo, hi in zip([0] + f, f + [0])]
-        y = ext.frob_iter(y, 1)
+        f = [add(lo, mul(minus_y, hi)) for lo, hi in zip([zero] + f, f + [zero])]
+        y = frob(y)
         if y == x:
-            return Poly(ext.base, f)
+            return Poly(ext.base, [code(e) for e in f])
 
 
 class DrinfeldModule:

@@ -52,12 +52,16 @@ powers, powers modulo a polynomial and polyring's Poly powers all pass it
 their product.
 
 This module also holds the polynomial kernel: the one implementation of
-products, division, gcd, Ben-Or's irreducibility test and the enumeration
-of monic irreducibles on coefficient lists.  The test takes x to one more
-q-th power mod f per degree, q the order of the coefficient field, and stops
-at the degree of f's smallest factor, so most reducible candidates of a
-modulus search cost one power.  The extension fields use the kernel for
-their moduli and the tower products, and polyring wraps it.
+products, powers, division, gcd, Yun's squarefree decomposition, Ben-Or's
+irreducibility test, factorization and the enumeration of monic
+irreducibles on coefficient lists.  Ben-Or's loop takes x to one more q-th
+power mod f per degree, q the order of the coefficient field, and divides
+out each factor it finds, so it is distinct-degree factorization too.  The
+irreducibility test stops it at the degree of f's smallest factor, so most
+reducible candidates of a modulus search cost one power.  Cantor-Zassenhaus
+then splits each product of factors of one degree.  The extension fields
+use the kernel for their moduli and the tower products, and polyring and
+frobenius wrap it.
 """
 
 from __future__ import annotations
@@ -292,7 +296,11 @@ class PrimeField(FiniteField):
         self.char = p
         self.pdeg = 1
 
-    # the one-digit case of ExtensionField's table-free add and neg
+    # the one-digit cases of the text codec and of ExtensionField's
+    # table-free add and neg
+    def to_str(self, a):
+        return str(a)
+
     def add(self, a, b):
         return (a + b) % self.order
 
@@ -383,23 +391,143 @@ def _list_gcd(field, a, b):
     return a
 
 
-def _list_irreducible(field, f):
-    """Ben-Or's irreducibility test for monic f of degree >= 1 over field.
+def _list_pow(field, a, e):
+    """a^e for e >= 0 (e = 0 gives [1])."""
+    return _square_and_multiply(
+        lambda x, y: _list_mul(field, x, y), [field.one], a, e
+    )
 
-    f of degree d is reducible exactly when it has a factor of some degree
-    i <= d/2, that is when gcd(f, x^(B^i) - x) != 1, B = field.order.  The
-    powers x^(B^i) mod f come one B-th power at a time, and the test stops
-    at the degree of the smallest factor of f: 1 for most reducible f
-    (Ben-Or, FOCS 1981; Gao and Panario 1997).
+
+def _list_squarefree(field, f):
+    """Yun's squarefree decomposition of monic f: {multiplicity: monic
+    squarefree factor}, whose product of factor^multiplicity is f.
+
+    A squarefree f, the common case, costs one gcd.  Otherwise step i of the
+    loop yields the factors of multiplicity exactly i, which is prime to p
+    whenever there are any.  The residue is a p-th power, all of f when
+    f' = 0: the factors of p-divisible multiplicity.  The next round takes
+    its p-th root and scales the multiplicities by p, which repeat none of
+    the earlier rounds'.
+    """
+    p, one = field.char, field.one
+    result, scale = {}, 1
+    while True:
+        deriv = [field.mul(field.scalar(i), f[i]) for i in range(1, len(f))]
+        c = _list_gcd(field, f, deriv)
+        if len(c) == 1:  # f is squarefree
+            if len(f) > 1:
+                result[scale] = list(f)
+            return result
+        w = _list_divmod(field, f, c)[0]
+        i = 1
+        while len(w) > 1:
+            y = _list_gcd(field, w, c)
+            g = _list_divmod(field, w, y)[0]
+            if len(g) > 1:
+                result[i * scale] = g
+            w = y
+            c = _list_divmod(field, c, y)[0]
+            i += 1
+        if c == [one]:
+            return result
+        f = [field.pth_root(x) for x in c[::p]]
+        scale *= p
+
+
+def _list_square_split(field, parts, lead):
+    """(g, omega) with g^2 omega = lead * prod fac^mult over Yun's parts
+    {mult: fac}: g = prod fac^(mult // 2), monic, and omega the product of
+    the fac of odd mult, squarefree with leading coefficient lead."""
+    g = w = [field.one]
+    for mult, fac in parts.items():
+        if mult > 1:
+            g = _list_mul(field, g, _list_pow(field, fac, mult // 2))
+        if mult % 2:
+            w = _list_mul(field, w, fac)
+    return g, [field.mul(lead, x) for x in w]
+
+
+def _list_distinct_degree(field, f):
+    """Ben-Or's loop, which is distinct-degree factorization: for monic f of
+    degree >= 1 it yields (i, f_i), f_i the product of the irreducible
+    factors of degree i of f, for each i with f_i != 1, i increasing.
+
+    The powers x^(B^i) mod f, B = field.order, come one B-th power at a
+    time, and gcd(f, x^(B^i) - x) is the product of the factors of f whose
+    degree divides i; each one found is divided out.  Once deg f < 2(i + 1)
+    what is left is 1 or irreducible, and it is yielded last.  So f is
+    irreducible exactly when the first degree yielded is deg f, and a caller
+    that stops there stops at the degree of f's smallest factor: 1 for most
+    reducible f (Ben-Or, FOCS 1981; Gao and Panario 1997).  For f with a
+    repeated factor the later f_i may repeat factors.
     """
     h = [0, field.one]
-    for _ in range((len(f) - 1) // 2):
+    i = 0
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
         h = _list_powmod(field, h, field.order, f)
         g = h + [0] * (2 - len(h))
         g[1] = field.sub(g[1], field.one)
-        if _list_gcd(field, f, g) != [field.one]:
-            return False
-    return True
+        d = _list_gcd(field, f, g)
+        if len(d) > 1:
+            yield i, d
+            f = _list_divmod(field, f, d)[0]
+    if len(f) > 1:
+        yield len(f) - 1, list(f)
+
+
+def _list_irreducible(field, f):
+    """Ben-Or's irreducibility test for monic f of degree >= 1 over field:
+    the loop finds no factor of degree <= deg f / 2."""
+    return next(_list_distinct_degree(field, f))[0] == len(f) - 1
+
+
+def _list_equal_degree(field, f, i):
+    """The monic irreducible factors of f, a monic product of distinct
+    irreducibles of degree i, by Cantor and Zassenhaus (Math. Comp. 1981)
+    for odd B = field.order.
+
+    For a trial a, a^((B^i - 1)/2) is 0 or +-1 modulo each factor, so
+    gcd(h, a^((B^i - 1)/2) - 1) splits the factors h found so far.  The
+    trials are every polynomial of degree >= 1 in a fixed order, by degree
+    and then lexicographically, so nothing is random.  Some trial of degree
+    < deg h separates any two factors of h, by the Chinese remainder
+    theorem, so the search ends.
+    """
+    e = (field.order**i - 1) // 2
+    trials = (
+        list(t)
+        for n in itertools.count(2)
+        for t in itertools.product(range(field.order), repeat=n)
+        if t[-1]
+    )
+    done, todo = [], [list(f)]
+    while True:
+        done += [h for h in todo if len(h) - 1 == i]
+        todo = [h for h in todo if len(h) - 1 > i]
+        if not todo:
+            return done
+        a = next(trials)
+        split = []
+        for h in todo:
+            b = _list_powmod(field, a, e, h) or [0]
+            b[0] = field.sub(b[0], field.one)
+            d = _list_gcd(field, h, b)
+            split += [d, _list_divmod(field, h, d)[0]] if 1 < len(d) < len(h) else [h]
+        todo = split
+
+
+def _list_prime_powers(field, parts):
+    """[(pi, e)]: the monic irreducible factors pi of prod fac^e over the
+    (e, fac) of parts, each fac monic and squarefree and the facs pairwise
+    coprime (Yun's parts), by the distinct- and then equal-degree
+    factorization of each fac."""
+    return [
+        (pi, e)
+        for e, fac in parts
+        for i, f_i in _list_distinct_degree(field, fac)
+        for pi in _list_equal_degree(field, f_i, i)
+    ]
 
 
 def _monic_irreducibles(field, degree):

@@ -35,8 +35,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .ff import _list_mul, _list_square_split, _list_squarefree
 from .ore import OrePoly
-from .polyring import Poly, squarefree_split
+from .polyring import Poly, _prime_powers
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,9 @@ class CharPoly:
     def field(self):
         return self.P.field
 
-    # P^m and the discriminant are formed once per charpoly.  A
-    # cached_property is not a field, so equality and hashing do not see it.
+    # P^m, the discriminant and Yun's parts of it are formed once per
+    # charpoly, on coefficient lists.  A cached_property is not a field, so
+    # equality and hashing do not see it.
     @functools.cached_property
     def _Pm(self):
         return self.P**self.m
@@ -59,7 +61,14 @@ class CharPoly:
     @functools.cached_property
     def _disc(self):
         F = self.field
-        return self.c * self.c - self._Pm.scale(F.mul(F.scalar(4), self.mu))
+        c = self.c.coeffs
+        minus_4mu = F.neg(F.mul(F.scalar(4), self.mu))
+        return Poly(F, _add_scaled(F, _list_mul(F, c, c), minus_4mu, self._Pm.coeffs))
+
+    @functools.cached_property
+    def _disc_parts(self):
+        # {multiplicity: monic squarefree factor} of disc != 0, as lists
+        return _list_squarefree(self.field, self._disc.monic().coeffs)
 
     def discriminant(self):
         """c^2 - 4 mu P^m in A."""
@@ -67,7 +76,9 @@ class CharPoly:
 
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
-        return Poly.one(self.field) - self.c + self._Pm.scale(self.mu)
+        F = self.field
+        one_minus_c = _add_scaled(F, [F.one], F.scalar(-1), self.c.coeffs)
+        return Poly(F, _add_scaled(F, one_minus_c, self.mu, self._Pm.coeffs))
 
     def __str__(self):
         return "X^2 - ({c})X + ({mu})*({P})^{m}".format(**self.to_json())
@@ -79,6 +90,15 @@ class CharPoly:
             "P": self.P.to_human(),
             "m": self.m,
         }
+
+
+def _add_scaled(F, a, k, b):
+    """a + k b on coefficient lists over F, untrimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, x in enumerate(b):
+        if x:
+            out[i] = F.add(out[i], F.mul(k, x))
+    return out
 
 
 def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
@@ -152,8 +172,19 @@ def euler_poincare(cp):
 
 
 def conductor_split(cp):
-    """(g, omega) with disc = g^2 * omega, or None when disc = 0."""
+    """(g, omega) with disc = g^2 * omega, or None when disc = 0: the
+    squarefree split, read off Yun's parts of disc."""
     disc = cp.discriminant()
     if disc.is_zero():
         return None
-    return squarefree_split(disc)
+    F = cp.field
+    g, omega = _list_square_split(F, cp._disc_parts, disc.lc())
+    return Poly(F, g), Poly(F, omega)
+
+
+def _conductor_primes(cp):
+    """[(pi, e)] with g = prod pi^e for the conductor g of disc != 0, pi
+    monic irreducible: g is prod fac^(mult // 2) over Yun's parts of disc,
+    so one factorization of the parts of multiplicity >= 2 gives them."""
+    parts = [(mult // 2, fac) for mult, fac in cp._disc_parts.items() if mult > 1]
+    return _prime_powers(cp.field, parts)

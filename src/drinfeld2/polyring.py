@@ -1,11 +1,11 @@
 """Dense univariate polynomials over a finite field.
 
 Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
-arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
-enumeration of monic irreducibles.  Coefficients are stored as field codes,
-low degree first, with no trailing zeros.  Products, division, gcd and the
-irreducibility test are thin wrappers over the polynomial kernel in ff, and
-Poly powers run on ff's one square-and-multiply loop.
+arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting,
+factorization and enumeration of monic irreducibles.  Coefficients are stored
+as field codes, low degree first, with no trailing zeros.  Products, powers,
+division, gcd, the irreducibility test, Yun's squarefree decomposition and
+the factorization are thin wrappers over the polynomial kernel in ff.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
 addition, scaling, monic normalization and the text of their terms).
 """
@@ -20,8 +20,11 @@ from .ff import (
     _list_gcd,
     _list_irreducible,
     _list_mul,
+    _list_pow,
+    _list_prime_powers,
+    _list_square_split,
+    _list_squarefree,
     _monic_irreducibles,
-    _square_and_multiply,
     check_same_field,
     least_irreducible,
 )
@@ -166,7 +169,7 @@ class Poly(_Dense):
     def __pow__(self, e):
         if e < 0:
             raise PolyDomainError("negative polynomial power")
-        return _square_and_multiply(Poly.__mul__, Poly.one(self.field), self, e)
+        return Poly(self.field, _list_pow(self.field, self.coeffs, e))
 
     def __divmod__(self, other):
         check_same_field(self.field, other.field)
@@ -295,47 +298,18 @@ def is_irreducible(f):
     return _list_irreducible(f.field, f.monic().coeffs)
 
 
-def _pth_root_poly(f):
-    """For f with zero derivative, the g with g^p = f."""
-    F = f.field
-    p = F.char
-    out = []
-    for i in range(0, len(f.coeffs), p):
-        out.append(F.pth_root(f.coeffs[i]))
-    return Poly(F, out)
-
-
 def squarefree_decomposition(f):
-    """Multiplicity -> monic squarefree factor, for monic f != 0.
+    """Multiplicity -> monic squarefree factor, for f != 0, by Yun's
+    algorithm in the kernel.
 
-    The product of factor^multiplicity reconstructs f exactly.  Handles
-    p-th-power parts (zero derivative) by recursing on the p-th root.
+    The product of factor^multiplicity reconstructs f.monic() exactly,
+    p-th-power parts included.
     """
     if f.is_zero():
         raise PolyDomainError("squarefree decomposition of 0")
-    f = f.monic()
-    p = f.field.char
-    result = {}
-    c = gcd(f, f.deriv())
-    w = f // c
-    i = 1
-    # step i yields the factors of multiplicity exactly i, which is prime to
-    # p whenever there are any
-    while not w.is_one():
-        y = gcd(w, c)
-        g = w // y
-        if not g.is_one():
-            result[i] = g
-        w = y
-        c = c // y
-        i += 1
-    # the residue is a p-th power, all of f when f' = 0: the factors of
-    # p-divisible multiplicity at full multiplicity.  Recurse on its p-th
-    # root and scale the keys by p, which repeat none of the loop's
-    if not c.is_constant():
-        root = squarefree_decomposition(_pth_root_poly(c))
-        result.update({mult * p: g for mult, g in root.items()})
-    return result
+    F = f.field
+    parts = _list_squarefree(F, f.monic().coeffs)
+    return {mult: Poly(F, fac) for mult, fac in parts.items()}
 
 
 def squarefree_split(f):
@@ -344,15 +318,16 @@ def squarefree_split(f):
     if f.is_zero():
         raise PolyDomainError("squarefree split of 0")
     F = f.field
-    lead = f.lc()
-    g = Poly.one(F)
-    w = Poly.one(F)
-    for mult, fac in squarefree_decomposition(f).items():
-        if mult > 1:
-            g = g * fac ** (mult // 2)
-        if mult % 2:
-            w = w * fac
-    return g, w.scale(lead)
+    g, w = _list_square_split(F, _list_squarefree(F, f.monic().coeffs), f.lc())
+    return Poly(F, g), Poly(F, w)
+
+
+def _prime_powers(field, parts):
+    """[(pi, e)]: the monic irreducible factors pi of prod fac^e over the
+    (e, fac) of parts, coefficient lists as Yun's parts are (squarefree,
+    monic and pairwise coprime), factored in the kernel: Ben-Or's loop as
+    distinct-degree factorization, then Cantor-Zassenhaus."""
+    return [(Poly(field, pi), e) for pi, e in _list_prime_powers(field, parts)]
 
 
 def monic_irreducibles(field, degree):

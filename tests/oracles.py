@@ -13,6 +13,7 @@ from drinfeld2 import (
     Verdict,
     height,
     kernel_size_exp,
+    monic_irreducibles,
     squarefree_split,
 )
 from drinfeld2.ff import (
@@ -177,6 +178,45 @@ def split_walk_tables(F):
         for x in itertools.islice(exp, n_units)
     ]
     return exp, log, zech
+
+
+def scan_monic_divisors(g):
+    """All monic divisors of the monic polynomial g, by degree and then by
+    coefficients low degree first, by trial division: each one has degree
+    <= deg g / 2 or is the cofactor of one that has, so only those degrees
+    are scanned (the library's divisor list before it factored g)."""
+    base = g.field
+    found = {}
+    for degree in range(int(g.deg) // 2 + 1):
+        for tail in itertools.product(range(base.order), repeat=degree):
+            f = Poly(base, tail + (base.one,))
+            cofactor, r = divmod(g, f)
+            if r.is_zero():
+                found[f.coeffs] = f
+                found[cofactor.coeffs] = cofactor
+    return sorted(found.values(), key=lambda f: (len(f.coeffs), f.coeffs))
+
+
+def constructive_products(fields):
+    """(f, {e: product of the pi_i with e_i = e}, [(pi_i, e_i)]) for
+    f = u * prod pi_i^e_i over one or two distinct monic irreducibles pi_i
+    of each (field, degrees) in fields, each e_i in {1, 2, p, p + 1, 2p}, and
+    units u cycling through 2 .. q - 1.  Multiplicities p and 2p leave Yun's
+    loop a p-th-power residue, and all of f when every e_i is one of them
+    (f' = 0)."""
+    for field, degrees in fields:
+        p = field.char
+        pis = [pi for d in degrees for pi in monic_irreducibles(field, d)]
+        units = itertools.cycle(range(2, field.order))
+        for r in (1, 2):
+            for factors in itertools.combinations(pis, r):
+                for exps in itertools.product((1, 2, p, p + 1, 2 * p), repeat=r):
+                    parts = {}
+                    f = Poly.constant(field, next(units))
+                    for pi, e in zip(factors, exps):
+                        parts[e] = parts.get(e, Poly.one(field)) * pi
+                        f = f * pi**e
+                    yield f, parts, list(zip(factors, exps))
 
 
 def product_minimal_polynomial(ext, x):

@@ -509,7 +509,7 @@ def test_full_report_does_per_c_work_once_per_c(monkeypatch, record_calls):
     classify = importlib.import_module("drinfeld2.classify")
     products = record_calls(ff, "_list_mul")
     divisions = record_calls(ff, "_list_divmod")
-    splits = record_calls(polyring, "squarefree_split")
+    splits = record_calls(ff, "_list_squarefree")  # what conductor_split runs
     cs = {}  # id -> c coefficients, kept alive so no other list reuses an id
     walk = census.candidate_pairs
 

@@ -24,8 +24,16 @@ from drinfeld2 import (
 )
 
 from drinfeld2 import ff
-from drinfeld2.classify import _monic_divisors
-from oracles import all_modules, first_root, tri_criterion_supersingular
+from drinfeld2.classify import _divisors
+from drinfeld2.frobenius import CharPoly
+from drinfeld2.polyring import _prime_powers
+from oracles import (
+    all_modules,
+    constructive_products,
+    first_root,
+    scan_monic_divisors,
+    tri_criterion_supersingular,
+)
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -84,10 +92,11 @@ def test_classify_raises_P_to_the_m_once(record_calls):
 
 def test_classify_raises_nothing_to_the_power_0(record_calls):
     # the squarefree split of the discriminant skips its factors of
-    # multiplicity 1; P^m = T^2 is the one power left here
-    raises = record_calls(Poly, "__pow__")
+    # multiplicity 1; P^m = T^2 is the one power left here.  Poly powers and
+    # the split's powers both run on the kernel's _list_pow
+    raises = record_calls(ff, "_list_pow")
     classify(DrinfeldModule(EXT9, 1, 4, 7))
-    assert [e for _, e in raises] == [2]
+    assert [e for _, _, e in raises] == [2]
 
 
 def supersingular_js(ext, P):
@@ -266,10 +275,17 @@ def oracle_monic_divisors(g):
     return out
 
 
+def factored_divisors(g, P):
+    """classify._divisors of g and P, from the kernel's factorization of g."""
+    F = g.field
+    return _divisors(_prime_powers(F, ff._list_squarefree(F, g.coeffs).items()), P)
+
+
 def test_monic_divisors_match_full_scan_oracle():
     rng = random.Random(31)
     for field, max_deg in ((F3, 6), (field_make(5, 1), 4), (field_make(7, 1), 3),
                            (field_make(3, 2), 3)):
+        P = Poly(field, (1, 1))
         for _ in range(12):
             # random monic g, and square-rich g = h^2 * k
             g = Poly(field, [rng.randrange(field.order) for _ in range(max_deg)]
@@ -278,15 +294,82 @@ def test_monic_divisors_match_full_scan_oracle():
                      + [field.one])
             k = Poly(field, (rng.randrange(field.order), field.one))
             for f in (g, h * h, h * h * k, Poly.one(field)):
-                assert _monic_divisors(f) == oracle_monic_divisors(f), (field, f)
+                divisors = oracle_monic_divisors(f)
+                assert scan_monic_divisors(f) == divisors, (field, f)
+                assert factored_divisors(f, P) == (
+                    divisors, [d for d in divisors if P.divides(d)]
+                ), (field, f)
 
 
-def test_monic_divisors_scan_half_the_degrees(record_calls):
-    F7 = field_make(7, 1)
-    calls = record_calls(Poly, "__divmod__")
-    g = Poly(F7, (0,) * 6 + (1,))  # T^6
-    assert [f.deg for f in _monic_divisors(g)] == list(range(7))
-    assert len(calls) <= 400  # the full scan makes about 137k
+def test_monic_divisors_match_scan_on_every_small_monic():
+    # every monic g of degree <= 6 over F_3 and <= 4 over F_5, F_7 and F_9;
+    # P runs over the monic irreducibles of degree 1 and 2 in turn, so each
+    # is flagged in some g that it divides
+    tested = flagged = 0
+    for field, max_deg in ((F3, 6), (field_make(5, 1), 4), (field_make(7, 1), 4),
+                           (field_make(3, 2), 4)):
+        Ps = itertools.cycle(list(monic_irreducibles(field, 1))
+                             + list(monic_irreducibles(field, 2)))
+        for d in range(max_deg + 1):
+            for tail in itertools.product(range(field.order), repeat=d):
+                g, P = Poly(field, tail + (field.one,)), next(Ps)
+                divisors = scan_monic_divisors(g)
+                expected = [f for f in divisors if P.divides(f)]
+                assert factored_divisors(g, P) == (divisors, expected), (g, P)
+                tested += 1
+                flagged += bool(expected)
+    assert (tested, flagged) == (1093 + 781 + 2801 + 7381, 690)
+
+
+def test_monic_divisors_of_constructive_products():
+    # u * prod pi_i^e_i, as in the squarefree test: the divisors are the
+    # products of pi_i^k_i with k_i <= e_i, and P = pi_0 is flagged exactly
+    # when k_0 > 0
+    scanned = 0
+    for f, _, built in constructive_products(((F3, (1, 2)), (field_make(5, 1), (1,)),
+                                              (field_make(3, 2), (1,)))):
+        P = built[0][0]
+        divisors = []
+        for ks in itertools.product(*(range(e + 1) for _, e in built)):
+            d = Poly.one(f.field)
+            for (pi, _), k in zip(built, ks):
+                d = d * pi**k
+            divisors.append((d, ks[0] > 0))
+        divisors.sort(key=lambda d: (len(d[0].coeffs), d[0].coeffs))
+        assert factored_divisors(f.monic(), P) == (
+            [d for d, _ in divisors], [d for d, flagged in divisors if flagged]
+        ), f
+        if f.field.order ** (f.deg // 2) <= 81:  # the scan where it is cheap
+            assert scan_monic_divisors(f.monic()) == [d for d, _ in divisors], f
+            scanned += 1
+    assert scanned > 500
+
+
+def test_endring_divisors_match_scan_on_every_module(sweep):
+    # the End-order divisors of every module over F_3, F_9, F_5 and F_25 are
+    # the scan's divisors of its conductor g, flagged by P | f
+    for dm, cp in (pair for pairs in sweep.values() for pair in pairs):
+        kind, g, _, conductors, flagged = endomorphism_order(cp)
+        if kind is EndRingKind.QUATERNIONIC_CASE:
+            continue
+        assert conductors == scan_monic_divisors(g), dm
+        assert flagged == [f for f in conductors if dm.P.divides(f)], dm
+
+
+def test_monic_divisors_take_polynomially_many_kernel_calls(record_calls):
+    # g = T^24 over F_3, the conductor of X^2 + T^48 (P = T, m = 48): the
+    # scan oracle divides by every monic f of degree <= 12, 797,161 of them.
+    # Yun's loop on disc = 2T^48 makes a gcd and two divisions for each of
+    # the 15 steps of the p-th root T^16, P^48 and g take a few squarings,
+    # and each divisor one product: 122 kernel calls in all
+    names = ("_list_mul", "_list_divmod", "_list_gcd", "_list_powmod")
+    calls = {name: record_calls(ff, name) for name in names}
+    cp = CharPoly(Poly.zero(F3), 1, T, 48)
+    kind, g, omega, conductors, flagged = endomorphism_order(cp)
+    made = {name: len(c) for name, c in calls.items()}
+    assert (kind, g, omega) == (EndRingKind.NON_MAXIMAL_ORDER, T**24, Poly(F3, (2,)))
+    assert conductors == [T**k for k in range(25)] and flagged == conductors[1:]
+    assert sum(made.values()) <= 150, made
 
 
 # --- the conductor of End_L(Phi) --------------------------------------------

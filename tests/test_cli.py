@@ -23,9 +23,12 @@ MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", 
 # --p 3 --P T --m 2 for the family ones.  Three realize pins in csv follow, on
 # the least P of degree --d over F_{p^s}: F_625/F_5 at d = 1 and 2, and
 # F_81/F_9, which runs the sweep's product rows over F_9.  Six module pins
-# over fields above the table limit close the file, which run the table-free
+# over fields above the table limit follow, which run the table-free
 # arithmetic: the packed kernel over F_{3^11}, F_{5^7}, F_{7^6}, F_{251^3}
 # and F_{3^20}, and the list kernel over F_{9^6}, a tower on the tabled F_9.
+# Four pins with many End-order divisors close the file: g = T^12 (13
+# divisors), g = (T+1)(T+2), whose primes the equal-degree split separates,
+# g = (T+3)^2 with P = T+3, and 8 divisors with a prime of degree 2.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 

@@ -14,6 +14,7 @@ from drinfeld2 import (
     linalg,
     minimal_polynomial,
 )
+from drinfeld2 import ff
 from oracles import (
     all_modules,
     product_minimal_polynomial,
@@ -55,6 +56,35 @@ def test_minimal_polynomial_matches_poly_product_oracle():
     for ext in (ext_make(field_make(3, 2), 2), ext_make(F3, 5)):
         for x in ext.elements():
             assert minimal_polynomial(ext, x) == product_minimal_polynomial(ext, x)
+
+
+def test_minimal_polynomial_on_table_free_twins(monkeypatch):
+    # minimal_polynomial runs on arith(), which a field without tables hands
+    # out as packed ints over a prime base and as codes over a tower: every
+    # element of the twins of F_81, F_{3^5} and F_81/F_9
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    for ext in (ext_make(F3, 4), ext_make(F3, 5), ext_make(field_make(3, 2), 2)):
+        assert ext._exp is None
+        for x in ext.elements():
+            assert minimal_polynomial(ext, x) == product_minimal_polynomial(ext, x), x
+
+
+def test_minimal_polynomial_above_the_table_limit():
+    # seeded elements of F_{3^11}, F_{5^7} and the tower F_{9^6}, and of each
+    # subfield F_{q^k}, whose minimal polynomials have degree dividing k
+    rng = random.Random(34)
+    for ext in (ext_make(F3, 11), ext_make(field_make(5, 1), 7),
+                ext_make(field_make(3, 2), 6)):
+        assert ext._exp is None
+        q, n = ext.base.order, ext.degree
+        xs = [0, 1, ext.scalar(-1)] + [rng.randrange(ext.order) for _ in range(12)]
+        for k in (k for k in range(1, n + 1) if n % k == 0):
+            xs += [ext.pow(rng.randrange(1, ext.order), (ext.order - 1) // (q**k - 1))
+                   for _ in range(3)]
+        for x in xs:
+            mp = minimal_polynomial(ext, x)
+            assert mp == product_minimal_polynomial(ext, x), x
+            assert n % int(mp.deg) == 0
 
 
 def rand_poly(field, max_deg, rng):

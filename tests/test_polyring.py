@@ -20,11 +20,21 @@ from drinfeld2 import (
     squarefree_decomposition,
     squarefree_split,
 )
-from oracles import count_monic_irreducibles, loop_poly_from_human, pow_mod
+from drinfeld2 import ff
+from drinfeld2.polyring import _prime_powers
+from oracles import (
+    constructive_products,
+    count_monic_irreducibles,
+    loop_poly_from_human,
+    pow_mod,
+    rabin_irreducible,
+)
 
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
 F9 = field_make(3, 2)
+# the fields and degrees of the irreducibles pi_i of constructive_products
+PRODUCT_FIELDS = ((F3, (1, 2)), (F5, (1,)), (F9, (1,)))
 
 
 def rand_poly(field, max_deg, rng):
@@ -140,21 +150,14 @@ def test_squarefree_decomposition_pth_power():
     # f = u * prod pi_i^e_i built from its factors, e_i in {1, 2, p, p + 1,
     # 2p}: multiplicities p and 2p leave the loop a p-th-power residue, and
     # all of f when every e_i is one of them (f' = 0)
-    for field, degrees in ((F3, (1, 2)), (F5, (1,)), (F9, (1,))):
-        p = field.char
-        pis = [pi for d in degrees for pi in monic_irreducibles(field, d)]
-        units = itertools.cycle(range(2, field.order))
-        for r in (1, 2):
-            for factors in itertools.combinations(pis, r):
-                for exps in itertools.product((1, 2, p, p + 1, 2 * p), repeat=r):
-                    expected = {}
-                    f = Poly.constant(field, next(units))
-                    for pi, e in zip(factors, exps):
-                        expected[e] = expected.get(e, Poly.one(field)) * pi
-                        f = f * pi**e
-                    assert squarefree_decomposition(f) == expected, (f, exps)
-                    g, w = squarefree_split(f)
-                    assert g * g * w == f, (f, exps)
+    products = 0
+    for f, expected, _ in constructive_products(PRODUCT_FIELDS):
+        assert squarefree_decomposition(f) == expected, f
+        g, w = squarefree_split(f)
+        assert g * g * w == f, f
+        products += 1
+    assert products == 1625
+    for field in (F3, F5, F9):
         assert squarefree_decomposition(Poly.constant(field, 2)) == {}
 
 
@@ -174,12 +177,67 @@ def test_squarefree_split_exact():
 
 def test_squarefree_split_raises_no_factor_to_the_power_0(record_calls):
     # a factor of multiplicity 1 goes into omega only: of (T+1)(T^2+1)T^3
-    # the split raises T alone, to the power 3 // 2 = 1
+    # the split raises T alone, to the power 3 // 2 = 1, in the kernel
     T, one = Poly.x(F3), Poly.one(F3)
     f = (T + one) * (T * T + one) * T * T * T
-    raises = record_calls(Poly, "__pow__")
+    raises = record_calls(ff, "_list_pow")
     assert squarefree_split(f) == (T, (T + one) * (T * T + one) * T)
-    assert [e for _, e in raises] == [1]
+    assert [e for _, _, e in raises] == [1]
+
+
+def factorization(f):
+    """[(pi, e)] for f != 0 from the kernel: Yun's parts of f.monic(), then
+    the distinct- and equal-degree factorization of each."""
+    F = f.field
+    return _prime_powers(F, ff._list_squarefree(F, f.monic().coeffs).items())
+
+
+def check_factorization(f, primes):
+    """Each pi is monic and irreducible by Rabin's test, the pi are
+    distinct, and prod pi^e is f.monic()."""
+    F = f.field
+    product = Poly.one(F)
+    for pi, e in primes:
+        assert pi.lc() == F.one and rabin_irreducible(F, pi.coeffs), (f, pi)
+        product = product * pi**e
+    assert len({pi for pi, _ in primes}) == len(primes), f
+    assert product == f.monic(), f
+
+
+def test_factorization_of_every_small_monic():
+    # every monic f of degree <= 6 over F_3 and <= 4 over F_5, F_7 and F_9
+    tested = 0
+    for field, max_deg in ((F3, 6), (F5, 4), (field_make(7, 1), 4), (F9, 4)):
+        for d in range(max_deg + 1):
+            for tail in itertools.product(range(field.order), repeat=d):
+                f = Poly(field, tail + (field.one,))
+                check_factorization(f, factorization(f))
+                tested += 1
+    assert tested == 1093 + 781 + 2801 + 7381
+
+
+def test_factorization_of_constructive_products():
+    # u * prod pi_i^e_i factors back into its own (pi_i, e_i), multiplicities
+    # p and 2p (p-th-power parts) included
+    for f, _, built in constructive_products(PRODUCT_FIELDS):
+        primes = factorization(f)
+        check_factorization(f, primes)
+        assert sorted(primes, key=str) == sorted(built, key=str), f
+
+
+def test_equal_degree_split_runs_on_products_of_equal_degree():
+    # products of 2 to 4 distinct irreducibles of one degree: Ben-Or's loop
+    # yields each product whole, and Cantor-Zassenhaus splits it
+    for field, d, count in ((F3, 1, 3), (F3, 2, 3), (F3, 3, 4), (F5, 2, 4), (F9, 2, 3)):
+        pis = list(itertools.islice(monic_irreducibles(field, d), count))
+        for r in range(2, count + 1):
+            for chosen in itertools.combinations(pis, r):
+                f = Poly.one(field)
+                for pi in chosen:
+                    f = f * pi
+                assert [i for i, _ in ff._list_distinct_degree(field, f.coeffs)] == [d]
+                found = ff._list_equal_degree(field, list(f.coeffs), d)
+                assert sorted(map(tuple, found)) == sorted(pi.coeffs for pi in chosen)
 
 
 def test_parse_human_and_machine_agree():
