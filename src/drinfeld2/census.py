@@ -20,17 +20,17 @@ P and m are checked once per family at the public entry points, and the
 sweep bound before any census work.  One walk over the (c, mu) grid
 (`admissible_pairs`) yields each admissible candidate's key
 (c coefficients, mu) with its verdict, and keeps no state from one
-candidate to the next.  It runs on coefficient lists and spends no
-polynomial product or division on any c.  Once per family the caller raises
-P^m, and the walk forms S = floor(sqrt(P^m)) and R = P^m - S^2 for md even
-(`_sqrt_parts`) and the verdict at P of every multiple of P of degree
-<= md/2.  A candidate reads the degree and leading coefficient of
-c^2 - 4 mu P^m off the top entries of c, P^m, S and R (`_disc_top`) and its
-verdict at P by one lookup.  The census pass tallies the verdicts and keys
-each admissible candidate's chi group by the monic P^m + mu^-1 (1 - c), one
-lookup per coefficient of c in rows built once per mu with the 1 folded
-in, so no 1 - c is formed.  `realize` reads the admissible map alone and
-builds no chi key.
+candidate to the next.  It takes each c as its coefficient tuple, builds
+no Poly, and spends no polynomial product or division on any c.  Once per
+family the caller raises P^m, and the walk forms S = floor(sqrt(P^m)) and
+R = P^m - S^2 for md even (`_sqrt_parts`) and the verdict at P of every
+multiple of P of degree <= md/2.  A candidate reads the degree and
+leading coefficient of c^2 - 4 mu P^m off the top entries of c, P^m, S and
+R (`_disc_top`) and its verdict at P by one lookup.  The census pass
+tallies the verdicts and keys each admissible candidate's chi group by the
+monic P^m + mu^-1 (1 - c), one lookup per coefficient of c in rows built
+once per mu with the 1 folded in, so no 1 - c is formed.  `realize` reads
+the admissible map alone and builds no chi key.
 
 Enumeration is the source of truth; closed forms are evaluated in exact
 rational arithmetic and any mismatch is recorded as a discrepancy finding,
@@ -273,12 +273,12 @@ def _weil_verdict(top, at_P, squares):
 
 def candidate_pairs(P, m):
     """All (c, mu) with deg c <= floor(md/2), mu a unit, in lexicographic
-    order of (c coefficients low-first, mu); the census reads only the
-    coefficients of each c."""
+    order of (c coefficients low-first, mu); c is its trimmed coefficient
+    tuple, as in Poly.coeffs."""
     base = P.field
     bound = (m * (len(P.coeffs) - 1)) // 2
     for coeffs in itertools.product(range(base.order), repeat=bound + 1):
-        c = Poly(base, coeffs)
+        c = tuple(_list_trim(list(coeffs)))
         for mu in base.units():
             yield c, mu
 
@@ -303,7 +303,6 @@ def admissible_pairs(P, m, Pm):
         c = tuple(_list_trim(_list_mul(F, h, P.coeffs)))
         multiples[c] = _at_P(F, c, S, m, d)
     for c, mu in candidate_pairs(P, m):
-        c = c.coeffs
         at_P = multiples.get(c, Verdict.ORDINARY)
         verdict = _weil_verdict(_disc_top(F, c, mu, Pm, S, R), at_P, squares)
         if verdict.is_admissible():

@@ -44,23 +44,6 @@ def supersingular(dm, cp=None):
     return H == 2, witness
 
 
-def _divisors(primes, P):
-    """(divisors, flagged): the monic divisors of g = prod pi^e over the
-    (pi, e) of primes, by degree and then by coefficients low degree first,
-    and those that P divides.  A divisor takes one exponent k <= e at each
-    pi, and P irreducible divides it exactly when P is some pi and its k is
-    not 0, so no division runs."""
-    divisors = [(Poly.one(P.field), False)]
-    for pi, e in primes:
-        is_P = pi == P
-        for f, flagged in list(divisors):
-            for _ in range(e):
-                f = f * pi
-                divisors.append((f, flagged or is_P))
-    divisors.sort(key=lambda d: (len(d[0].coeffs), d[0].coeffs))
-    return [f for f, _ in divisors], [f for f, flagged in divisors if flagged]
-
-
 def endomorphism_order(cp):
     """(kind, conductor_g, omega, admissible_conductors, non_coprime_flags).
 
@@ -74,7 +57,10 @@ def endomorphism_order(cp):
         return EndRingKind.QUATERNIONIC_CASE, None, None, [], []
     g, omega = split
     kind = EndRingKind.MAXIMAL_ORDER if g.is_one() else EndRingKind.NON_MAXIMAL_ORDER
-    conductors, flagged = _divisors(frobenius._conductor_primes(cp), cp.P)
+    divisors = frobenius._conductor_divisors(cp)
+    divisors = [(Poly(cp.field, f), at_P) for f, at_P in divisors]
+    conductors = [f for f, _ in divisors]
+    flagged = [f for f, at_P in divisors if at_P]
     return kind, g, omega, conductors, flagged
 
 

@@ -60,8 +60,8 @@ out each factor it finds, so it is distinct-degree factorization too.  The
 irreducibility test stops it at the degree of f's smallest factor, so most
 reducible candidates of a modulus search cost one power.  Cantor-Zassenhaus
 then splits each product of factors of one degree.  The extension fields
-use the kernel for their moduli and the tower products, and polyring and
-frobenius wrap it.
+use the kernel for their moduli and the tower products, polyring wraps it,
+and frobenius builds the End-order divisors on its lists.
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .ff import _list_mul, _list_square_split, _list_squarefree
+from .ff import _list_mul, _list_prime_powers, _list_square_split, _list_squarefree
 from .ore import OrePoly
-from .polyring import Poly, _prime_powers
+from .polyring import Poly
 
 
 @dataclass(frozen=True)
@@ -182,9 +182,27 @@ def conductor_split(cp):
     return Poly(F, g), Poly(F, omega)
 
 
-def _conductor_primes(cp):
-    """[(pi, e)] with g = prod pi^e for the conductor g of disc != 0, pi
-    monic irreducible: g is prod fac^(mult // 2) over Yun's parts of disc,
-    so one factorization of the parts of multiplicity >= 2 gives them."""
+def _divisors(F, primes, P):
+    """[(f, P | f)]: the monic divisors f of g = prod pi^e over the (pi, e)
+    of primes, coefficient lists of the kernel, by degree and then by
+    coefficients low degree first, each with whether P, the coefficient
+    tuple of a monic irreducible, divides it.  A divisor takes one exponent
+    k <= e at each pi, and P divides it exactly when P is some pi and its k
+    is not 0, so no division runs."""
+    divisors = [([F.one], False)]
+    for pi, e in primes:
+        is_P = tuple(pi) == P
+        for f, flagged in list(divisors):
+            for _ in range(e):
+                f = _list_mul(F, f, pi)
+                divisors.append((f, flagged or is_P))
+    divisors.sort(key=lambda d: (len(d[0]), d[0]))
+    return divisors
+
+
+def _conductor_divisors(cp):
+    """_divisors of the conductor g of disc != 0: g is prod fac^(mult // 2)
+    over Yun's parts of disc, so one factorization of the parts of
+    multiplicity >= 2 gives its primes."""
     parts = [(mult // 2, fac) for mult, fac in cp._disc_parts.items() if mult > 1]
-    return _prime_powers(cp.field, parts)
+    return _divisors(cp.field, _list_prime_powers(cp.field, parts), cp.P.coeffs)

@@ -1,11 +1,11 @@
 """Dense univariate polynomials over a finite field.
 
 Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
-arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting,
-factorization and enumeration of monic irreducibles.  Coefficients are stored
-as field codes, low degree first, with no trailing zeros.  Products, powers,
-division, gcd, the irreducibility test, Yun's squarefree decomposition and
-the factorization are thin wrappers over the polynomial kernel in ff.
+arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
+enumeration of monic irreducibles.  Coefficients are stored as the kernel's
+trimmed coefficient tuple: field codes, low degree first, with no trailing
+zeros.  Products, powers, division, gcd, the irreducibility test and Yun's
+squarefree decomposition are thin wrappers over the polynomial kernel in ff.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
 addition, scaling, monic normalization and the text of their terms).
 """
@@ -21,9 +21,9 @@ from .ff import (
     _list_irreducible,
     _list_mul,
     _list_pow,
-    _list_prime_powers,
     _list_square_split,
     _list_squarefree,
+    _list_trim,
     _monic_irreducibles,
     check_same_field,
     least_irreducible,
@@ -47,11 +47,8 @@ class _Dense:
     _domain_error = ValueError
 
     def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_list_trim(list(coeffs)))
 
     # --- constructors ---
 
@@ -320,14 +317,6 @@ def squarefree_split(f):
     F = f.field
     g, w = _list_square_split(F, _list_squarefree(F, f.monic().coeffs), f.lc())
     return Poly(F, g), Poly(F, w)
-
-
-def _prime_powers(field, parts):
-    """[(pi, e)]: the monic irreducible factors pi of prod fac^e over the
-    (e, fac) of parts, coefficient lists as Yun's parts are (squarefree,
-    monic and pairwise coprime), factored in the kernel: Ben-Or's loop as
-    distinct-degree factorization, then Cantor-Zassenhaus."""
-    return [(Poly(field, pi), e) for pi, e in _list_prime_powers(field, parts)]
 
 
 def monic_irreducibles(field, degree):

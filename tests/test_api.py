@@ -147,8 +147,10 @@ def test_the_library_imports_the_standard_library_alone():
 
 def test_the_library_keeps_no_dead_names():
     # every import outside __init__.py (which re-exports) is used in its
-    # module, and every module-level private function or class is named by
-    # some other top-level statement of the library
+    # module, every module-level private function or class is named by
+    # some other top-level statement of the library, and every private
+    # method (not a dunder) of a library class by some other statement: a
+    # sibling method of any class or a top-level statement outside a class
     package = pathlib.Path(drinfeld2.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
 
@@ -179,3 +181,24 @@ def test_the_library_keeps_no_dead_names():
                 assert any(
                     stmt.name in refs for node, refs in statements if node is not stmt
                 ), (name, "unnamed private", stmt.name)
+
+    # a class counts as its body statements here, so that a method named
+    # only inside itself is not named by its own class
+    members = [
+        (item, names(item))
+        for tree in trees.values()
+        for stmt in tree.body
+        for item in (stmt.body if isinstance(stmt, ast.ClassDef) else [stmt])
+    ]
+    methods = set()
+    for name, tree in trees.items():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for item in cls.body:
+                if (isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not item.name.endswith("__")):
+                    methods.add(item.name)
+                    assert any(
+                        item.name in refs for node, refs in members if node is not item
+                    ), (name, "unnamed private method", cls.name, item.name)
+    # the walk reaches the private methods of ff, polyring and frobenius
+    assert {"_least_generator", "_build_tables", "_terms", "_disc_parts"} <= methods

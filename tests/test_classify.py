@@ -24,9 +24,7 @@ from drinfeld2 import (
 )
 
 from drinfeld2 import ff
-from drinfeld2.classify import _divisors
-from drinfeld2.frobenius import CharPoly
-from drinfeld2.polyring import _prime_powers
+from drinfeld2.frobenius import CharPoly, _divisors
 from oracles import (
     all_modules,
     constructive_products,
@@ -276,9 +274,13 @@ def oracle_monic_divisors(g):
 
 
 def factored_divisors(g, P):
-    """classify._divisors of g and P, from the kernel's factorization of g."""
+    """(divisors, flagged) as Polys: frobenius._divisors of g and P, from the
+    kernel's factorization of g."""
     F = g.field
-    return _divisors(_prime_powers(F, ff._list_squarefree(F, g.coeffs).items()), P)
+    parts = ff._list_squarefree(F, g.coeffs).items()
+    primes = ff._list_prime_powers(F, parts)
+    divisors = [(Poly(F, f), at_P) for f, at_P in _divisors(F, primes, P.coeffs)]
+    return [f for f, _ in divisors], [f for f, at_P in divisors if at_P]
 
 
 def test_monic_divisors_match_full_scan_oracle():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -26,19 +28,23 @@ MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", 
 # over fields above the table limit follow, which run the table-free
 # arithmetic: the packed kernel over F_{3^11}, F_{5^7}, F_{7^6}, F_{251^3}
 # and F_{3^20}, and the list kernel over F_{9^6}, a tower on the tabled F_9.
-# Four pins with many End-order divisors close the file: g = T^12 (13
-# divisors), g = (T+1)(T+2), whose primes the equal-degree split separates,
-# g = (T+3)^2 with P = T+3, and 8 divisors with a prime of degree 2.
+# Four pins with many End-order divisors follow: g = T^12 (13 divisors),
+# g = (T+1)(T+2), whose primes the equal-degree split separates,
+# g = (T+3)^2 with P = T+3, and 8 divisors with a prime of degree 2.  Five
+# census walks close the file: --P in the machine form, with commas over F_5
+# and semicolons over F_9, the tower F_9 at m = 3, d = 3 in plain text, and a
+# chi census of 343 groups over F_7.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 def _pin_id(pin):
-    # subcommand-format; a --d pin also names its family by its flag values,
-    # and a module pin with --n other than 2 its field by --p, --s and --n
+    # subcommand-format; a --d pin or one with --P other than T also names
+    # its family by its flag values, and a module pin with --n other than 2
+    # its field by --p, --s and --n
     words = pin["argv"].split()
     flags = dict(zip(words[1:-2:2], words[2:-2:2]))
-    named = "--d" in flags or flags.get("--n", "2") != "2"
-    family = [v for f, v in flags.items() if f in ("--p", "--s", "--n", "--d", "--m")]
+    named = "--d" in flags or flags.get("--P", "T") != "T" or flags.get("--n", "2") != "2"
+    family = [v for f, v in flags.items() if f in ("--p", "--s", "--n", "--d", "--P", "--m")]
     return "-".join([words[0]] + (family if named else []) + [words[-1]])
 
 
@@ -57,13 +63,19 @@ def test_out_file_holds_pinned_output(tmp_path, capsys, pin):
     assert target.read_text() == pin["stdout"]
 
 
-# The pinned JSON payload of each subcommand; the family ones list their
-# discrepancies, the module ones have none to list.
-JSON_PINS = {
-    pin["argv"].split()[0]: json.loads(pin["stdout"])
-    for pin in PINS
-    if pin["argv"].endswith("json")
-}
+def _reports_discrepancy(pin):
+    # whether a pin's own output lists a discrepancy, read in its format: a
+    # json "discrepancies" list, the last column of a family csv row or a
+    # chi csv "discrepancies" row, or a plain "discrepancy:" line
+    out, form = pin["stdout"], pin["argv"].split()[-1]
+    if form == "json":
+        return bool(json.loads(out).get("discrepancies"))
+    if form == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        if rows[0][-1] == "discrepancies":
+            return bool(rows[1][-1])
+        return any(row[0] == "discrepancies" and row[1] != "[]" for row in rows)
+    return any(line.startswith("discrepancy: ") for line in out.splitlines())
 
 
 # The status the process itself ends with, through `sys.exit(main())`: one
@@ -95,8 +107,7 @@ def test_process_exit_status(status):
 def test_strict_exit_code_pinned(capsys, pin):
     # --strict leaves the output as it is and exits 3 exactly when a
     # discrepancy is reported
-    command = pin["argv"].split()[0]
-    expected = 3 if JSON_PINS[command].get("discrepancies") else 0
+    expected = 3 if _reports_discrepancy(pin) else 0
     code, out, _ = run(capsys, pin["argv"].split() + ["--strict"])
     assert (code, out) == (expected, pin["stdout"])
 

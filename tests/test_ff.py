@@ -62,6 +62,12 @@ def test_auto_modulus_is_least_irreducible():
     assert least_irreducible(PrimeField(5), 6) == (1, 0, 0, 0, 1, 1, 1)
 
 
+def test_least_irreducible_rejects_degree_below_one():
+    for degree in (0, -1):
+        with pytest.raises(FieldError, match="degree must be >= 1"):
+            least_irreducible(PrimeField(3), degree)
+
+
 def monics(F, degree):
     """Every monic polynomial of the degree over F, as coefficient tuples."""
     for tail in itertools.product(range(F.order), repeat=degree):
@@ -745,6 +751,24 @@ def test_field_identity_checks():
     assert F3 != F5
     with pytest.raises(IncompatibleFieldError):
         check_same_field(F3, F5)
+
+
+def test_equal_fields_hash_equal():
+    # fields built apart from the same base and degree are equal, towers
+    # included, hash equal and so collapse to one element of a set; F_81 as
+    # a tower over F_9 and as an extension of F_3 have different
+    # presentations and stay apart
+    def build():
+        F3 = field_make(3, 1)
+        F9 = field_make(3, 2)
+        return [F3, field_make(5, 1), F9, ext_make(F3, 4), ext_make(F9, 2),
+                ext_make(ext_make(F3, 2), 3)]
+
+    first, second = build(), build()
+    for a, b in zip(first, second):
+        assert a is not b and a == b and hash(a) == hash(b), a
+    assert len(set(first + second)) == len(first)
+    assert ext_make(field_make(3, 2), 2) != ext_make(field_make(3, 1), 4)
 
 
 @given(st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=24))

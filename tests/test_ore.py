@@ -93,6 +93,8 @@ def test_height_and_kernel_size():
     assert kernel_size_exp(v) == 1
     with pytest.raises(OreDomainError):
         height(OrePoly.zero(EXT9))
+    with pytest.raises(OreDomainError, match="kernel of 0"):
+        kernel_size_exp(OrePoly.zero(EXT9))
 
 
 def test_monic_and_lscale():
@@ -107,3 +109,7 @@ def test_tau_power_and_str():
     assert t3.coeffs == (0, 0, 0, 1)
     assert str(t3) == "t^3"
     assert str(OrePoly.zero(EXT1)) == "0"
+    # repr wraps the text form, coefficients in the field's digit form
+    assert repr(OrePoly(EXT9, (0, 0, 1, 2))) == "OrePoly(t^2 + 2,0*t^3)"
+    assert repr(OrePoly(EXT1, (2, 1))) == "OrePoly(2 + t)"
+    assert repr(OrePoly.zero(EXT9)) == "OrePoly(0)"

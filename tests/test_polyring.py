@@ -21,7 +21,6 @@ from drinfeld2 import (
     squarefree_split,
 )
 from drinfeld2 import ff
-from drinfeld2.polyring import _prime_powers
 from oracles import (
     constructive_products,
     count_monic_irreducibles,
@@ -189,7 +188,8 @@ def factorization(f):
     """[(pi, e)] for f != 0 from the kernel: Yun's parts of f.monic(), then
     the distinct- and equal-degree factorization of each."""
     F = f.field
-    return _prime_powers(F, ff._list_squarefree(F, f.monic().coeffs).items())
+    parts = ff._list_squarefree(F, f.monic().coeffs).items()
+    return [(Poly(F, pi), e) for pi, e in ff._list_prime_powers(F, parts)]
 
 
 def check_factorization(f, primes):
@@ -238,6 +238,27 @@ def test_equal_degree_split_runs_on_products_of_equal_degree():
                 assert [i for i, _ in ff._list_distinct_degree(field, f.coeffs)] == [d]
                 found = ff._list_equal_degree(field, list(f.coeffs), d)
                 assert sorted(map(tuple, found)) == sorted(pi.coeffs for pi in chosen)
+
+
+def test_equal_degree_split_draws_few_trials(record_calls):
+    # Cantor-Zassenhaus on the product of every monic irreducible of one
+    # degree i: with the exponent (B^i - 1)/2 each trial splits the factors
+    # about in half, so 7 trials separate the 10 quadratics over F_5 and 4
+    # the 8 cubics over F_3.  The exhaustive trial order still ends with the
+    # exponents B^i - 1, 1 or (B^i + 1)/2, but only after 39 to 57 trials,
+    # so the count is what pins the exponent
+    powmods = record_calls(ff, "_list_powmod")
+    for field, i, count in ((F5, 2, 7), (F3, 3, 4)):
+        pis = [pi.coeffs for pi in monic_irreducibles(field, i)]
+        f = [field.one]
+        for pi in pis:
+            f = ff._list_mul(field, f, pi)
+        powmods.clear()
+        found = ff._list_equal_degree(field, f, i)
+        assert sorted(map(tuple, found)) == sorted(pis), (field, i)
+        # one powmod per factor product in play, all on the trial's list
+        trials = {id(a): a for _, a, _, _ in powmods}
+        assert len(trials) == count, (field, i, len(trials))
 
 
 def test_parse_human_and_machine_agree():
@@ -349,6 +370,30 @@ def test_eval_in_extension_finds_root():
     y = ext.from_coords((0, 1))
     assert P.eval(y, field=ext) == ext.zero
     assert P.eval(1) == F3.add(1, 1)
+
+
+def test_zero_and_degree_zero_are_refused():
+    zero, f = Poly.zero(F5), Poly(F5, (2, 4))
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod(f, zero)
+    # 0 divides only 0
+    assert zero.divides(zero)
+    assert not any(zero.divides(g) for g in (f, Poly.one(F5), Poly.x(F5)))
+    with pytest.raises(PolyDomainError, match="squarefree decomposition of 0"):
+        squarefree_decomposition(zero)
+    with pytest.raises(PolyDomainError, match="squarefree split of 0"):
+        squarefree_split(zero)
+    with pytest.raises(PolyDomainError, match="degree must be >= 1"):
+        next(monic_irreducibles(F5, 0))
+
+
+def test_eval_refuses_an_unrelated_field():
+    # a field that contains no copy of F: another prime field and an
+    # extension of it
+    f = Poly(F3, (1, 0, 1))
+    for other in (F5, ext_make(F5, 2)):
+        with pytest.raises(PolyDomainError, match="unrelated field"):
+            f.eval(1, field=other)
 
 
 def test_monic_and_edge_cases():
