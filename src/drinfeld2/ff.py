@@ -25,43 +25,43 @@ mod p (_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
 costs one log lookup per unit.
 Only ExtensionField reads the tables: its add, neg, mul and pow each take a
 tabled branch when the field has tables, and PrimeField has none.  Other
-modules take a field's arithmetic from `arith()`: on discrete logs with None
-for 0 when tabled, and when not on packed ints over a prime base and on
-codes over a tower.
+modules take a field's arithmetic from `arith()`, one _Arith record (rep,
+code, zero, one, mul, add, pow, frob): on discrete logs with None for 0 when
+tabled, and when not on packed ints over a prime base and on codes over a
+tower.
 
 Fields above the limit, and every field before its tables exist, compute
 modulo the defining polynomial f.  Over a prime base that is the packed
-kernel, _packed_arith (Kronecker substitution): an element is an int that
-holds its base-p digits in s-bit slots, a product is one integer product
-whose high slots are folded back by precomputed rows y^i mod f, and a sum
-is one integer sum and one _slot_reducer step.  The field's own mul, pow
-and inv pack their operands once and unpack the result once, and the
-generator search and the table images run on arith() before the tables
-exist.  Towers keep the list kernel: the product is the coefficient lists'
-product over the base, reduced by f.  The field's own add and neg work
-digit by digit, mod p, on the base-p code, over any base, since addition
-is coefficientwise at every level of a tower.  One digit codec,
-_to_digits/_from_digits, expands a code in either radix: base p with pdeg
-digits for the text form, the table-free add and neg and the packed words
-of the table walk, and
-coords/from_coords in base B with one digit per base-field element, for the
-tower product.  The Frobenius x -> x^(q^i) is just a power, one exp/log
-lookup in a tabled field and square-and-multiply in a table-free one.
-_square_and_multiply is the package's one square-and-multiply loop: field
-powers, powers modulo a polynomial and polyring's Poly powers all pass it
-their product.
+kernel, whose _Arith record _packed_arith builds (Kronecker substitution)
+and the field keeps as _packed: an element is an int that holds its base-p
+digits in s-bit slots, a product is one integer product whose high slots are
+folded back by precomputed rows y^i mod f, and a sum is one integer sum and
+one _slot_reducer step.  The field's own mul, pow and inv pack their
+operands once and unpack the result once, and the generator search and the
+table images run on arith() before the tables exist.  Towers keep the list
+kernel: the product is the coefficient lists' product over the base, reduced
+by f.  The field's own add and neg work digit by digit, mod p, on the base-p
+code, over any base, since addition is coefficientwise at every level of a
+tower.  One digit codec, _to_digits/_from_digits, expands a code in either
+radix: base p with pdeg digits for the text form, the table-free add and neg
+and the packed words of the table walk, and coords/from_coords in base B
+with one digit per base-field element, for the tower product.  The Frobenius
+x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
+square-and-multiply in a table-free one.  _square_and_multiply is the
+package's one square-and-multiply loop: field powers, powers modulo a
+polynomial and polyring's Poly powers all pass it their product.
 
 This module also holds the polynomial kernel: the one implementation of
-products, powers, division, gcd, Yun's squarefree decomposition, Ben-Or's
-irreducibility test, factorization and the enumeration of monic
-irreducibles on coefficient lists.  Ben-Or's loop takes x to one more q-th
-power mod f per degree, q the order of the coefficient field, and divides
-out each factor it finds, so it is distinct-degree factorization too.  The
-irreducibility test stops it at the degree of f's smallest factor, so most
-reducible candidates of a modulus search cost one power.  Cantor-Zassenhaus
-then splits each product of factors of one degree.  The extension fields
-use the kernel for their moduli and the tower products, polyring wraps it,
-and frobenius builds the End-order divisors on its lists.
+products, powers, division, gcd, the formal derivative, Yun's squarefree
+decomposition, Ben-Or's irreducibility test, factorization and the
+enumeration of monic irreducibles on coefficient lists.  Ben-Or's loop takes
+x to one more q-th power mod f per degree, q the order of the coefficient
+field, and divides out each factor it finds, so it is distinct-degree
+factorization too.  The irreducibility test stops it at the degree of f's
+smallest factor, so most reducible candidates of a modulus search cost one
+power.  Cantor-Zassenhaus then splits each product of factors of one degree.
+The extension fields use the kernel for their moduli and the tower products,
+polyring wraps it, and frobenius builds the End-order divisors on its lists.
 """
 
 from __future__ import annotations
@@ -145,13 +145,13 @@ def _slot_reducer(p, slots, w=None):
     return w, lambda s: s - (((s + bias) & top) >> shift) * p
 
 
-_Packed = collections.namedtuple("_Packed", "rep code mul add pow")
+_Arith = collections.namedtuple("_Arith", "rep code zero one mul add pow frob")
 
 
 def _packed_arith(p, modulus):
-    """(rep, code, mul, add, pow): the table-free arithmetic of
-    F_p[y]/(f), f = modulus monic of degree n, on Kronecker-packed ints
-    (Kronecker 1882; Harvey, J. Symb. Comp. 2009).
+    """The _Arith record of F_p[y]/(f), f = modulus monic of degree n, on
+    Kronecker-packed ints (Kronecker 1882; Harvey, J. Symb. Comp. 2009):
+    the table-free arithmetic of an extension of a prime field.
 
     rep puts base-p digit i of a code into bits [si, si + s) of an int,
     s = bit_length((2n - 1)(p - 1)^2), and code reads the digits back.  A
@@ -165,7 +165,8 @@ def _packed_arith(p, modulus):
     whose slots are at most 2p - 2, then _slot_reducer's step on s-bit
     slots; it needs 2^(s-1) >= p, and 2^s > (p - 1)^2 >= 2p for p >= 5,
     s >= 3 for p = 3.
-    pow takes units: it reduces e mod p^n - 1, so e may be negative.
+    pow takes units: it reduces e mod p^n - 1, so e may be negative.  zero
+    and one pack as 0 and 1, and frob is the p-th power.
     """
     n = len(modulus) - 1
     s = ((2 * n - 1) * (p - 1) ** 2).bit_length()
@@ -220,7 +221,7 @@ def _packed_arith(p, modulus):
     def pow(x, e):
         return _square_and_multiply(mul, 1, x, e % n_units)
 
-    return _Packed(rep, code, mul, add, pow)
+    return _Arith(rep, code, 0, 1, mul, add, pow, lambda x: pow(x, p))
 
 
 class FiniteField:
@@ -398,6 +399,11 @@ def _list_pow(field, a, e):
     )
 
 
+def _list_deriv(field, a):
+    """The formal derivative of a."""
+    return [field.mul(field.scalar(i), a[i]) for i in range(1, len(a))]
+
+
 def _list_squarefree(field, f):
     """Yun's squarefree decomposition of monic f: {multiplicity: monic
     squarefree factor}, whose product of factor^multiplicity is f.
@@ -412,8 +418,7 @@ def _list_squarefree(field, f):
     p, one = field.char, field.one
     result, scale = {}, 1
     while True:
-        deriv = [field.mul(field.scalar(i), f[i]) for i in range(1, len(f))]
-        c = _list_gcd(field, f, deriv)
+        c = _list_gcd(field, f, _list_deriv(field, f))
         if len(c) == 1:  # f is squarefree
             if len(f) > 1:
                 result[scale] = list(f)
@@ -577,13 +582,11 @@ class ExtensionField(FiniteField):
         # the table-free arithmetic, packed over a prime base and on codes
         # over a tower; _build_tables switches arith() to logs
         if isinstance(base, PrimeField):
-            self._packed = k = _packed_arith(base.char, self.modulus)
-            self._arith = (k.rep, k.code, 0, 1, k.mul, k.add, k.pow,
-                           lambda x: k.pow(x, base.char))
+            self._packed = self._arith = _packed_arith(base.char, self.modulus)
         else:
             self._packed = None
-            self._arith = (_same, _same, 0, self.one, self.mul, self.add, self.pow,
-                           lambda a: self.frob_iter(a, 1))
+            self._arith = _Arith(_same, _same, 0, self.one, self.mul, self.add,
+                                 self.pow, lambda a: self.frob_iter(a, 1))
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -717,11 +720,11 @@ class ExtensionField(FiniteField):
         return super().pow(a, e)
 
     def arith(self):
-        """(rep, code, zero, one, mul, add, pow, frob), built once per field
-        (on logs by _build_tables): the field arithmetic in the form it runs
-        fastest in (see the module docstring).  rep maps a code into it and
-        code back, pow takes units and frob is the q-th power, q =
-        base.order.  Tabled and packed closures hold no field."""
+        """The field's _Arith record, built once (on logs by _build_tables):
+        its arithmetic in the form it runs fastest in (see the module
+        docstring).  rep maps a code into it and code back, pow takes units
+        and frob is the q-th power, q = base.order.  Tabled and packed
+        closures hold no field."""
         return self._arith
 
     def _log_arith(self):
@@ -750,7 +753,7 @@ class ExtensionField(FiniteField):
         def frob(a):
             return None if a is None else a * q % N
 
-        return rep, code, None, 0, mul, add, pow, frob
+        return _Arith(rep, code, None, 0, mul, add, pow, frob)
 
     # --- Frobenius relative to the base field ---
 
@@ -775,8 +778,6 @@ class ExtensionField(FiniteField):
 def field_make(p, s):
     """Construct F_q, q = p^s, for an odd prime p, presented modulo the
     lexicographically least monic irreducible of degree s over F_p."""
-    if p == 2:
-        raise FieldError("p = 2 unsupported (odd characteristic required)")
     if s < 1:
         raise FieldError("s must be >= 1")
     prime = PrimeField(p)

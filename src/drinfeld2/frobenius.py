@@ -14,8 +14,9 @@ The product is formed on the two rows of M, kept as coefficient lists in T
 of length n + 1 and started at the rows of A itself.  A^(i) is
 [[0, a0 + a1 T], [1, b]], with a1 the q^i-th power of 1/delta, and right
 multiplication by it maps a row (x, y) to (y, b y + a0 x + a1 T x): one
-pass of field products and sums over the i + 1 coefficients that can be
-nonzero in a product of i factors.  On the last step the trace reads only
+pass of field products and sums over y and over the i coefficients of x
+that can be nonzero in a product of i factors, where x, the previous
+product's y, has degree <= i - 1.  On the last step the trace reads only
 row 0's new x, which is its y before the step, so row 1 alone is
 multiplied: 2n - 3 row products for n >= 2, and none for n = 1, where the
 trace is b.  a0 = -gamma/delta, a1 = 1/delta and b = -g/delta are formed
@@ -107,8 +108,8 @@ def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
     ops given: zero and one, a product mul, a sum add and the q-th power
     frob.  a0, a1 and b are the coefficients of A itself."""
     # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
-    # (y, b y + a0 x + a1 T x); M starts at A, and a product of i factors
-    # has entries of degree <= i
+    # (y, b y + a0 x + a1 T x); M starts at A, and in a product of i factors
+    # y has degree <= i and x, the previous product's y, degree <= i - 1
     pad = [zero] * (n - 1)
     M = [[[zero] * (n + 1), [a0, a1] + pad], [[one, zero] + pad, [b, zero] + pad]]
     rows = M
@@ -121,7 +122,7 @@ def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
         for row in rows:
             x, y = row
             z = [mul(b, e) for e in y]
-            for k in range(i + 1):
+            for k in range(i):
                 e = x[k]
                 if e != zero:
                     z[k] = add(z[k], mul(a0, e))

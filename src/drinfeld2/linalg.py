@@ -48,12 +48,11 @@ def _eliminate(field, rows, rhs):
     return pivots
 
 
-def solve(field, rows, rhs, require_unique=True):
+def solve(field, rows, rhs):
     """Solve rows * x = rhs over the field.
 
-    Raises InconsistentSystem if no solution exists and, with require_unique,
-    UnderdeterminedSystem if the solution is not unique.  Free variables are
-    set to zero otherwise.
+    Raises InconsistentSystem if no solution exists and
+    UnderdeterminedSystem if the solution is not unique.
     """
     rows = [list(r) for r in rows]
     rhs = list(rhs)
@@ -62,9 +61,7 @@ def solve(field, rows, rhs, require_unique=True):
     for i in range(len(pivots), len(rows)):
         if rhs[i] != 0:
             raise InconsistentSystem("no solution")
-    if require_unique and len(pivots) < k:
+    if len(pivots) < k:
         raise UnderdeterminedSystem("solution space has positive dimension")
-    x = [0] * k
-    for i, col in enumerate(pivots):
-        x[col] = rhs[i]
-    return x
+    # every column has a pivot, row i's at column i
+    return rhs[:k]

@@ -4,8 +4,9 @@ Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
 arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
 enumeration of monic irreducibles.  Coefficients are stored as the kernel's
 trimmed coefficient tuple: field codes, low degree first, with no trailing
-zeros.  Products, powers, division, gcd, the irreducibility test and Yun's
-squarefree decomposition are thin wrappers over the polynomial kernel in ff.
+zeros.  Products, powers, division, gcd, the derivative, the irreducibility
+test and Yun's squarefree decomposition are thin wrappers over the
+polynomial kernel in ff.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
 addition, scaling, monic normalization and the text of their terms).
 """
@@ -16,6 +17,7 @@ import re
 
 from .ff import (
     DomainError,
+    _list_deriv,
     _list_divmod,
     _list_gcd,
     _list_irreducible,
@@ -189,11 +191,7 @@ class Poly(_Dense):
         return (other % self).is_zero()
 
     def deriv(self):
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(F.scalar(i), self.coeffs[i]))
-        return Poly(F, out)
+        return Poly(self.field, _list_deriv(self.field, self.coeffs))
 
     def eval(self, x, field=None):
         """Horner evaluation; field may be an extension of the coefficient

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -38,7 +39,7 @@ def oracle_minimal_polynomial(ext, x):
     for k in range(1, ext.degree + 1):
         rows = [[cols[j][i] for j in range(k)] for i in range(ext.degree)]
         try:
-            sol = linalg.solve(base, rows, list(cols[k]), require_unique=True)
+            sol = linalg.solve(base, rows, list(cols[k]))
         except linalg.InconsistentSystem:
             continue
         # x^k = sum sol[j] x^j  =>  minimal polynomial T^k - sum sol[j] T^j
@@ -50,6 +51,36 @@ def test_minimal_polynomial_matches_linear_solve_oracle():
     for ext in (ext_make(F3, 4), ext_make(field_make(3, 2), 2)):
         for x in ext.elements():
             assert minimal_polynomial(ext, x) == oracle_minimal_polynomial(ext, x)
+
+
+def test_linear_solve_refuses_all_but_one_solution():
+    # a unique solution comes back in column order, pivot rows swapped or
+    # not; a consistent rank-deficient system is UnderdeterminedSystem and
+    # an inconsistent one InconsistentSystem
+    assert linalg.solve(F3, [[0, 1], [1, 0], [1, 1]], [2, 1, 0]) == [1, 2]
+    assert linalg.solve(F3, [], []) == []
+    for rows, rhs in (([[1, 1], [2, 2]], [1, 2]), ([[0, 1], [0, 2]], [1, 2]),
+                      ([[1, 2, 0]], [1])):
+        with pytest.raises(linalg.UnderdeterminedSystem):
+            linalg.solve(F3, rows, rhs)
+    with pytest.raises(linalg.InconsistentSystem):
+        linalg.solve(F3, [[1, 1], [2, 2]], [1, 1])
+    # seeded consistent systems over F_5, 5 x 4: the solution is the one
+    # planted, or some nonzero v has rows v = 0 (found by search over F_5^4)
+    F5 = field_make(5, 1)
+    rng = random.Random(36)
+    refused = 0
+    for _ in range(40):
+        rows = [[rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(4)] for _ in range(5)]
+        x0 = [rng.randrange(5) for _ in range(4)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) % 5 for row in rows]
+        try:
+            assert linalg.solve(F5, rows, rhs) == x0, rows
+        except linalg.UnderdeterminedSystem:
+            refused += 1
+            assert any(all(sum(a * x for a, x in zip(row, v)) % 5 == 0 for row in rows)
+                       for v in itertools.product(range(5), repeat=4) if any(v)), rows
+    assert 0 < refused < 40
 
 
 def test_minimal_polynomial_matches_poly_product_oracle():

@@ -38,10 +38,14 @@ def test_prime_field_matches_integer_arithmetic():
 
 
 def test_characteristic_two_rejected():
-    with pytest.raises(FieldError):
-        PrimeField(2)
-    with pytest.raises(FieldError):
-        field_make(2, 3)
+    # PrimeField alone refuses p = 2, so field_make checks s first for p = 2
+    # as for any other bad p
+    for make in (lambda: PrimeField(2), lambda: field_make(2, 3)):
+        with pytest.raises(FieldError, match="p = 2 unsupported"):
+            make()
+    for p in (2, 4):
+        with pytest.raises(FieldError, match="s must be >= 1"):
+            field_make(p, 0)
 
 
 def test_composite_characteristic_rejected():
@@ -512,9 +516,13 @@ def test_arith_matches_field_ops(monkeypatch):
             pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
             pairs += [(0, b) for b in F.elements()] + [(a, 0) for a in F.elements()]
         units = F.units() if F.order <= 125 else rng.sample(F.units(), 200)
+        # one _Arith record per field; a table-free prime base keeps its
+        # packed kernel's record as arith(), and a tower has no packed kernel
+        packed = isinstance(F.base, PrimeField)
+        assert (twin.arith() is twin._packed) if packed else (twin._packed is None)
         for L in (F, twin):
             arith = L.arith()
-            assert L.arith() is arith
+            assert L.arith() is arith and type(arith) is ff._Arith
             rep, code, zero, one, mul, add, pow, frob = arith
             assert (code(zero), code(one)) == (0, 1)
             assert [code(rep(a)) for a in L.elements()] == list(L.elements())

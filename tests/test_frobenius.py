@@ -66,7 +66,7 @@ def oracle_charpoly(dm):
         for t in range(ext.degree):
             rows.append([cc[t] for cc in col_coords])
             rhs.append(tgt[t])
-    sol = linalg.solve(base, rows, rhs, require_unique=True)
+    sol = linalg.solve(base, rows, rhs)
     assert sol[-1] != 0
     return CharPoly(c=Poly(base, sol[:-1]), mu=sol[-1], P=P, m=m)
 

@@ -424,3 +424,19 @@ def test_powers_match_repeated_multiplication():
 def test_deriv():
     f = Poly(F3, (1, 2, 0, 1))  # 1 + 2T + T^3
     assert f.deriv() == Poly(F3, (2,))  # 3T^2 vanishes
+    # one kernel derivative serves Poly.deriv and Yun's decomposition.  Sums,
+    # constants and the Leibniz rule (fg)' = f'g + fg' fix it, T' = 1 given;
+    # and (h^p)' = p h^(p-1) h' = 0
+    rng = random.Random(36)
+    for field in (F5, F9):
+        T = Poly(field, (0, 1))
+        assert T.deriv() == Poly.one(field)
+        for _ in range(60):
+            f, g = rand_poly(field, 6, rng), rand_poly(field, 5, rng)
+            assert (f * g).deriv() == f.deriv() * g + f * g.deriv(), (field, f, g)
+            assert (f + g).deriv() == f.deriv() + g.deriv(), (field, f, g)
+            assert Poly(field, f.coeffs[:1]).deriv().is_zero()
+    for field in (F3, F9):
+        for _ in range(30):
+            h = rand_poly(field, 4, rng)
+            assert (h ** field.char).deriv().is_zero(), (field, h)
