@@ -27,25 +27,25 @@ Only ExtensionField reads the tables: its add, neg, mul and pow each take a
 tabled branch when the field has tables, and PrimeField has none.  Other
 modules take a field's arithmetic from `arith()`, one _Arith record (rep,
 code, zero, one, mul, add, pow, frob): on discrete logs with None for 0 when
-tabled, and when not on packed ints over a prime base and on codes over a
-tower.
+tabled, and otherwise on packed ints over a prime base and on coefficient
+lists over a tower.
 
 Fields above the limit, and every field before its tables exist, compute
-modulo the defining polynomial f.  Over a prime base that is the packed
-kernel, whose _Arith record _packed_arith builds (Kronecker substitution)
-and the field keeps as _packed: an element is an int that holds its base-p
-digits in s-bit slots, a product is one integer product whose high slots are
-folded back by precomputed rows y^i mod f, and a sum is one integer sum and
-one _slot_reducer step.  The field's own mul, pow and inv pack their
-operands once and unpack the result once, and the generator search and the
-table images run on arith() before the tables exist.  Towers keep the list
-kernel: the product is the coefficient lists' product over the base, reduced
-by f.  The field's own add and neg work digit by digit, mod p, on the base-p
-code, over any base, since addition is coefficientwise at every level of a
-tower.  One digit codec, _to_digits/_from_digits, expands a code in either
-radix: base p with pdeg digits for the text form, the table-free add and neg
-and the packed words of the table walk, and coords/from_coords in base B
-with one digit per base-field element, for the tower product.  The Frobenius
+modulo the defining polynomial f on the record that __init__ builds from
+(base, f).  Over a prime base that is _packed_arith (Kronecker substitution):
+an element is an int that holds its base-p digits in s-bit slots, a product
+is one integer product whose high slots are folded back by precomputed rows
+y^i mod f, and a sum is one integer sum and one _slot_reducer step.  Over a
+tower it is _list_arith: an element is its trimmed coefficient list over the
+base, a product is the kernel's product reduced mod f.  The field's own mul
+and pow, and so inv and the Frobenius, map their operands into the record
+once and the result back once, and the generator search and the table images
+run on arith().  The field's own add and neg work digit by digit, mod p, on
+the base-p code, over any base, since addition is coefficientwise at every
+level of a tower.  One digit codec, _to_digits/_from_digits, expands a code
+in any radix: base p for the text form and the table-free add and neg, a
+power of 2 for packed words, and B = base.order, one digit per base-field
+element, for the list record and coords/from_coords.  The Frobenius
 x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
 square-and-multiply in a table-free one.  _square_and_multiply is the
 package's one square-and-multiply loop: field powers, powers modulo a
@@ -60,8 +60,9 @@ field, and divides out each factor it finds, so it is distinct-degree
 factorization too.  The irreducibility test stops it at the degree of f's
 smallest factor, so most reducible candidates of a modulus search cost one
 power.  Cantor-Zassenhaus then splits each product of factors of one degree.
-The extension fields use the kernel for their moduli and the tower products,
-polyring wraps it, and frobenius builds the End-order divisors on its lists.
+The extension fields use the kernel for their moduli and the tower record,
+polyring wraps it, and frobenius builds the End-order divisors and the
+charpoly's sums on its lists.
 """
 
 from __future__ import annotations
@@ -112,10 +113,6 @@ def _square_and_multiply(mul, one, a, e):
     return result
 
 
-def _same(a):
-    return a
-
-
 def _to_digits(a, radix, count):
     """The count base-radix digits of a, low first."""
     out = []
@@ -148,10 +145,10 @@ def _slot_reducer(p, slots, w=None):
 _Arith = collections.namedtuple("_Arith", "rep code zero one mul add pow frob")
 
 
-def _packed_arith(p, modulus):
-    """The _Arith record of F_p[y]/(f), f = modulus monic of degree n, on
-    Kronecker-packed ints (Kronecker 1882; Harvey, J. Symb. Comp. 2009):
-    the table-free arithmetic of an extension of a prime field.
+def _packed_arith(base, modulus):
+    """The _Arith record of base[y]/(f), base = F_p and f = modulus monic of
+    degree n, on Kronecker-packed ints (Kronecker 1882; Harvey, J. Symb.
+    Comp. 2009): the table-free arithmetic of an extension of a prime field.
 
     rep puts base-p digit i of a code into bits [si, si + s) of an int,
     s = bit_length((2n - 1)(p - 1)^2), and code reads the digits back.  A
@@ -168,27 +165,17 @@ def _packed_arith(p, modulus):
     pow takes units: it reduces e mod p^n - 1, so e may be negative.  zero
     and one pack as 0 and 1, and frob is the p-th power.
     """
-    n = len(modulus) - 1
+    p, n = base.char, len(modulus) - 1
     s = ((2 * n - 1) * (p - 1) ** 2).bit_length()
     slot, low_mask, high = (1 << s) - 1, (1 << n * s) - 1, n * s
     _, reduce = _slot_reducer(p, n, s)
     n_units = p**n - 1
 
     def rep(a):
-        x = shift = 0
-        while a:
-            x |= a % p << shift
-            a //= p
-            shift += s
-        return x
+        return _from_digits(_to_digits(a, p, n), 1 << s)
 
     def code(x):
-        a, scale = 0, 1
-        while x:
-            a += (x & slot) * scale
-            x >>= s
-            scale *= p
-        return a
+        return _from_digits(_to_digits(x, 1 << s, n), p)
 
     # y^n = -(f_0 + ... + f_(n-1) y^(n-1)), and y^(k+1) = y * y^k mod f
     y_n = [-c % p for c in modulus[:-1]]
@@ -330,6 +317,16 @@ def _list_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+def _list_add(field, a, b):
+    """a + b, trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] = field.add(out[i], x)
+    return _list_trim(out)
 
 
 def _list_mul(field, a, b):
@@ -562,6 +559,33 @@ def least_irreducible(field, degree):
     return next(_monic_irreducibles(field, degree))
 
 
+def _list_arith(base, modulus):
+    """The _Arith record of base[y]/(f), f = modulus monic of degree n, on
+    trimmed coefficient lists over base, B = base.order: rep takes a code's
+    n base-B digits and code reads them back, mul is the kernel's product
+    mod f and add its sum, and no op mutates an element.  pow takes units and
+    reduces e mod B^n - 1; zero is [], one [1] and frob the B-th power."""
+    B, n = base.order, len(modulus) - 1
+    n_units = B**n - 1
+
+    def rep(a):
+        return _list_trim(list(_to_digits(a, B, n)))
+
+    def code(x):
+        return _from_digits(x, B)
+
+    def mul(x, y):
+        return _list_divmod(base, _list_mul(base, x, y), modulus)[1]
+
+    def add(x, y):
+        return _list_add(base, x, y)
+
+    def pow(x, e):
+        return _list_powmod(base, x, e % n_units, modulus)
+
+    return _Arith(rep, code, [], [base.one], mul, add, pow, lambda x: pow(x, B))
+
+
 class ExtensionField(FiniteField):
     """base[y]/(modulus), modulus the least monic irreducible of the degree.
 
@@ -579,14 +603,10 @@ class ExtensionField(FiniteField):
         self.char = base.char
         self.pdeg = base.pdeg * degree
         self._exp = self._log = self._zech = self._generator = None
-        # the table-free arithmetic, packed over a prime base and on codes
-        # over a tower; _build_tables switches arith() to logs
-        if isinstance(base, PrimeField):
-            self._packed = self._arith = _packed_arith(base.char, self.modulus)
-        else:
-            self._packed = None
-            self._arith = _Arith(_same, _same, 0, self.one, self.mul, self.add,
-                                 self.pow, lambda a: self.frob_iter(a, 1))
+        # the table-free arithmetic, packed over a prime base and on
+        # coefficient lists over a tower; _build_tables switches arith() to logs
+        arith = _packed_arith if isinstance(base, PrimeField) else _list_arith
+        self._arith = arith(base, self.modulus)
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -600,12 +620,6 @@ class ExtensionField(FiniteField):
         return _from_digits(coords, self.base.order)
 
     # --- arithmetic ---
-
-    def _mul_poly(self, a, b):
-        # the list kernel's product, for towers
-        base = self.base
-        prod = _list_mul(base, self.coords(a), self.coords(b))
-        return self.from_coords(_list_divmod(base, prod, self.modulus)[1])
 
     # not a cached_property: its __dict__ write slows all attribute reads (CPython 3.11)
     @property
@@ -706,25 +720,23 @@ class ExtensionField(FiniteField):
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        k = self._packed
-        if k:
-            return k.code(k.mul(k.rep(a), k.rep(b)))
-        return self._mul_poly(a, b)
+        k = self._arith
+        return k.code(k.mul(k.rep(a), k.rep(b)))
 
     def pow(self, a, e):
-        if a and self._exp is not None:
+        if a == 0:
+            return super().pow(a, e)
+        if self._exp is not None:
             return self._exp[(self._log[a] * e) % self._n_units]
-        k = self._packed
-        if a and k:
-            return k.code(k.pow(k.rep(a), e))
-        return super().pow(a, e)
+        k = self._arith
+        return k.code(k.pow(k.rep(a), e))
 
     def arith(self):
         """The field's _Arith record, built once (on logs by _build_tables):
         its arithmetic in the form it runs fastest in (see the module
         docstring).  rep maps a code into it and code back, pow takes units
-        and frob is the q-th power, q = base.order.  Tabled and packed
-        closures hold no field."""
+        and frob is the q-th power, q = base.order.  No closure holds the
+        field itself: a tower's list record holds only its base."""
         return self._arith
 
     def _log_arith(self):

@@ -11,32 +11,34 @@ q^i-th power.  c is the trace of M and mu = (-1)^n N_{L/F_q}(delta)^{-1}
 (Gekeler, Trans. AMS 2008).  The square case needs no special treatment.
 
 The product is formed on the two rows of M, kept as coefficient lists in T
-of length n + 1 and started at the rows of A itself.  A^(i) is
-[[0, a0 + a1 T], [1, b]], with a1 the q^i-th power of 1/delta, and right
-multiplication by it maps a row (x, y) to (y, b y + a0 x + a1 T x): one
-pass of field products and sums over y and over the i coefficients of x
-that can be nonzero in a product of i factors, where x, the previous
-product's y, has degree <= i - 1.  On the last step the trace reads only
-row 0's new x, which is its y before the step, so row 1 alone is
-multiplied: 2n - 3 row products for n >= 2, and none for n = 1, where the
-trace is b.  a0 = -gamma/delta, a1 = 1/delta and b = -g/delta are formed
-once, and since the Frobenius is a ring map each later step raises the
-previous step's a0, a1 and b to the q-th power, which in a field without
-tables is a short square-and-multiply where a q^i-th power would be a long
-one.  The only Poly is built from the trace.
+and started at the rows of A itself.  A^(i) is [[0, a0 + a1 T], [1, b]],
+with a1 the q^i-th power of 1/delta, and right multiplication by it maps a
+row (x, y) to (y, b y + a0 x + a1 T x): one pass of field products and sums
+over y and x.  Each list is as long as its degree needs: x, the previous y,
+is never longer than y, so the new y is at most one longer, and the trace
+has floor(n/2) + 1 coefficients, the length deg c <= n/2 allows.  On the
+last step the trace reads only row 0's new x, which is its y before the
+step, so row 1 alone is multiplied: 2n - 3 row products for n >= 2, and
+none for n = 1, where the trace is b.  a0 = -gamma/delta, a1 = 1/delta and
+b = -g/delta are formed once, and since the Frobenius is a ring map each
+later step raises the previous step's a0, a1 and b to the q-th power, which
+in a field without tables is a short square-and-multiply where a q^i-th
+power would be a long one.  The only Poly is built from the trace.
 `_charpoly` runs `_motive_trace` in one body, on the arithmetic L hands out
-(`ExtensionField.arith`): discrete logs when L is tabled and packed ints
-when L is a table-free extension of a prime field, where it calls no field
-method, and codes with L's own mul, add, pow and frob_iter over a
-table-free tower.
+(`ExtensionField.arith`), and calls none of L's field operations: discrete
+logs when L is tabled, and packed ints over a prime base or coefficient
+lists over a tower when it is not.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
-from .ff import _list_mul, _list_prime_powers, _list_square_split, _list_squarefree
+from .ff import (
+    _list_add, _list_mul, _list_prime_powers, _list_square_split, _list_squarefree,
+)
 from .ore import OrePoly
 from .polyring import Poly
 
@@ -64,7 +66,8 @@ class CharPoly:
         F = self.field
         c = self.c.coeffs
         minus_4mu = F.neg(F.mul(F.scalar(4), self.mu))
-        return Poly(F, _add_scaled(F, _list_mul(F, c, c), minus_4mu, self._Pm.coeffs))
+        minus_4mu_Pm = [F.mul(minus_4mu, x) for x in self._Pm.coeffs]
+        return Poly(F, _list_add(F, _list_mul(F, c, c), minus_4mu_Pm))
 
     @functools.cached_property
     def _disc_parts(self):
@@ -78,8 +81,9 @@ class CharPoly:
     def at_one(self):
         """P_Phi(1) = 1 - c + mu P^m in A."""
         F = self.field
-        one_minus_c = _add_scaled(F, [F.one], F.scalar(-1), self.c.coeffs)
-        return Poly(F, _add_scaled(F, one_minus_c, self.mu, self._Pm.coeffs))
+        minus_c = [F.neg(x) for x in self.c.coeffs]
+        mu_Pm = [F.mul(self.mu, x) for x in self._Pm.coeffs]
+        return Poly(F, _list_add(F, _list_add(F, [F.one], minus_c), mu_Pm))
 
     def __str__(self):
         return "X^2 - ({c})X + ({mu})*({P})^{m}".format(**self.to_json())
@@ -93,25 +97,14 @@ class CharPoly:
         }
 
 
-def _add_scaled(F, a, k, b):
-    """a + k b on coefficient lists over F, untrimmed."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, x in enumerate(b):
-        if x:
-            out[i] = F.add(out[i], F.mul(k, x))
-    return out
-
-
 def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
     """The trace of M = A A^(1) ... A^(n-1), A^(i) = [[0, a0_i + a1_i T],
-    [1, b_i]], as a coefficient list in T of length n + 1, under the field
-    ops given: zero and one, a product mul, a sum add and the q-th power
-    frob.  a0, a1 and b are the coefficients of A itself."""
+    [1, b_i]], as a coefficient list in T of length floor(n/2) + 1, under
+    the field ops given: zero and one, a product mul, a sum add and the q-th
+    power frob.  a0, a1 and b are the coefficients of A itself."""
     # right multiplication by [[0, a0 + a1 T], [1, b]] maps a row (x, y) to
-    # (y, b y + a0 x + a1 T x); M starts at A, and in a product of i factors
-    # y has degree <= i and x, the previous product's y, degree <= i - 1
-    pad = [zero] * (n - 1)
-    M = [[[zero] * (n + 1), [a0, a1] + pad], [[one, zero] + pad, [b, zero] + pad]]
+    # (y, b y + a0 x + a1 T x); x, the previous y, is never longer than y
+    M = [[[zero], [a0, a1]], [[one], [b]]]
     rows = M
     for i in range(1, n):
         # the coefficients of A^(i) are the q-th powers of those of A^(i-1)
@@ -121,14 +114,13 @@ def _motive_trace(n, zero, one, mul, add, frob, a0, a1, b):
             rows = M[1:]
         for row in rows:
             x, y = row
-            z = [mul(b, e) for e in y]
-            for k in range(i):
-                e = x[k]
+            z = [mul(b, e) for e in y] + [zero] * (len(x) + 1 - len(y))
+            for k, e in enumerate(x):
                 if e != zero:
                     z[k] = add(z[k], mul(a0, e))
                     z[k + 1] = add(z[k + 1], mul(a1, e))
             row[0], row[1] = y, z
-    return [add(u, v) for u, v in zip(M[0][0], M[1][1])]
+    return [add(u, v) for u, v in itertools.zip_longest(M[0][0], M[1][1], fillvalue=zero)]
 
 
 def _charpoly(ext, gamma, g, delta):

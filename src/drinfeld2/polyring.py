@@ -4,9 +4,9 @@ Covers the commutative ring A = F_q[T] as well as generic coefficient fields:
 arithmetic, Euclidean division, gcd, irreducibility, squarefree splitting and
 enumeration of monic irreducibles.  Coefficients are stored as the kernel's
 trimmed coefficient tuple: field codes, low degree first, with no trailing
-zeros.  Products, powers, division, gcd, the derivative, the irreducibility
-test and Yun's squarefree decomposition are thin wrappers over the
-polynomial kernel in ff.
+zeros.  Sums, products, powers, division, gcd, the derivative, the
+irreducibility test and Yun's squarefree decomposition are thin wrappers
+over the polynomial kernel in ff.
 Poly and ore.OrePoly share the dense base _Dense (construction, equality,
 addition, scaling, monic normalization and the text of their terms).
 """
@@ -17,6 +17,7 @@ import re
 
 from .ff import (
     DomainError,
+    _list_add,
     _list_deriv,
     _list_divmod,
     _list_gcd,
@@ -97,14 +98,7 @@ class _Dense:
 
     def __add__(self, other):
         check_same_field(self.field, other.field)
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return type(self)(F, out)
+        return type(self)(self.field, _list_add(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
         F = self.field

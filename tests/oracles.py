@@ -27,6 +27,12 @@ def pow_mod(base, e, mod):
     return Poly(mod.field, _list_powmod(mod.field, base.coeffs, e, mod.coeffs))
 
 
+def arith_builder(F):
+    """The name of the function that built F.arith(): `_packed_arith`,
+    `_list_arith` or `ExtensionField._log_arith`."""
+    return F.arith().mul.__qualname__.split(".<locals>")[0]
+
+
 def first_root(ext, P):
     """The least code in ext that is a root of P: the gamma census._sweep
     takes."""

@@ -202,3 +202,15 @@ def test_the_library_keeps_no_dead_names():
                     ), (name, "unnamed private method", cls.name, item.name)
     # the walk reaches the private methods of ff, polyring and frobenius
     assert {"_least_generator", "_build_tables", "_terms", "_disc_parts"} <= methods
+
+
+def test_readme_session_runs_as_written():
+    # the README's python session runs, and its comment's presentation of
+    # F_9 holds: L = F_3[y]/(y^2 + 1)
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    (session,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    namespace = {}
+    exec(session, namespace)
+    assert namespace["L"].modulus == (1, 0, 1)
+    assert isinstance(namespace["cp"], drinfeld2.CharPoly)
+    assert isinstance(namespace["report"], drinfeld2.ClassificationReport)

@@ -28,7 +28,10 @@ MODULE_ARGS = ["--p", "3", "--n", "1", "--gamma-T", "0", "--g", "1", "--delta", 
 # over fields above the table limit follow, which run the table-free
 # arithmetic: the packed kernel over F_{3^11}, F_{5^7}, F_{7^6}, F_{251^3}
 # and F_{3^20}, and the list kernel over F_{9^6}, a tower on the tabled F_9.
-# Four pins with many End-order divisors follow: g = T^12 (13 divisors),
+# Two more run the list kernel over the towers F_{27^4} and F_{25^4}, with
+# gamma outside the base field, so that the minimal polynomial takes
+# Frobenius powers on the list kernel as the charpoly does.  Four pins with
+# many End-order divisors follow: g = T^12 (13 divisors),
 # g = (T+1)(T+2), whose primes the equal-degree split separates,
 # g = (T+3)^2 with P = T+3, and 8 divisors with a prime of degree 2.  Five
 # census walks close the file: --P in the machine form, with commas over F_5

@@ -19,6 +19,7 @@ from drinfeld2 import (
 from drinfeld2 import cli, ff
 from drinfeld2.ff import check_same_field, least_irreducible
 from oracles import (
+    arith_builder,
     is_square_unit,
     least_generator,
     list_kernel_mul,
@@ -342,11 +343,11 @@ def record_arith(monkeypatch):
     that ExtensionField.arith hands out append (field, code, code) and
     (field, code, exponent) to calls["mul"] and calls["pow"]: a table build
     and the generator search take their products and powers from arith(),
-    packed over a prime base and on the list kernel over a tower.  Below
-    that, every call of ExtensionField.mul, pow or _mul_poly and of a packed
-    kernel's mul or pow that runs outside an arith() product or power
-    appends (owner, name) to calls["stray"], the owner being the field or
-    its _packed kernel."""
+    packed over a prime base and on coefficient lists over a tower.  Below
+    that, every call of ExtensionField.mul or pow and of a table-free
+    record's mul or pow (_packed_arith's or _list_arith's) that runs outside
+    an arith() product or power appends (owner, name) to calls["stray"], the
+    owner being the field or the (base, modulus) the record was built for."""
     calls = {"mul": [], "pow": [], "stray": []}
     depth = [0]
 
@@ -360,24 +361,25 @@ def record_arith(monkeypatch):
     def watched(owner, name, fn):
         def wrapper(*args):
             if not depth[0]:
-                calls["stray"].append((owner[0] if owner else args[0], name))
+                calls["stray"].append((owner or args[0], name))
             return fn(*args)
 
         return wrapper
 
-    for name in ("mul", "pow", "_mul_poly"):
+    for name in ("mul", "pow"):
         monkeypatch.setattr(ff.ExtensionField, name,
                             watched(None, name, getattr(ff.ExtensionField, name)))
-    packed_arith = ff._packed_arith
 
-    def watched_packed_arith(p, modulus):
-        k = packed_arith(p, modulus)
-        owner = []
-        owner.append(k._replace(mul=watched(owner, "packed mul", k.mul),
-                                pow=watched(owner, "packed pow", k.pow)))
-        return owner[0]
+    def watched_builder(build):
+        def builder(base, modulus):
+            k, owner = build(base, modulus), (base, tuple(modulus))
+            return k._replace(mul=watched(owner, build.__name__ + " mul", k.mul),
+                              pow=watched(owner, build.__name__ + " pow", k.pow))
 
-    monkeypatch.setattr(ff, "_packed_arith", watched_packed_arith)
+        return builder
+
+    for name in ("_packed_arith", "_list_arith"):
+        monkeypatch.setattr(ff, name, watched_builder(getattr(ff, name)))
     arith = ff.ExtensionField.arith
 
     def recording(self):
@@ -410,7 +412,7 @@ def test_table_build_makes_one_product_per_digit(monkeypatch, record_arith):
         products = [call[1:] for call in record_arith["mul"] if call[0] is F]
         powers = [call[1:] for call in record_arith["pow"] if call[0] is F]
         stray = [name for owner, name in record_arith["stray"]
-                 if owner is F or owner is F._packed]
+                 if owner is F or owner == (base, F.modulus)]
         with monkeypatch.context() as m:
             m.setattr(ff, "_TABLE_LIMIT", 0)
             twin = ff.ExtensionField(base, degree)
@@ -516,25 +518,28 @@ def test_arith_matches_field_ops(monkeypatch):
             pairs = [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
             pairs += [(0, b) for b in F.elements()] + [(a, 0) for a in F.elements()]
         units = F.units() if F.order <= 125 else rng.sample(F.units(), 200)
-        # one _Arith record per field; a table-free prime base keeps its
-        # packed kernel's record as arith(), and a tower has no packed kernel
+        # one _Arith record per field: logs when tabled, and a table-free
+        # twin keeps the packed record over a prime base and the list record
+        # over a tower
         packed = isinstance(F.base, PrimeField)
-        assert (twin.arith() is twin._packed) if packed else (twin._packed is None)
+        assert arith_builder(F) == "ExtensionField._log_arith", F
+        assert arith_builder(twin) == ("_packed_arith" if packed else "_list_arith"), twin
         for L in (F, twin):
             arith = L.arith()
             assert L.arith() is arith and type(arith) is ff._Arith
             rep, code, zero, one, mul, add, pow, frob = arith
             assert (code(zero), code(one)) == (0, 1)
             assert [code(rep(a)) for a in L.elements()] == list(L.elements())
+            # each op against L's own and the tabled F's
             for a, b in pairs:
                 x, y = rep(a), rep(b)
-                assert code(mul(x, y)) == L.mul(a, b), (L, a, b)
-                assert code(add(x, y)) == L.add(a, b), (L, a, b)
+                assert code(mul(x, y)) == L.mul(a, b) == F.mul(a, b), (L, a, b)
+                assert code(add(x, y)) == L.add(a, b) == F.add(a, b), (L, a, b)
             for a in L.elements():
-                assert code(frob(rep(a))) == L.frob_iter(a, 1), (L, a)
+                assert code(frob(rep(a))) == L.frob_iter(a, 1) == F.frob_iter(a, 1), (L, a)
             for a in units:
                 for e in (-1, 2, q, (L.order - 1) // (q - 1)):
-                    assert code(pow(rep(a), e)) == L.pow(a, e), (L, a, e)
+                    assert code(pow(rep(a), e)) == L.pow(a, e) == F.pow(a, e), (L, a, e)
 
 
 def list_kernel_pow(F, a, e):
@@ -566,7 +571,7 @@ def test_packed_kernel_matches_list_kernel_on_every_pair(monkeypatch):
     monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
     for p, n in ((3, 5), (5, 3), (7, 2), (11, 2)):
         F = ext_make(PrimeField(p), n)
-        assert F._exp is None and F._packed
+        assert F._exp is None and arith_builder(F) == "_packed_arith"
         _check_packed_ops(F, itertools.product(F.elements(), repeat=2))
         rep, code, _, _, _, _, _, frob = F.arith()
         N = F.order - 1
@@ -585,7 +590,7 @@ def test_packed_kernel_matches_list_kernel_on_seeded_pairs():
     rng = random.Random(33)
     for p, n in ((3, 11), (5, 7), (3, 20), (7, 7), (251, 3)):
         F = ext_make(PrimeField(p), n)
-        assert F._exp is None and F._packed
+        assert F._exp is None and arith_builder(F) == "_packed_arith"
         _check_packed_ops(
             F, [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(2000)]
         )

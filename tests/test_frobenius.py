@@ -17,8 +17,9 @@ from drinfeld2 import (
     verify,
 )
 from drinfeld2 import ff
-from drinfeld2.frobenius import _charpoly
-from oracles import all_modules, first_root, matrix_charpoly
+from drinfeld2.drinfeld import minimal_polynomial
+from drinfeld2.frobenius import _charpoly, _motive_trace
+from oracles import all_modules, arith_builder, first_root, matrix_charpoly
 
 F3 = field_make(3, 1)
 EXT1 = ext_make(F3, 1)
@@ -384,8 +385,11 @@ def test_tabled_charpoly_calls_no_field_method(monkeypatch, record_calls):
     ]
     expected = [_charpoly(tabled[i], *rest) for i, *rest in cases]
     assert all(calls[name] == [] for name in names), {k: len(v) for k, v in calls.items()}
-    # the recorders see the calls they pin, on the table-free twins
+    # the table-free twins agree, and the recorders see the calls they pin
+    # when the twins' own methods run
     assert [_charpoly(free[i], *rest) for i, *rest in cases] == expected
+    for L in free:
+        L.add(L.inv(L.frob_iter(L.mul(2, 3), 1)), 1)
     assert all(calls[name] for name in names), {k: len(v) for k, v in calls.items()}
 
 
@@ -398,7 +402,8 @@ def test_packed_charpoly_matches_tabled(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(ff, "_TABLE_LIMIT", 0)
             packed = ext_make(field_make(p, 1), n)
-        assert tabled._zech is not None and packed._zech is None and packed._packed
+        assert tabled._zech is not None and packed._zech is None
+        assert arith_builder(packed) == "_packed_arith"
         gammas = (0, 1, first_root(tabled, least_irreducible_poly(tabled.base, n)))
         for gamma in gammas:
             for g in tabled.elements():
@@ -410,10 +415,12 @@ def test_packed_charpoly_matches_tabled(monkeypatch):
 
 def test_packed_charpoly_calls_no_list_kernel(record_calls):
     # over the table-free F_{3^11} the recurrence runs on packed ints: no
-    # list-kernel product or division, no digit codec and no field method
+    # list-kernel product or division and no field method, and the digit
+    # codec runs only at the ends, once per rep of -1, gamma, g and delta
+    # and once per code of mu and of the trace's floor(11/2) + 1 entries
     L = ext_make(F3, 11)
     tower = ext_make(field_make(3, 2), 6)
-    assert L._zech is None and L._packed and tower._zech is None
+    assert L._zech is None and arith_builder(L) == "_packed_arith" and tower._zech is None
     names = ("_list_mul", "_list_divmod", "_to_digits")
     calls = {name: record_calls(ff, name) for name in names}
     methods = ("mul", "add", "pow", "inv", "frob_iter")
@@ -421,8 +428,67 @@ def test_packed_charpoly_calls_no_list_kernel(record_calls):
     rng = random.Random(11)
     for _ in range(3):
         _charpoly(L, rng.randrange(L.order), rng.randrange(L.order), rng.randrange(1, L.order))
+    assert len(calls.pop("_to_digits")) == 3 * (4 + 1 + 6)
     assert all(v == [] for v in calls.values()), {k: len(v) for k, v in calls.items()}
-    # the recorders see what they pin: the table-free tower F_{9^6} keeps
-    # the list kernel and adds on the digit codec
+    # the recorders see what they pin: the charpoly over the table-free
+    # tower F_{9^6} runs the list kernel, and the tower's own methods run
+    # when called
     _charpoly(tower, 1, 2, 3)
+    tower.add(tower.inv(tower.frob_iter(tower.mul(2, 3), 1)), 1)
     assert all(calls.values()), {k: len(v) for k, v in calls.items()}
+
+
+def test_tower_charpoly_calls_no_method_of_its_field(record_calls):
+    # over the table-free towers F_{9^6} and F_{27^4} the charpoly and the
+    # minimal polynomial run on the list record: no method of L runs, and
+    # the only field methods that do are the base field's sums and
+    # products inside the kernel
+    names = ("mul", "add", "pow", "inv", "frob_iter")
+    calls = {name: record_calls(ff.ExtensionField, name) for name in names}
+    rng = random.Random(37)
+    for s, n in ((2, 6), (3, 4)):
+        L = ext_make(field_make(3, s), n)
+        assert L._zech is None and arith_builder(L) == "_list_arith"
+        for found in calls.values():
+            found.clear()
+        for _ in range(3):
+            # gamma outside the base field, so that its minimal polynomial
+            # takes Frobenius powers
+            gamma = rng.randrange(L.base.order, L.order)
+            _charpoly(L, gamma, rng.randrange(L.order), rng.randrange(1, L.order))
+            minimal_polynomial(L, gamma)
+        selves = {name: {id(args[0]) for args in found} for name, found in calls.items()}
+        assert selves == {"mul": {id(L.base)}, "add": {id(L.base)},
+                          "pow": set(), "inv": set(), "frob_iter": set()}, L
+
+
+# products of one _motive_trace at n = 4, 7, 11 and 20 with gamma, g and
+# delta nonzero: each row's entries as long as their degree needs
+MOTIVE_PRODUCTS = {4: 21, 7: 73, 11: 185, 20: 613}
+
+
+def test_motive_trace_makes_products_by_degree():
+    # over F_{3^n}, tabled at n = 4 and 7 and packed at 11 and 20, on
+    # seeded modules: the product count, and a trace of floor(n/2) + 1
+    # coefficients, the length the Weil bound deg c <= n/2 allows
+    rng = random.Random(20)
+    for n, expected in MOTIVE_PRODUCTS.items():
+        L = ext_make(F3, n)
+        rep, code, zero, one, mul, add, pow, frob = L.arith()
+        products = []
+
+        def counted(x, y):
+            products.append(None)
+            return mul(x, y)
+
+        for _ in range(3):
+            gamma, g, delta = (rng.randrange(1, L.order) for _ in range(3))
+            a1 = pow(rep(delta), -1)
+            minus_a1 = mul(a1, rep(L.scalar(-1)))
+            a0, b = mul(rep(gamma), minus_a1), mul(rep(g), minus_a1)
+            products.clear()
+            trace = _motive_trace(n, zero, one, counted, add, frob, a0, a1, b)
+            assert len(products) == expected, (n, gamma, g, delta)
+            assert len(trace) == n // 2 + 1, (n, gamma, g, delta)
+            c, _ = _charpoly(L, gamma, g, delta)
+            assert Poly(F3, [code(e) for e in trace]) == c, (n, gamma, g, delta)

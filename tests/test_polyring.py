@@ -47,6 +47,33 @@ def test_schoolbook_product_oracle():
     assert (T + one) * (T + two) == Poly(F3, (2, 0, 1))  # T^2 + 2
 
 
+def test_sums_are_trimmed_coefficientwise_sums():
+    # Poly sums and the kernel's _list_add under them, which OrePoly and the
+    # tower arithmetic share: coefficientwise field sums, trimmed, on inputs
+    # with trailing zeros, and no input changed
+    rng = random.Random(37)
+    for field in (F3, F9):
+        for _ in range(40):
+            a, b = ([rng.randrange(field.order) for _ in range(rng.randrange(6))]
+                    + [0] * rng.randrange(3) for _ in range(2))
+            a_in, b_in = list(a), list(b)
+            n = max(len(a), len(b))
+            a_pad, b_pad = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+            expected = [field.add(x, y) for x, y in zip(a_pad, b_pad)]
+            while expected and expected[-1] == 0:
+                expected.pop()
+            assert ff._list_add(field, a, b) == expected, (field, a, b)
+            assert (a, b) == (a_in, b_in)
+            assert (Poly(field, a) + Poly(field, b)).coeffs == tuple(expected), (field, a, b)
+    # over F_9, sums whose top terms cancel: to a lower degree, and to 0
+    f = Poly(F9, (5, 0, 7, 3))
+    g = Poly(F9, (1, 1, 0, F9.neg(3)))
+    assert (f + g).coeffs == (F9.add(5, 1), 1, 7)
+    assert (f + (-f)).coeffs == () and (f - f).is_zero()
+    minus_f = [F9.neg(c) for c in f.coeffs]
+    assert ff._list_add(F9, list(f.coeffs) + [0, 0], minus_f) == []
+
+
 def test_divmod_reconstruction_random():
     rng = random.Random(7)
     for field in (F5, F9):
