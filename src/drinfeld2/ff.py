@@ -16,15 +16,16 @@ Fields of order up to _TABLE_LIMIT are tabled, as Givaro's GFqDom: exp/log
 tables on the least generator g of the unit group, searched for once (past
 the base field) and kept as `generator`, and Zech logarithms
 zech[k] = log(1 + g^k).  A product is one exp lookup, a sum one zech and one
-exp lookup, and -a = a g^(N/2), N = order - 1.  The tables come from one walk
-x -> x g over the units.  That map is F_p-linear on the base-p digits, so the
-walk packs digit k into bits [wk, wk + w), w = p.bit_length() + 1.  A step is
-one integer sum of the images of the word's halves, every slot of it at most
-2p - 2 < 2^w so no carry crosses a slot, and one mask that takes every slot
-mod p (_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
+exp lookup.  The tables come from one walk x -> x g over the units.  That map
+is F_p-linear on the base-p digits, so the walk packs digit k into bits
+[wk, wk + w), w = p.bit_length() + 1.  A step is one integer sum of the
+images of the word's halves, every slot of it at most 2p - 2 < 2^w so no
+carry crosses a slot, and one mask that takes every slot mod p
+(_slot_reducer).  1 + x moves only the lowest base-p digit of x, so zech
 costs one log lookup per unit.
-Only ExtensionField reads the tables: its add, neg, mul and pow each take a
-tabled branch when the field has tables, and PrimeField has none.  Other
+Only ExtensionField reads the tables: its add, mul and pow each take a
+tabled branch when the field has tables, and PrimeField has none.  Its neg is
+the product by -1, whose code is p - 1 at every level of a tower.  Other
 modules take a field's arithmetic from `arith()`, one _Arith record (rep,
 code, zero, one, mul, add, pow, frob): on discrete logs with None for 0 when
 tabled, and otherwise on packed ints over a prime base and on coefficient
@@ -37,15 +38,13 @@ an element is an int that holds its base-p digits in s-bit slots, a product
 is one integer product whose high slots are folded back by precomputed rows
 y^i mod f, and a sum is one integer sum and one _slot_reducer step.  Over a
 tower it is _list_arith: an element is its trimmed coefficient list over the
-base, a product is the kernel's product reduced mod f.  The field's own mul
-and pow, and so inv and the Frobenius, map their operands into the record
-once and the result back once, and the generator search and the table images
-run on arith().  The field's own add and neg work digit by digit, mod p, on
-the base-p code, over any base, since addition is coefficientwise at every
-level of a tower.  One digit codec, _to_digits/_from_digits, expands a code
-in any radix: base p for the text form and the table-free add and neg, a
-power of 2 for packed words, and B = base.order, one digit per base-field
-element, for the list record and coords/from_coords.  The Frobenius
+base, a product is the kernel's product reduced mod f.  The field's own add,
+mul and pow, and so neg, inv and the Frobenius, map their operands into the
+record once and the result back once, and the generator search and the table
+images run on arith().  One digit codec, _to_digits/_from_digits, expands a
+code in any radix: base p for the text form, a power of 2 for the packed
+words of the record and of the table walk, and B = base.order, one digit per
+base-field element, for the list record and coords/from_coords.  The Frobenius
 x -> x^(q^i) is just a power, one exp/log lookup in a tabled field and
 square-and-multiply in a table-free one.  _square_and_multiply is the
 package's one square-and-multiply loop: field powers, powers modulo a
@@ -213,7 +212,9 @@ def _packed_arith(base, modulus):
 
 class FiniteField:
     """Shared behaviour; element codes are ints in range(self.order).  Each
-    subclass defines its own add, neg and mul."""
+    subclass defines its own add, neg and mul: PrimeField on residues, and
+    ExtensionField from its tables or through arith(), neg as the product by
+    -1."""
 
     order: int
     char: int
@@ -284,8 +285,8 @@ class PrimeField(FiniteField):
         self.char = p
         self.pdeg = 1
 
-    # the one-digit cases of the text codec and of ExtensionField's
-    # table-free add and neg
+    # the one-digit case of the text codec, kept for output speed: the JSON
+    # output writes every coefficient through it
     def to_str(self, a):
         return str(a)
 
@@ -691,7 +692,7 @@ class ExtensionField(FiniteField):
             for x in itertools.islice(exp, n_units)
         ]
         self._exp, self._log, self._zech = exp, log, zech
-        self._n_units, self._half = n_units, n_units // 2
+        self._n_units = n_units
         self._arith = self._log_arith()
 
     def add(self, a, b):
@@ -704,16 +705,12 @@ class ExtensionField(FiniteField):
             la = log[a]
             z = zech[log[b] - la]
             return 0 if z is None else self._exp[la + z]
-        p, k = self.char, self.pdeg
-        return _from_digits(
-            [(x + y) % p for x, y in zip(_to_digits(a, p, k), _to_digits(b, p, k))], p
-        )
+        k = self._arith
+        return k.code(k.add(k.rep(a), k.rep(b)))
 
     def neg(self, a):
-        if self._zech is not None:
-            return self._exp[self._log[a] + self._half] if a else 0
-        p = self.char
-        return _from_digits([-x % p for x in _to_digits(a, p, self.pdeg)], p)
+        # -1 has the code p - 1 at every level of a tower
+        return self.mul(a, self.char - 1)
 
     def mul(self, a, b):
         if a == 0 or b == 0:

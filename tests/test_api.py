@@ -91,7 +91,7 @@ def test_only_ff_reads_the_field_tables():
     # the discrete-log tables and the generator search belong to ff: other
     # modules take a field's arithmetic from ExtensionField.arith and its
     # generator from ExtensionField.generator
-    private = {"_exp", "_log", "_zech", "_n_units", "_half", "_least_generator"}
+    private = {"_exp", "_log", "_zech", "_n_units", "_least_generator"}
     read = {}
     for info in pkgutil.iter_modules(drinfeld2.__path__):
         module = importlib.import_module("drinfeld2." + info.name)
@@ -119,6 +119,22 @@ def test_only_ff_reads_the_field_tables():
 
     assert touched([ext]) == tables
     assert not touched(top for top in tree.body if top is not ext)
+    # inside ExtensionField an operation reads the tables or goes through
+    # arith(), never a third way: __init__ and _build_tables set them, only
+    # _log_arith, add, mul and pow read them, and neg, a product by -1,
+    # touches none
+    methods = {node.name: node for node in ext.body if isinstance(node, ast.FunctionDef)}
+
+    def users(ctx):
+        return {
+            name for name, method in methods.items()
+            if any(isinstance(node, ast.Attribute) and node.attr in tables
+                   and isinstance(node.ctx, ctx) for node in ast.walk(method))
+        }
+
+    assert users(ast.Store) == {"__init__", "_build_tables"}
+    assert users(ast.Load) == {"_log_arith", "add", "mul", "pow"}
+    assert not touched([methods["neg"]])
 
 
 def test_the_library_imports_the_standard_library_alone():

@@ -299,7 +299,8 @@ def test_digit_add_matches_coordinate_oracle(monkeypatch):
         F, [(rng.randrange(F.order), rng.randrange(F.order)) for _ in range(5000)]
     )
     # the table-free twins of the fields above, base fields included, which
-    # add and negate on the digit codec instead of the Zech logarithms
+    # add on their arith() record and negate by a product with -1 where the
+    # tabled fields read the Zech logarithms
     monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
     for build in builds:
         F = build()
@@ -553,9 +554,9 @@ def list_kernel_pow(F, a, e):
 
 
 def _check_packed_ops(F, pairs):
-    # the packed product and sum, through F.mul and arith(), and the field's
-    # add, neg and sub on the digit loop; the oracles are the list kernel's
-    # product and the coordinate sum and negation
+    # the packed product and sum, through F.mul and F.add and through
+    # arith(), and the field's neg and sub, a product with -1 and a sum; the
+    # oracles are the list kernel's product and the coordinate sum and negation
     rep, code, _, _, mul, add, _, _ = F.arith()
     for a, b in pairs:
         x, y = rep(a), rep(b)
@@ -615,6 +616,45 @@ def test_packed_kernel_at_the_slot_bound():
         assert F.neg(top) == oracle_neg(F, top) == top // (p - 1), F
 
 
+def test_table_free_ops_make_one_record_call(monkeypatch):
+    # the table-free twins of F_{3^5} (packed record) and F_81/F_9 (list
+    # record): add, mul and pow are one call of the record's own op between
+    # rep and code, and neg is one record product with rep(-1) = rep(p - 1)
+    base = field_make(3, 2)
+    monkeypatch.setattr(ff, "_TABLE_LIMIT", 0)
+    twins = [ext_make(PrimeField(3), 5), ff.ExtensionField(base, 2)]
+    assert [arith_builder(F) for F in twins] == ["_packed_arith", "_list_arith"]
+    rng = random.Random(38)
+    for F in twins:
+        calls, k = [], F.arith()
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                calls.append((name, args))
+                return fn(*args)
+
+            return wrapper
+
+        F._arith = k._replace(**{name: recorded(name, getattr(k, name))
+                                 for name in ("rep", "code", "mul", "add", "pow")})
+        minus_one = k.rep(F.char - 1)
+        for _ in range(50):
+            a, b = rng.randrange(1, F.order), rng.randrange(1, F.order)
+            for op, args, names in [
+                (F.add, (a, b), ["rep", "rep", "add", "code"]),
+                (F.mul, (a, b), ["rep", "rep", "mul", "code"]),
+                (F.pow, (a, -1), ["rep", "pow", "code"]),
+                (F.pow, (a, F.base.order), ["rep", "pow", "code"]),
+                (F.neg, (a,), ["rep", "rep", "mul", "code"]),
+            ]:
+                calls.clear()
+                op(*args)
+                assert [name for name, _ in calls] == names, (F, op.__name__, args)
+            (operands,) = [args for name, args in calls if name == "mul"]
+            assert minus_one in operands, (F, a)
+            assert F.neg(a) == oracle_neg(F, a), (F, a)
+
+
 def test_zero_has_no_log():
     # a reader that forgets the zero check fails on None, and never reads 0
     # as 1 (whose log is 0); zech is None only where 1 + g^k = 0, k = N/2
@@ -636,7 +676,7 @@ def test_zech_edge_cases(monkeypatch):
             assert F.add(a, 0) == F.add(0, a) == a, (F, a)
             assert F.sub(a, a) == 0 and F.sub(a, 0) == a, (F, a)
             assert F.sub(0, a) == F.neg(a), (F, a)
-    # F_81/F_9 against its table-free twin, whose add is the digit loop
+    # F_81/F_9 against its table-free twin, which adds on its list record
     F = TOWER_BUILDS[2]()
     with monkeypatch.context() as m:
         m.setattr(ff, "_TABLE_LIMIT", 0)
@@ -655,7 +695,7 @@ def _large_field(p, s):
 
 
 # F_{3^10} and F_{5^6} are tabled, F_{3^11} is table-free; distributivity ties
-# the digit add to the product of each
+# the add to the product of each, on the Zech logarithms or the packed record
 @settings(deadline=None)
 @given(st.sampled_from([(3, 10), (5, 6), (3, 11)]), st.data())
 def test_add_distributes_and_inverts_large_fields(ps, data):
